@@ -10,7 +10,6 @@ attribution over attention maps, and a small benchmark harness.
 
 from .client import EndpointConfig, EndpointFactory, LiveSession, connect_endpoint
 from .controller import (
-    POLICIES,
     BatchItem,
     GenerationRecord,
     read_records,
@@ -23,6 +22,7 @@ from .evaluation import (
     BenchmarkReport,
     ReportRow,
     Sample,
+    efficiency_rate,
     emit_report,
     load_dataset,
     parse_answer,
@@ -34,12 +34,12 @@ from .phase_analysis import (
     PhaseSegmentation,
     TruncationZone,
     aggregate_macro,
-    efficiency_rate,
     optimal_truncation_zone,
     segment_phases,
     truncation_accuracy_curve,
 )
 from .policy import (
+    POLICIES,
     BaselineConfig,
     Distribution,
     PolicyConfig,
@@ -69,7 +69,6 @@ from .trace import (
     TraceFile,
     TraceHeader,
     TraceReader,
-    fork_for_probe,
     open_trace,
     read_trace,
     write_trace,
@@ -113,7 +112,6 @@ __all__ = [
     "efficiency_rate",
     "emit_report",
     "fixed_ratio_stop",
-    "fork_for_probe",
     "generate_synthetic",
     "load_dataset",
     "load_tensor",

@@ -85,22 +85,13 @@ def _stem(path: str) -> str:
     return os.path.splitext(os.path.basename(path))[0]
 
 
-def _parse_floats(text: str, flag: str) -> list[float]:
+def _parse_list(text: str, flag: str, kind=float) -> list:
+    """Comma-separated values of one kind (float or int)."""
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if not parts:
         raise UsageError(f"{flag} is empty")
     try:
-        return [float(p) for p in parts]
-    except ValueError as exc:
-        raise UsageError(f"{flag}: {exc}") from exc
-
-
-def _parse_ints(text: str, flag: str) -> list[int]:
-    parts = [p.strip() for p in text.split(",") if p.strip()]
-    if not parts:
-        raise UsageError(f"{flag} is empty")
-    try:
-        return [int(p) for p in parts]
+        return [kind(p) for p in parts]
     except ValueError as exc:
         raise UsageError(f"{flag}: {exc}") from exc
 
@@ -197,8 +188,6 @@ def _validate_run(args) -> dict:
     _check_out(args.out)
     _validated_policy_numbers(args)
     bcfg = _baseline_config(args)
-    if args.entropy_weight < 0:
-        raise UsageError(f"--lambda must be >= 0, got {args.entropy_weight}")
 
     plan = {"bcfg": bcfg, "samples": None, "by_id": {}}
     if args.dataset:
@@ -365,11 +354,11 @@ def _validate_sweep(args) -> dict:
     if bool(args.lambda_grid) == bool(args.ratio_grid):
         raise UsageError("give exactly one of --lambda-grid or --ratio-grid")
     if args.lambda_grid:
-        values = _parse_floats(args.lambda_grid, "--lambda-grid")
+        values = _parse_list(args.lambda_grid, "--lambda-grid")
         bad = [v for v in values if v < 0]
         param = "lambda"
     else:
-        values = _parse_floats(args.ratio_grid, "--ratio-grid")
+        values = _parse_list(args.ratio_grid, "--ratio-grid")
         bad = [v for v in values if not 0 < v <= 1]
         param = "ratio"
     if bad:
@@ -479,7 +468,7 @@ def _validate_analyze(args) -> dict:
         plan["traces"] = _require_files(args.traces, "--traces")
     if args.epsilon < 0:
         raise UsageError(f"--epsilon must be >= 0, got {args.epsilon}")
-    plan["grid"] = _parse_floats(args.grid, "--grid")
+    plan["grid"] = _parse_list(args.grid, "--grid")
     bad = [v for v in plan["grid"] if not 0 < v <= 1]
     if bad:
         raise UsageError(f"--grid ratio {bad[0]!r} outside (0, 1]")
@@ -572,7 +561,7 @@ def _validate_saliency(args) -> dict:
     _check_out(args.out)
     _require_files([args.attention], "--attention")
     _require_files([args.gradients], "--gradients")
-    bounds = _parse_ints(args.boundaries, "--boundaries")
+    bounds = _parse_list(args.boundaries, "--boundaries", int)
     if len(bounds) != 4:
         raise UsageError(f"--boundaries needs p,r,s,end; got {len(bounds)} values")
     p, r, s, end = bounds
@@ -612,7 +601,7 @@ def cmd_saliency(args) -> _Outcome:
 
 def _validate_gen(args) -> dict:
     _check_out(args.out)
-    lengths = _parse_ints(args.phases, "--phases")
+    lengths = _parse_list(args.phases, "--phases", int)
     if len(lengths) != 4:
         raise UsageError(f"--phases needs four lengths, got {len(lengths)}")
     if args.count < 1:

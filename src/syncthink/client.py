@@ -124,7 +124,6 @@ class LiveSession:
         if config.api_key:
             self._http.headers["Authorization"] = f"Bearer {config.api_key}"
         self._texts: list[str] = []
-        self._steps: list[StepObservation] = []
         self._t = -1
         self._natural = False
         self._exhausted = False
@@ -158,17 +157,11 @@ class LiveSession:
                 timeout=self._config.timeout,
             )
         except requests.RequestException as exc:
-            raise SessionError(
-                f"request to {self._config.base_url} failed: {exc}",
-                partial_steps=self._steps,
-            ) from exc
+            raise SessionError(f"request to {self._config.base_url} failed: {exc}") from exc
         if resp.status_code != 200:
             detail = resp.text[:200]
             resp.close()
-            raise SessionError(
-                f"endpoint returned HTTP {resp.status_code}: {detail}",
-                partial_steps=self._steps,
-            )
+            raise SessionError(f"endpoint returned HTTP {resp.status_code}: {detail}")
         return resp
 
     def _event_iter(self, resp):
@@ -198,15 +191,9 @@ class LiveSession:
                     continue
                 return self._observe(choice, content)
         except (requests.RequestException, ValueError) as exc:
-            raise SessionError(
-                f"stream failed at step {self._t + 1}: {exc}",
-                partial_steps=self._steps,
-            ) from exc
+            raise SessionError(f"stream failed at step {self._t + 1}: {exc}") from exc
         if not self._saw_done:
-            raise SessionError(
-                f"stream ended without completion sentinel at step {self._t + 1}",
-                partial_steps=self._steps,
-            )
+            raise SessionError(f"stream ended without completion sentinel at step {self._t + 1}")
         self._exhausted = True
         raise StopIteration
 
@@ -249,7 +236,6 @@ class LiveSession:
             step_wall_time=wall,
         )
         self._texts.append(content)
-        self._steps.append(observation)
         if token == self.watched_token:
             self._natural = True
         return observation
@@ -265,14 +251,9 @@ class LiveSession:
                 if content:
                     parts.append(content)
         except (requests.RequestException, ValueError) as exc:
-            raise SessionError(
-                f"answer stream failed: {exc}", partial_steps=self._steps
-            ) from exc
+            raise SessionError(f"answer stream failed: {exc}") from exc
         if not self._saw_done:
-            raise SessionError(
-                "answer stream ended without completion sentinel",
-                partial_steps=self._steps,
-            )
+            raise SessionError("answer stream ended without completion sentinel")
         return "".join(parts), len(parts)
 
     def _completion(self, assistant: str) -> tuple[str, int]:
@@ -280,19 +261,13 @@ class LiveSession:
         try:
             data = resp.json()
         except ValueError as exc:
-            raise SessionError(
-                f"branch completion returned malformed JSON: {exc}",
-                partial_steps=self._steps,
-            ) from exc
+            raise SessionError(f"branch completion returned malformed JSON: {exc}") from exc
         finally:
             resp.close()
         try:
             text = data["choices"][0]["message"]["content"] or ""
         except (KeyError, IndexError, TypeError) as exc:
-            raise SessionError(
-                f"branch completion missing choices content: {exc}",
-                partial_steps=self._steps,
-            ) from exc
+            raise SessionError(f"branch completion missing choices content: {exc}") from exc
         usage = data.get("usage") or {}
         tokens = int(usage.get("completion_tokens", len(text.split())))
         return text, tokens
@@ -303,9 +278,6 @@ class LiveSession:
         partial = "".join(self._texts) + self.watched_token + "\n" + suffix
         text, _ = self._completion(partial)
         return text, time.perf_counter() - start
-
-    def probe(self, suffix: str) -> str:
-        return self.probe_with_time(suffix)[0]
 
     def answer_after(self, t: int, injected: bool) -> tuple[str, int, float]:
         """Answer text once reasoning ended at step t.
@@ -323,6 +295,9 @@ class LiveSession:
         return text, tokens, time.perf_counter() - start
 
     def close(self) -> None:
+        # the event generator's frame refers back to this session; closing
+        # it breaks that cycle so the session is freed by reference count
+        self._events.close()
         try:
             self._resp.close()
         finally:

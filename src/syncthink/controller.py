@@ -11,19 +11,25 @@ Timing is split three ways and sums exactly to the total: generation
 arithmetic), eval (answer normalization).  Record contents other than
 the wall-time fields are deterministic for a given source and config;
 record_fingerprint captures exactly that deterministic part.
+
+A record keeps only the decision made at its stop step.  The rank and
+entropy of every step stay in its trajectories, and dynamic_threshold
+rebuilds a syncthink threshold at any step from the record's config.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from . import jsonl
 from .errors import (
     ConfigurationError,
+    MalformedRecordError,
     PolicyUnavailableError,
     SessionError,
     SyncThinkError,
@@ -31,6 +37,7 @@ from .errors import (
 )
 from .evaluation import parse_answer
 from .policy import (
+    POLICIES,
     BaselineConfig,
     PolicyConfig,
     StopDecision,
@@ -39,8 +46,6 @@ from .policy import (
     fixed_ratio_stop,
     should_stop,
 )
-
-POLICIES = ("syncthink", "full", "none", "fixed_ratio", "answer_convergence")
 
 TIMING_FIELDS = ("t_gen", "t_metric", "t_eval", "t_total")
 
@@ -62,7 +67,7 @@ class GenerationRecord:
     total_tokens: int
     answer_text: str
     normalized_answer: str
-    decisions: tuple[tuple[int, StopDecision], ...]
+    decision: StopDecision | None
     rank_trajectory: tuple[tuple[int, int], ...]
     entropy_trajectory: tuple[tuple[int, float], ...]
     t_gen: float
@@ -150,7 +155,7 @@ def run_generation(
             )
     config = _snapshot_config(policy, pcfg, bcfg, full_length, budget)
 
-    decisions: list[tuple[int, StopDecision]] = []
+    decision: StopDecision | None = None
     ranks: list[tuple[int, int]] = []
     entropies: list[tuple[int, float]] = []
     step_times: list[float] = []
@@ -182,7 +187,7 @@ def run_generation(
             total_tokens=reasoning + answer_tokens,
             answer_text=answer_text,
             normalized_answer=normalized,
-            decisions=tuple(decisions),
+            decision=decision if stop_step is not None else None,
             rank_trajectory=tuple(ranks),
             entropy_trajectory=tuple(entropies),
             t_gen=gen,
@@ -210,11 +215,9 @@ def run_generation(
                     threshold = 0
                 metric_seconds += time.perf_counter() - m0
                 reason = StopReason.NATURAL_TERMINATION
-                decisions.append(
-                    (t, StopDecision(
-                        stop=True, threshold=threshold, rank=obs.watched_rank,
-                        entropy=obs.entropy, reason=reason,
-                    ))
+                decision = StopDecision(
+                    stop=True, threshold=threshold, rank=obs.watched_rank,
+                    entropy=obs.entropy, reason=reason,
                 )
                 stop_step = t
                 break
@@ -225,7 +228,6 @@ def run_generation(
             )
             metric_seconds += time.perf_counter() - m0 - probe_secs
             probe_seconds += probe_secs
-            decisions.append((t, decision))
             if decision.stop:
                 stop_step = t
                 injected = True
@@ -391,7 +393,7 @@ def _failed_record(sample_id: str, policy: str, budget: int, exc: Exception) -> 
         total_tokens=0,
         answer_text="",
         normalized_answer="",
-        decisions=(),
+        decision=None,
         rank_trajectory=(),
         entropy_trajectory=(),
         t_gen=0.0,
@@ -401,76 +403,42 @@ def _failed_record(sample_id: str, policy: str, budget: int, exc: Exception) -> 
     )
 
 
+def _optional(convert: Callable) -> Callable:
+    return lambda value: None if value is None else convert(value)
+
+
+def _pairs(value: list) -> tuple:
+    return tuple((t, x) for t, x in value)
+
+
+# JSON form of the fields that are not JSON values as they stand; every
+# other field is written and read as it is
+_TO_OBJ = {
+    "reason": _optional(lambda reason: reason.value),
+    "decision": _optional(lambda d: {**vars(d), "reason": d.reason.value}),
+}
+_FROM_OBJ = {
+    "reason": _optional(StopReason),
+    "decision": _optional(lambda d: StopDecision(**{**d, "reason": StopReason(d["reason"])})),
+    "rank_trajectory": _pairs,
+    "entropy_trajectory": _pairs,
+}
+_RECORD_FIELDS = tuple(f.name for f in dataclasses.fields(GenerationRecord))
+
+
 def record_to_obj(record: GenerationRecord) -> dict:
-    return {
-        "sample_id": record.sample_id,
-        "policy": record.policy,
-        "config": record.config,
-        "complete": record.complete,
-        "error": record.error,
-        "stop_step": record.stop_step,
-        "injected": record.injected,
-        "reason": None if record.reason is None else record.reason.value,
-        "reasoning_tokens": record.reasoning_tokens,
-        "answer_tokens": record.answer_tokens,
-        "total_tokens": record.total_tokens,
-        "answer_text": record.answer_text,
-        "normalized_answer": record.normalized_answer,
-        "decisions": [
-            {
-                "t": t,
-                "stop": d.stop,
-                "threshold": d.threshold,
-                "rank": d.rank,
-                "entropy": d.entropy,
-                "reason": d.reason.value,
-            }
-            for t, d in record.decisions
-        ],
-        "rank_trajectory": [[t, r] for t, r in record.rank_trajectory],
-        "entropy_trajectory": [[t, h] for t, h in record.entropy_trajectory],
-        "t_gen": record.t_gen,
-        "t_metric": record.t_metric,
-        "t_eval": record.t_eval,
-        "t_total": record.t_total,
-    }
+    """JSON object of a record, keys in field order; trajectories stay tuples."""
+    obj = {name: getattr(record, name) for name in _RECORD_FIELDS}
+    for name, convert in _TO_OBJ.items():
+        obj[name] = convert(obj[name])
+    return obj
 
 
 def record_from_obj(obj: dict) -> GenerationRecord:
-    return GenerationRecord(
-        sample_id=str(obj["sample_id"]),
-        policy=str(obj["policy"]),
-        config=dict(obj["config"]),
-        complete=bool(obj["complete"]),
-        error=str(obj["error"]),
-        stop_step=None if obj["stop_step"] is None else int(obj["stop_step"]),
-        injected=bool(obj["injected"]),
-        reason=None if obj["reason"] is None else StopReason(obj["reason"]),
-        reasoning_tokens=int(obj["reasoning_tokens"]),
-        answer_tokens=int(obj["answer_tokens"]),
-        total_tokens=int(obj["total_tokens"]),
-        answer_text=str(obj["answer_text"]),
-        normalized_answer=str(obj["normalized_answer"]),
-        decisions=tuple(
-            (
-                int(d["t"]),
-                StopDecision(
-                    stop=bool(d["stop"]),
-                    threshold=int(d["threshold"]),
-                    rank=int(d["rank"]),
-                    entropy=float(d["entropy"]),
-                    reason=StopReason(d["reason"]),
-                ),
-            )
-            for d in obj["decisions"]
-        ),
-        rank_trajectory=tuple((int(t), int(r)) for t, r in obj["rank_trajectory"]),
-        entropy_trajectory=tuple((int(t), float(h)) for t, h in obj["entropy_trajectory"]),
-        t_gen=float(obj["t_gen"]),
-        t_metric=float(obj["t_metric"]),
-        t_eval=float(obj["t_eval"]),
-        t_total=float(obj["t_total"]),
-    )
+    values = {name: obj[name] for name in _RECORD_FIELDS}
+    for name, convert in _FROM_OBJ.items():
+        values[name] = convert(values[name])
+    return GenerationRecord(**values)
 
 
 def write_records(path: str, records: Iterable[GenerationRecord]) -> None:
@@ -478,7 +446,19 @@ def write_records(path: str, records: Iterable[GenerationRecord]) -> None:
 
 
 def read_records(path: str) -> list[GenerationRecord]:
-    return [record_from_obj(obj) for _, obj in jsonl.read_lines(path)]
+    """Parse a records file; a malformed line raises MalformedRecordError."""
+    records = []
+    try:
+        for lineno, obj in jsonl.read_lines(path):
+            try:
+                record = record_from_obj(obj)
+                record.validate()
+            except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
+                raise MalformedRecordError(f"{path}:{lineno}: bad record: {exc!r}") from exc
+            records.append(record)
+    except ValueError as exc:  # not JSON; the message names path:line
+        raise MalformedRecordError(str(exc)) from exc
+    return records
 
 
 def record_fingerprint(record: GenerationRecord) -> bytes:

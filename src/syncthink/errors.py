@@ -19,6 +19,10 @@ class MalformedTraceError(SyncThinkError):
     """A trace file cannot be parsed; message carries file and line."""
 
 
+class MalformedRecordError(SyncThinkError):
+    """A records file cannot be parsed; message starts with file:line."""
+
+
 class TraceIntegrityError(SyncThinkError):
     """A parsed trace violates a cross-line invariant."""
 
@@ -36,15 +40,7 @@ class CapabilityError(SyncThinkError):
 
 
 class SessionError(SyncThinkError):
-    """A live stream failed mid-run.
-
-    Carries the observations collected before the failure so the caller
-    can preserve a partial record.
-    """
-
-    def __init__(self, message: str, partial_steps=()):
-        super().__init__(message)
-        self.partial_steps = list(partial_steps)
+    """A live stream failed mid-run."""
 
 
 class TensorFormatError(SyncThinkError):

@@ -17,19 +17,13 @@ import re
 from dataclasses import dataclass, replace
 
 from . import jsonl
-from .errors import ConfigurationError, EmptyInputError, ScoringError, UndefinedRateError
+from .errors import ConfigurationError, ScoringError, UndefinedRateError
+from .policy import POLICIES
 
 TASK_KINDS = ("numeric", "multiple_choice", "freeform")
 
-# canonical report row order; mirrors the controller's policy tuple,
-# which cannot be imported here without a cycle
-_POLICY_ORDER = {
-    "syncthink": 0,
-    "full": 1,
-    "none": 2,
-    "fixed_ratio": 3,
-    "answer_convergence": 4,
-}
+# report rows follow the canonical policy order
+_POLICY_RANK = {policy: i for i, policy in enumerate(POLICIES)}
 
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)")
 _CHOICE_PHRASE = re.compile(
@@ -231,12 +225,9 @@ def score(records, samples, *, alpha_cost: float = 0.0) -> BenchmarkReport:
             )
         )
 
-    rows.sort(key=lambda r: (r.dataset, _POLICY_ORDER.get(r.policy, 99), r.policy))
+    rows.sort(key=lambda r: (r.dataset, _POLICY_RANK.get(r.policy, len(POLICIES)), r.policy))
 
-    # efficiency relative to the no-reasoning policy in the same dataset;
-    # imported here because phase_analysis also uses this module
-    from .phase_analysis import efficiency_rate
-
+    # efficiency relative to the no-reasoning policy in the same dataset
     by_dataset_base = {row.dataset: row for row in rows if row.policy == "none"}
     final_rows: list[ReportRow] = []
     for row in rows:
@@ -251,6 +242,18 @@ def score(records, samples, *, alpha_cost: float = 0.0) -> BenchmarkReport:
                 efficiency = None
         final_rows.append(replace(row, efficiency=efficiency))
     return BenchmarkReport(rows=tuple(final_rows), alpha_cost=alpha_cost)
+
+
+def efficiency_rate(
+    accuracy: float, tokens: float, base_accuracy: float, base_tokens: float
+) -> float:
+    """Accuracy points gained per 100 extra tokens over the baseline."""
+    extra = tokens - base_tokens
+    if extra <= 0:
+        raise UndefinedRateError(
+            f"no extra token spend over the baseline ({tokens} vs {base_tokens})"
+        )
+    return 100.0 * (accuracy - base_accuracy) / extra
 
 
 _CSV_COLUMNS = (
@@ -269,100 +272,50 @@ _CSV_COLUMNS = (
 )
 
 
-def emit_report(report: BenchmarkReport, path: str, fmt: str = "tabular") -> None:
-    """Write the report as CSV ("tabular") or JSONL ("structured").
-
-    Both forms round-trip losslessly through read_report.
-    """
-    if fmt == "tabular":
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(_CSV_COLUMNS)
-            for row in report.rows:
-                writer.writerow(
-                    [
-                        row.dataset,
-                        row.policy,
-                        row.n,
-                        row.n_incomplete,
-                        jsonl.format_float(row.top1),
-                        jsonl.format_float(row.mean_reasoning_tokens),
-                        jsonl.format_float(row.mean_answer_tokens),
-                        jsonl.format_float(row.mean_total_tokens),
-                        jsonl.format_float(row.mean_total_time),
-                        jsonl.format_float(row.objective),
-                        "" if row.efficiency is None else jsonl.format_float(row.efficiency),
-                        jsonl.format_float(report.alpha_cost),
-                    ]
-                )
-    elif fmt == "structured":
-        lines: list[object] = [{"alpha_cost": report.alpha_cost}]
+def emit_report(report: BenchmarkReport, path: str) -> None:
+    """Write the report as CSV; read_report reads it back losslessly."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(_CSV_COLUMNS)
         for row in report.rows:
-            lines.append(
-                {
-                    "dataset": row.dataset,
-                    "policy": row.policy,
-                    "n": row.n,
-                    "n_incomplete": row.n_incomplete,
-                    "top1": row.top1,
-                    "mean_reasoning_tokens": row.mean_reasoning_tokens,
-                    "mean_answer_tokens": row.mean_answer_tokens,
-                    "mean_total_tokens": row.mean_total_tokens,
-                    "mean_total_time": row.mean_total_time,
-                    "objective": row.objective,
-                    "efficiency": row.efficiency,
-                }
+            writer.writerow(
+                [
+                    row.dataset,
+                    row.policy,
+                    row.n,
+                    row.n_incomplete,
+                    jsonl.format_float(row.top1),
+                    jsonl.format_float(row.mean_reasoning_tokens),
+                    jsonl.format_float(row.mean_answer_tokens),
+                    jsonl.format_float(row.mean_total_tokens),
+                    jsonl.format_float(row.mean_total_time),
+                    jsonl.format_float(row.objective),
+                    "" if row.efficiency is None else jsonl.format_float(row.efficiency),
+                    jsonl.format_float(report.alpha_cost),
+                ]
             )
-        jsonl.write_lines(path, lines)
-    else:
-        raise ConfigurationError(f"fmt must be 'tabular' or 'structured', got {fmt!r}")
 
 
-def read_report(path: str, fmt: str = "tabular") -> BenchmarkReport:
-    if fmt == "tabular":
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            rows = []
-            alpha = 0.0
-            for rec in reader:
-                alpha = float(rec["alpha_cost"])
-                rows.append(
-                    ReportRow(
-                        dataset=rec["dataset"],
-                        policy=rec["policy"],
-                        n=int(rec["n"]),
-                        n_incomplete=int(rec["n_incomplete"]),
-                        top1=float(rec["top1"]),
-                        mean_reasoning_tokens=float(rec["mean_reasoning_tokens"]),
-                        mean_answer_tokens=float(rec["mean_answer_tokens"]),
-                        mean_total_tokens=float(rec["mean_total_tokens"]),
-                        mean_total_time=float(rec["mean_total_time"]),
-                        objective=float(rec["objective"]),
-                        efficiency=float(rec["efficiency"]) if rec["efficiency"] else None,
-                    )
-                )
-        return BenchmarkReport(rows=tuple(rows), alpha_cost=alpha)
-    if fmt == "structured":
+def read_report(path: str) -> BenchmarkReport:
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
         rows = []
         alpha = 0.0
-        for lineno, obj in jsonl.read_lines(path):
-            if lineno == 1 and "alpha_cost" in obj and "policy" not in obj:
-                alpha = float(obj["alpha_cost"])
-                continue
+        for rec in reader:
+            alpha = float(rec["alpha_cost"])
             rows.append(
                 ReportRow(
-                    dataset=str(obj["dataset"]),
-                    policy=str(obj["policy"]),
-                    n=int(obj["n"]),
-                    n_incomplete=int(obj["n_incomplete"]),
-                    top1=float(obj["top1"]),
-                    mean_reasoning_tokens=float(obj["mean_reasoning_tokens"]),
-                    mean_answer_tokens=float(obj["mean_answer_tokens"]),
-                    mean_total_tokens=float(obj["mean_total_tokens"]),
-                    mean_total_time=float(obj["mean_total_time"]),
-                    objective=float(obj["objective"]),
-                    efficiency=None if obj["efficiency"] is None else float(obj["efficiency"]),
+                    dataset=rec["dataset"],
+                    policy=rec["policy"],
+                    n=int(rec["n"]),
+                    n_incomplete=int(rec["n_incomplete"]),
+                    top1=float(rec["top1"]),
+                    mean_reasoning_tokens=float(rec["mean_reasoning_tokens"]),
+                    mean_answer_tokens=float(rec["mean_answer_tokens"]),
+                    mean_total_tokens=float(rec["mean_total_tokens"]),
+                    mean_total_time=float(rec["mean_total_time"]),
+                    objective=float(rec["objective"]),
+                    efficiency=float(rec["efficiency"]) if rec["efficiency"] else None,
                 )
             )
-        return BenchmarkReport(rows=tuple(rows), alpha_cost=alpha)
-    raise ConfigurationError(f"fmt must be 'tabular' or 'structured', got {fmt!r}")
+    return BenchmarkReport(rows=tuple(rows), alpha_cost=alpha)

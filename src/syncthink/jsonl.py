@@ -72,8 +72,15 @@ def write_lines(path: str, objects: Iterable[Any]) -> None:
 
 
 def read_lines(path: str) -> Iterator[tuple[int, Any]]:
-    """Yield (1-based line number, parsed object), skipping blank lines."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Yield (1-based line number, parsed object), skipping blank lines.
+
+    A line that is not UTF-8 JSON raises ValueError naming path:line.
+    """
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.strip():
-                yield lineno, json.loads(line)
+                try:
+                    obj = json.loads(line)
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
+                yield lineno, obj

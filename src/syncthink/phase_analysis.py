@@ -16,14 +16,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import jsonl
+from . import evaluation, jsonl
 from .errors import (
     ConfigurationError,
     EmptyInputError,
     InsufficientDataError,
     ScoringError,
-    UndefinedRateError,
 )
+from .evaluation import efficiency_rate  # re-exported: analysis callers import it here
 
 # slope template on smoothed log-rank, per segment
 SLOPE_CLIMB_MIN = 0.02
@@ -230,8 +230,6 @@ def truncation_accuracy_curve(
     both numerator and denominator; the exclusion count is reported on
     the curve.  Grid points with no measurement hold NaN.
     """
-    from .evaluation import parse_answer
-
     if grid_size < 2:
         raise ConfigurationError(f"grid_size must be >= 2, got {grid_size!r}")
     if not records_by_ratio:
@@ -255,7 +253,9 @@ def truncation_accuracy_curve(
             sample = index.get(record.sample_id)
             if sample is None:
                 raise ScoringError(f"record references unknown sample {record.sample_id!r}")
-            gold_norm = parse_answer(sample.gold, sample.task_kind)
+            # looked up on the module at each call, so a wrapper installed
+            # on evaluation.parse_answer (perfbench/tracer.py) sees it
+            gold_norm = evaluation.parse_answer(sample.gold, sample.task_kind)
             if not gold_norm:
                 exclusions += 1
                 continue
@@ -293,18 +293,6 @@ def optimal_truncation_zone(curve: MacroCurve, epsilon: float = 1.0) -> Truncati
             break
     start = float(curve.progress[start_idx])
     return TruncationZone(start=start, end=1.0, degenerate=bool(start_idx == measured[-1]))
-
-
-def efficiency_rate(
-    accuracy: float, tokens: float, base_accuracy: float, base_tokens: float
-) -> float:
-    """Accuracy points gained per 100 extra tokens over the baseline."""
-    extra = tokens - base_tokens
-    if extra <= 0:
-        raise UndefinedRateError(
-            f"no extra token spend over the baseline ({tokens} vs {base_tokens})"
-        )
-    return 100.0 * (accuracy - base_accuracy) / extra
 
 
 def segmentations_to_csv(rows: Sequence[tuple[str, PhaseSegmentation]], path: str) -> None:

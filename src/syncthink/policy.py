@@ -25,6 +25,9 @@ TokenId = Union[int, str]
 # tolerance on probability mass bookkeeping
 MASS_TOLERANCE = 1e-6
 
+# every policy the controller runs, in canonical report order
+POLICIES = ("syncthink", "full", "none", "fixed_ratio", "answer_convergence")
+
 
 class StopReason(str, Enum):
     THRESHOLD_FIRED = "threshold_fired"
@@ -95,11 +98,6 @@ class Distribution:
 
     probs: tuple[tuple[TokenId, float], ...]
     tail_mass: float = 0.0
-
-    @classmethod
-    def from_probs(cls, values: Sequence[float]) -> "Distribution":
-        """Full-vocabulary distribution; token ids are vector indices."""
-        return cls(probs=tuple(enumerate(values)), tail_mass=0.0)
 
     @classmethod
     def from_topk_logprobs(cls, pairs: Sequence[tuple[TokenId, float]]) -> "Distribution":

@@ -202,17 +202,6 @@ def _make_handler(server: StubServer):
                 return
             answer = server.answer_at(matched)
             tokens = len(answer.split())
-            if body.get("stream"):
-                self.send_response(200)
-                self.send_header("Content-Type", "text/event-stream")
-                self.end_headers()
-                for i, word in enumerate(answer.split()):
-                    piece = word if i == 0 else " " + word
-                    self._sse(self._chunk({"content": piece}))
-                self._sse(self._chunk({}, finish="stop"))
-                self.wfile.write(b"data: [DONE]\n\n")
-                self.wfile.flush()
-                return
             payload = json.dumps(
                 {
                     "id": "stub-completion",

@@ -191,21 +191,22 @@ def _parse_header(obj: dict, path: str) -> tuple[TraceHeader, dict[int, tuple[st
     for key in HEADER_FIELDS:
         if key not in obj:
             raise MalformedTraceError(f"{path}:1: header missing field {key!r}")
-    header = TraceHeader(
-        tokenizer=str(obj["tokenizer"]),
-        vocab_size=int(obj["vocab_size"]),
-        watched_token=int(obj["watched_token"]),
-        source=str(obj["source"]),
-        seed=int(obj["seed"]),
-    )
-    probes: dict[int, tuple[str, str]] = {}
-    for key, value in (obj.get("probes") or {}).items():
-        try:
-            probes[int(key)] = (str(value[0]), str(value[1]))
-        except (ValueError, IndexError, TypeError) as exc:
-            raise MalformedTraceError(f"{path}:1: bad probe entry {key!r}: {exc}") from exc
-    raw_stop = obj.get("natural_stop")
-    natural_stop = None if raw_stop is None else int(raw_stop)
+    try:
+        header = TraceHeader(
+            tokenizer=str(obj["tokenizer"]),
+            vocab_size=int(obj["vocab_size"]),
+            watched_token=int(obj["watched_token"]),
+            source=str(obj["source"]),
+            seed=int(obj["seed"]),
+        )
+        probes = {
+            int(key): (str(value[0]), str(value[1]))
+            for key, value in (obj.get("probes") or {}).items()
+        }
+        raw_stop = obj.get("natural_stop")
+        natural_stop = None if raw_stop is None else int(raw_stop)
+    except (ValueError, IndexError, TypeError, AttributeError) as exc:
+        raise MalformedTraceError(f"{path}:1: bad header: {exc}") from exc
     return header, probes, natural_stop
 
 
@@ -234,7 +235,7 @@ def read_trace(path: str) -> TraceFile:
     try:
         rows = list(jsonl.read_lines(path))
     except ValueError as exc:
-        raise MalformedTraceError(f"{path}: invalid JSON: {exc}") from exc
+        raise MalformedTraceError(str(exc)) from exc
     except OSError as exc:
         raise MalformedTraceError(f"{path}: {exc}") from exc
     if not rows:
@@ -254,7 +255,7 @@ def read_trace(path: str) -> TraceFile:
 
 
 class TraceReader:
-    """Stream-like view over a trace: iterate steps, fork for probes.
+    """Stream-like view over a trace: iterate steps, answer probes.
 
     Matches the controller's source protocol: watched_token, iteration,
     probe_with_time, answer_after, close.  Replay contributes no wall
@@ -266,10 +267,6 @@ class TraceReader:
         self.watched_token: TokenId = trace.header.watched_token
         self._pos = 0
         self._current_t: int | None = None
-
-    @property
-    def supports_probes(self) -> bool:
-        return bool(self.trace.probes)
 
     @property
     def reference_length(self) -> int:
@@ -289,17 +286,17 @@ class TraceReader:
         self._current_t = step.t
         return step
 
-    def probe(self, suffix: str) -> str:
-        """Recorded branch answer at the current step; error if absent."""
+    def probe_with_time(self, suffix: str) -> tuple[str, float]:
+        """Recorded branch answer at the current step, taking no time.
+
+        Raises UnsupportedProbeError when no branch is recorded there.
+        """
         if not self.trace.probes:
             raise UnsupportedProbeError("trace records no probe branches")
         key = 0 if self._current_t is None else self._current_t
         if key not in self.trace.probes:
             raise UnsupportedProbeError(f"no probe branch recorded at step {key}")
-        return self.trace.probes[key][1]
-
-    def probe_with_time(self, suffix: str) -> tuple[str, float]:
-        return self.probe(suffix), 0.0
+        return self.trace.probes[key][1], 0.0
 
     def answer_after(self, t: int, injected: bool) -> tuple[str, int, float]:
         """Answer text after stopping at step t, with token count and time.
@@ -323,11 +320,3 @@ def open_trace(path: str) -> TraceReader:
     """Load a trace file and return a replayable reader over it."""
     return TraceReader(read_trace(path))
 
-
-def fork_for_probe(handle, suffix: str) -> str:
-    """Branch the source at its current step and return the probed answer.
-
-    The main stream's state is not disturbed.  Raises UnsupportedProbeError
-    when the source cannot branch here.
-    """
-    return handle.probe(suffix)

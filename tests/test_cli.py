@@ -340,6 +340,21 @@ class TestAnalyze:
     def test_requires_some_input(self, tmp_path):
         assert run_cli("analyze", "--out", str(tmp_path / "nope")) == 2
 
+    def test_malformed_records_name_the_line(self, workspace, tmp_path, capsys):
+        run_out = tmp_path / "run"
+        assert run_cli("run", "--policy", "full",
+                       "--traces", *workspace["traces"][:2], "--out", str(run_out)) == 0
+        good = (run_out / "records.jsonl").read_text(encoding="utf-8").splitlines()
+        missing = json.loads(good[1])
+        del missing["stop_step"]
+        for second in (json.dumps(missing), "{not json"):
+            path = tmp_path / "bad.jsonl"
+            path.write_text(good[0] + "\n" + second + "\n", encoding="utf-8")
+            rc = run_cli("analyze", "--records", str(path), "--out", str(tmp_path / "an"))
+            assert rc == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}:2:"), err
+
     def test_dataset_without_traces_is_usage_error(self, workspace, tmp_path):
         run_out = tmp_path / "run"
         assert run_cli("run", "--policy", "full",

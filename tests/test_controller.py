@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 
 import pytest
@@ -24,7 +25,7 @@ from syncthink.errors import (
     SessionError,
     TraceIntegrityError,
 )
-from syncthink.policy import BaselineConfig, PolicyConfig, StopReason
+from syncthink.policy import BaselineConfig, PolicyConfig, StopReason, dynamic_threshold
 from syncthink.synthetic import SyntheticPhaseSpec, generate_synthetic
 from syncthink.trace import StepObservation, TraceReader, open_trace, write_trace
 
@@ -77,7 +78,7 @@ class FakeSource:
 
     def __next__(self):
         if self._fail_after is not None and self._i >= self._fail_after:
-            raise SessionError("stream died", partial_steps=tuple(self._steps[: self._i]))
+            raise SessionError("stream died")
         if self._i >= len(self._steps):
             raise StopIteration
         step = self._steps[self._i]
@@ -110,12 +111,19 @@ class TestRunGeneration:
     def test_syncthink_decision_trail_is_consistent(self):
         reader = synth_reader(seed=1)
         record = run_generation(reader, "syncthink", task_kind="numeric")
-        *before, (last_t, last) = record.decisions
-        assert last_t == record.stop_step
+        last = record.decision
         assert last.stop and last.rank <= last.threshold
-        for _, decision in before:
-            assert not decision.stop
-            assert decision.rank > decision.threshold or decision.reason is StopReason.NOT_TRIGGERED
+        assert last.reason is StopReason.THRESHOLD_FIRED
+        assert (record.stop_step, last.rank) == record.rank_trajectory[-1]
+        assert (record.stop_step, last.entropy) == record.entropy_trajectory[-1]
+        # the config rebuilds every earlier threshold: none of them fired
+        pcfg = PolicyConfig(**{k: v for k, v in record.config.items() if k != "budget"})
+        assert last.threshold == dynamic_threshold(record.stop_step, last.entropy, pcfg)
+        for (t, rank), (_, entropy) in zip(
+            record.rank_trajectory[:-1], record.entropy_trajectory[:-1]
+        ):
+            due = t >= pcfg.min_steps and t % pcfg.check_interval == 0
+            assert not (due and rank <= dynamic_threshold(t, entropy, pcfg)), t
 
     def test_full_runs_to_natural_termination(self):
         reader = synth_reader(seed=0)
@@ -283,11 +291,14 @@ class TestRunGeneration:
             baseline_config=BaselineConfig(ratio=0.3),
             task_kind="numeric",
         )
-        for _, decision in record.decisions:
-            if decision.stop:
-                assert decision.threshold == decision.rank
-            else:
-                assert decision.threshold == 0
+        decision = record.decision
+        assert decision.stop
+        assert decision.threshold == decision.rank
+        budget_hit = run_generation(
+            synth_reader(seed=0), "full", budget=50, task_kind="numeric"
+        ).decision
+        assert not budget_hit.stop
+        assert budget_hit.threshold == 0
 
 
 class TestRecordIO:
@@ -307,9 +318,21 @@ class TestRecordIO:
 
     def test_jsonl_round_trip_is_exact(self, tmp_path):
         records = self.run_all_policies()
+        records.append(
+            run_generation(FakeSource([plain_step(t) for t in range(4)], fail_after=2), "full")
+        )
         path = str(tmp_path / "records.jsonl")
         write_records(path, records)
         assert read_records(path) == records
+        # one decision per record, the one made at its stop step
+        with open(path, encoding="utf-8") as fh:
+            lines = [json.loads(line) for line in fh]
+        for obj, record in zip(lines, records):
+            assert "decisions" not in obj
+            if record.stop_step is None:
+                assert obj["decision"] is None
+            else:
+                assert obj["decision"]["rank"] == record.rank_trajectory[-1][1]
 
     def test_obj_round_trip_preserves_incomplete(self):
         source = FakeSource([plain_step(t) for t in range(4)], fail_after=2)

@@ -124,7 +124,7 @@ def make_record(
         total_tokens=reasoning_tokens + (answer_tokens if complete else 0),
         answer_text=normalized_answer,
         normalized_answer=normalized_answer,
-        decisions=(),
+        decision=None,
         rank_trajectory=(),
         entropy_trajectory=(),
         t_gen=t_total,
@@ -275,31 +275,21 @@ class TestReportRoundTrip:
         )
         return BenchmarkReport(rows=rows, alpha_cost=0.01)
 
-    @pytest.mark.parametrize("fmt", ["tabular", "structured"])
-    def test_lossless(self, tmp_path, fmt):
+    def test_lossless(self, tmp_path):
         report = self.sample_report()
-        path = str(tmp_path / f"report.{fmt}")
-        emit_report(report, path, fmt=fmt)
-        back = read_report(path, fmt=fmt)
+        path = str(tmp_path / "report.csv")
+        emit_report(report, path)
+        back = read_report(path)
         assert back == report
-
-    def test_bad_format_rejected(self, tmp_path):
-        with pytest.raises(ConfigurationError):
-            emit_report(self.sample_report(), str(tmp_path / "x"), fmt="yaml")
-        with pytest.raises(ConfigurationError):
-            read_report(str(tmp_path / "x"), fmt="yaml")
 
     def test_tabular_is_plain_csv(self, tmp_path):
         path = str(tmp_path / "report.csv")
-        emit_report(self.sample_report(), path, fmt="tabular")
-        first = open(path, encoding="utf-8").readline().strip()
-        assert first.startswith("dataset,policy,n,")
+        emit_report(self.sample_report(), path)
+        with open(path, encoding="utf-8") as fh:
+            assert fh.readline().startswith("dataset,policy,n,")
 
     def test_float_precision_survives(self, tmp_path):
         # 0.1 + 0.2 is not 0.3; the report must keep the exact double
-        report = self.sample_report()
-        for fmt in ("tabular", "structured"):
-            path = str(tmp_path / f"p.{fmt}")
-            emit_report(report, path, fmt=fmt)
-            back = read_report(path, fmt=fmt)
-            assert back.rows[0].mean_total_time == 0.1 + 0.2
+        path = str(tmp_path / "p.csv")
+        emit_report(self.sample_report(), path)
+        assert read_report(path).rows[0].mean_total_time == 0.1 + 0.2

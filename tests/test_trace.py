@@ -16,7 +16,6 @@ from syncthink.trace import (
     StepObservation,
     TraceFile,
     TraceHeader,
-    fork_for_probe,
     open_trace,
     read_trace,
     write_trace,
@@ -116,7 +115,7 @@ class TestIntegrity:
         path.write_text('{"tokenizer":"x"}\nnot json\n')
         with pytest.raises(MalformedTraceError) as err:
             read_trace(str(path))
-        assert "bad.jsonl" in str(err.value)
+        assert "bad.jsonl:2:" in str(err.value)
 
     def test_missing_header_field(self, tmp_path):
         path = tmp_path / "h.jsonl"
@@ -124,6 +123,12 @@ class TestIntegrity:
         with pytest.raises(MalformedTraceError) as err:
             read_trace(str(path))
         assert "watched_token" in str(err.value)
+        # present but unusable header fields fail the same way
+        header = '"tokenizer":"x","watched_token":3,"source":"s","seed":0'
+        for bad in ('"vocab_size":"x"', '"vocab_size":10,"probes":[1]'):
+            path.write_text("{" + header + "," + bad + "}\n")
+            with pytest.raises(MalformedTraceError, match="h.jsonl:1:"):
+                read_trace(str(path))
 
     def test_nonconsecutive_steps_rejected(self):
         trace = make_trace([5, 4, 3])
@@ -228,10 +233,10 @@ class TestReader:
         first = next(reader)
         assert first.t == 0
         with pytest.raises(UnsupportedProbeError):
-            reader.probe("Q:")  # no branch at step 0
+            reader.probe_with_time("Q:")  # no branch at step 0
         second = next(reader)
         assert second.t == 1
-        assert fork_for_probe(reader, "Q:") == "maybe"
+        assert reader.probe_with_time("Q:") == ("maybe", 0.0)
 
     def test_probe_without_branches(self, tmp_path):
         trace = make_trace([6, 5])
@@ -240,7 +245,7 @@ class TestReader:
         reader = open_trace(str(path))
         next(reader)
         with pytest.raises(UnsupportedProbeError):
-            reader.probe("Q:")
+            reader.probe_with_time("Q:")
 
     def test_answer_after_key_semantics(self):
         from syncthink.trace import TraceReader
