@@ -2,10 +2,11 @@
 
 Rank trajectories are analyzed on the y = log10(rank + 1) scale.  A
 four-segment piecewise-linear fit is found by dynamic programming with
-exact OLS interval costs; boundary confidence is the relative fit loss
-from removing that boundary alone.  A template check on the per-segment
-slopes flags trajectories that do not follow the expected shape
-(climb, recovery, plateau, final descent).
+exact OLS interval costs, run over bounded column blocks in O(n) memory;
+boundary confidence is the relative fit loss from removing that boundary
+alone.  A template check on the per-segment slopes flags trajectories
+that do not follow the expected shape (climb, recovery, plateau, final
+descent).
 """
 
 from __future__ import annotations
@@ -29,6 +30,9 @@ from .evaluation import efficiency_rate  # re-exported: analysis callers import 
 SLOPE_CLIMB_MIN = 0.02
 SLOPE_DESCENT_MAX = -0.005
 SLOPE_PLATEAU_BAND = 0.015
+
+# cells in one column block's cost sub-matrix; bounds the DP's memory
+_BLOCK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -112,6 +116,36 @@ def _interval_stats(y: np.ndarray):
     return sse, slope
 
 
+def _best_split(sse, n: int, min_segment: int) -> tuple[int, int, int, float]:
+    """Optimal four-segment split of [0, n): (b1, b2, b3, total SSE).
+
+    best[k, j] is the least SSE of k segments on [0, j), back[k, j] the
+    first split i reaching it.  Column blocks keep the cost sub-matrix to
+    _BLOCK_CELLS cells (one column once n + 1 exceeds it); a split lies
+    min_segment or more before its column, so layer k - 1 of a block is
+    done before layer k reads it.
+    """
+    best = np.full((5, n + 1), np.inf)
+    best[0, 0] = 0.0
+    back = np.zeros((5, n + 1), dtype=int)
+    width = max(1, _BLOCK_CELLS // (n + 1))
+    for start in range(0, n + 1, width):
+        j = np.arange(start, min(start + width, n + 1))
+        i = np.arange(max(j[-1] - min_segment + 1, 1))[:, None]
+        cost = np.where(j - i >= min_segment, sse(i, j), np.inf)
+        cols = np.arange(len(j))
+        for k in range(1, 5):
+            totals = best[k - 1, : len(i), None] + cost
+            back[k, j] = totals.argmin(axis=0)
+            best[k, j] = totals[back[k, j], cols]
+    if not np.isfinite(best[4, n]):
+        raise InsufficientDataError(f"no valid 4-segment split of {n} steps")
+    b3 = int(back[4, n])
+    b2 = int(back[3, b3])
+    b1 = int(back[2, b2])
+    return b1, b2, b3, float(best[4, n])
+
+
 def segment_phases(
     trajectory, *, window: int = 9, min_segment: int = 3
 ) -> PhaseSegmentation:
@@ -135,34 +169,11 @@ def segment_phases(
             f"trajectory of {n} steps is too short for 4 segments"
             f" of {min_segment} under a window of {window}"
         )
-    if np.any(ranks < 0):
-        raise ConfigurationError("ranks must be >= 0")
+    if not np.all(np.isfinite(ranks) & (ranks >= 0)):
+        raise ConfigurationError("ranks must be finite and >= 0")
     y = _smooth(np.log10(ranks + 1.0), window)
     sse, slope_of = _interval_stats(y)
-
-    # cost[i, j] = OLS SSE on [i, j); only j - i >= min_segment is used
-    ii, jj = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
-    valid = jj - ii >= min_segment
-    cost = np.full((n + 1, n + 1), np.inf)
-    cost[valid] = sse(ii[valid], jj[valid])
-
-    big = np.inf
-    best = np.full((5, n + 1), big)
-    best[0, 0] = 0.0
-    back = np.zeros((5, n + 1), dtype=int)
-    for k in range(1, 5):
-        # minimize over split i: best[k-1, i] + cost[i, j]
-        totals = best[k - 1][:, None] + cost
-        back[k] = np.argmin(totals, axis=0)
-        best[k] = totals[back[k], np.arange(n + 1)]
-
-    if not np.isfinite(best[4, n]):
-        raise InsufficientDataError(f"no valid 4-segment split of {n} steps")
-    b3 = int(back[4, n])
-    b2 = int(back[3, b3])
-    b1 = int(back[2, b2])
-
-    sse4 = float(best[4, n])
+    b1, b2, b3, sse4 = _best_split(sse, n, min_segment)
     # prefix-sum SSE on a near-constant signal leaves cancellation noise;
     # anything below this floor is indistinguishable from a perfect fit
     noise_floor = 1e-12 * max(1.0, float(np.dot(y, y)))

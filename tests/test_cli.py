@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -355,6 +356,18 @@ class TestAnalyze:
             err = capsys.readouterr().err
             assert err.startswith(f"error: {path}:2:"), err
 
+    def test_non_finite_rank_is_an_error(self, workspace, tmp_path, capsys):
+        run_out = tmp_path / "run"
+        assert run_cli("run", "--policy", "full",
+                       "--traces", workspace["traces"][0], "--out", str(run_out)) == 0
+        record = json.loads((run_out / "records.jsonl").read_text(encoding="utf-8"))
+        record["rank_trajectory"][5][1] = float("nan")
+        path = tmp_path / "nan.jsonl"
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        rc = run_cli("analyze", "--records", str(path), "--out", str(tmp_path / "an"))
+        assert rc == 1
+        assert "ranks must be finite" in capsys.readouterr().err
+
     def test_dataset_without_traces_is_usage_error(self, workspace, tmp_path):
         run_out = tmp_path / "run"
         assert run_cli("run", "--policy", "full",
@@ -394,7 +407,7 @@ class TestSaliency:
 
     def test_corrupt_tensor_names_file_and_offset(self, tensor_files, tmp_path, capsys):
         att_path, grad_path = tensor_files
-        blob = bytearray(open(att_path, "rb").read())
+        blob = bytearray(Path(att_path).read_bytes())
         blob[0] ^= 0xFF
         bad_path = str(tmp_path / "bad.stns")
         with open(bad_path, "wb") as fh:

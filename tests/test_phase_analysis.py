@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import csv
 import math
+import tracemalloc
+from dataclasses import astuple
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from syncthink import phase_analysis
 from syncthink.errors import (
     ConfigurationError,
     EmptyInputError,
@@ -56,6 +59,44 @@ def split_sse(y, boundaries):
     b1, b2, b3 = boundaries
     cuts = (0, b1, b2, b3, len(y))
     return sum(ols_sse(y[a:b]) for a, b in zip(cuts, cuts[1:]))
+
+
+def matrix_best_split(sse, n, min_segment):
+    """The whole-matrix DP: (n+1)^2 interval costs, one layer at a time.
+
+    The reference for the blocked DP in phase_analysis._best_split; the
+    two must agree bit for bit, tie-breaking included.
+    """
+    ii, jj = np.meshgrid(np.arange(n + 1), np.arange(n + 1), indexing="ij")
+    valid = jj - ii >= min_segment
+    cost = np.full((n + 1, n + 1), np.inf)
+    cost[valid] = sse(ii[valid], jj[valid])
+    best = np.full((5, n + 1), np.inf)
+    best[0, 0] = 0.0
+    back = np.zeros((5, n + 1), dtype=int)
+    for k in range(1, 5):
+        totals = best[k - 1][:, None] + cost
+        back[k] = np.argmin(totals, axis=0)
+        best[k] = totals[back[k], np.arange(n + 1)]
+    if not np.isfinite(best[4, n]):
+        raise InsufficientDataError(f"no valid 4-segment split of {n} steps")
+    b3 = int(back[4, n])
+    b2 = int(back[3, b3])
+    b1 = int(back[2, b2])
+    return b1, b2, b3, float(best[4, n])
+
+
+# one block up to n = 255; several from n = 256 on
+ORACLE_SIZES = (12, 31, 255, 256, 300, 641)
+
+
+def oracle_ranks(kind, n):
+    rng = np.random.default_rng(n)
+    if kind == "random":
+        return rng.integers(0, 1000, n).astype(float)
+    if kind == "constant":
+        return np.full(n, 42.0)
+    return rng.integers(0, 2, n).astype(float)  # 0/1: many tied splits
 
 
 def planted_ranks():
@@ -146,6 +187,45 @@ class TestSegmentPhases:
             segment_phases(ranks, min_segment=1)
         with pytest.raises(ConfigurationError):
             segment_phases(np.full(40, -1.0), window=1)
+        for bad in (math.nan, math.inf):
+            ranks = list(range(40))
+            ranks[20] = bad
+            with pytest.raises(ConfigurationError, match="finite"):
+                segment_phases(ranks)
+
+    @pytest.mark.parametrize("min_segment", [3, 6])
+    @pytest.mark.parametrize("window", [1, 9])
+    @pytest.mark.parametrize("kind", ["random", "constant", "zero_one"])
+    def test_blocked_dp_matches_matrix_oracle(self, kind, window, min_segment, monkeypatch):
+        assert (ORACLE_SIZES[-1] + 1) ** 2 > phase_analysis._BLOCK_CELLS  # several blocks
+        cases = [
+            oracle_ranks(kind, n)
+            for n in ORACLE_SIZES
+            if n >= max(4 * min_segment, window)
+        ]
+
+        def fit_all():
+            return [
+                astuple(segment_phases(r, window=window, min_segment=min_segment))
+                for r in cases
+            ]
+
+        got = fit_all()
+        monkeypatch.setattr(phase_analysis, "_best_split", matrix_best_split)
+        assert got == fit_all()
+
+    def test_default_budget_runs_in_bounded_memory(self):
+        # the whole-matrix DP would need about 5.4 GB at this length
+        ranks = np.random.default_rng(8192).integers(0, 1000, 8192).astype(float)
+        tracemalloc.start()
+        try:
+            seg = segment_phases(ranks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+        b1, b2, b3 = seg.boundaries
+        assert 3 <= b1 and b1 + 3 <= b2 and b2 + 3 <= b3 and b3 + 3 <= 8192
 
     def test_smoothing_window_tolerates_noise(self):
         rng = np.random.default_rng(5)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -53,7 +54,7 @@ class TestContainer:
 
     def test_layout_is_exactly_as_documented(self, tmp_path):
         path = self.good_path(tmp_path)
-        raw = open(path, "rb").read()
+        raw = Path(path).read_bytes()
         assert raw[:4] == b"STNS"
         assert raw[4] == 1
         assert struct.unpack_from("<I", raw, 5) == (2,)
@@ -62,10 +63,10 @@ class TestContainer:
 
     def corrupt(self, tmp_path, mutate):
         path = self.good_path(tmp_path)
-        raw = bytearray(open(path, "rb").read())
+        raw = bytearray(Path(path).read_bytes())
         raw = mutate(raw)
         bad = str(tmp_path / "bad.stns")
-        open(bad, "wb").write(bytes(raw))
+        Path(bad).write_bytes(bytes(raw))
         return bad
 
     def test_bad_magic(self, tmp_path):
