@@ -13,15 +13,21 @@ fall at or below the threshold and fire spuriously.
 
 Token identifiers on this path are the token strings off the wire, so
 the watched token is configured as text (for example "</think>").
+
+HTTP is the standard library's: urllib honours HTTP(S)_PROXY/NO_PROXY and
+verifies HTTPS against the system trust store.  The event stream is read
+line by line, so each token reaches the controller as soon as its line
+ends, on close-delimited and chunked responses alike.
 """
 
 from __future__ import annotations
 
 import json
 import time
+import urllib.error
+import urllib.request
 from dataclasses import dataclass
-
-import requests
+from http.client import HTTPException
 
 from .errors import CapabilityError, ConfigurationError, SessionError
 from .policy import Distribution, compute_rank, shannon_entropy
@@ -120,9 +126,6 @@ class LiveSession:
         self._prompt = prompt
         self.watched_token = watched_token
         self._pacing_cap = pacing_cap
-        self._http = requests.Session()
-        if config.api_key:
-            self._http.headers["Authorization"] = f"Bearer {config.api_key}"
         self._texts: list[str] = []
         self._t = -1
         self._natural = False
@@ -149,27 +152,30 @@ class LiveSession:
         if logprobs:
             body["logprobs"] = True
             body["top_logprobs"] = self._config.top_logprobs
+        headers = {"Content-Type": "application/json"}
+        if self._config.api_key:
+            headers["Authorization"] = f"Bearer {self._config.api_key}"
+        request = urllib.request.Request(
+            f"{self._config.base_url}/v1/chat/completions",
+            data=json.dumps(body).encode("utf-8"),
+            headers=headers,
+            method="POST",
+        )
         try:
-            resp = self._http.post(
-                f"{self._config.base_url}/v1/chat/completions",
-                json=body,
-                stream=stream,
-                timeout=self._config.timeout,
-            )
-        except requests.RequestException as exc:
+            return urllib.request.urlopen(request, timeout=self._config.timeout)
+        except urllib.error.HTTPError as exc:
+            with exc:
+                detail = exc.read(200).decode("utf-8", "replace")
+            raise SessionError(f"endpoint returned HTTP {exc.code}: {detail}") from exc
+        except (OSError, HTTPException) as exc:
             raise SessionError(f"request to {self._config.base_url} failed: {exc}") from exc
-        if resp.status_code != 200:
-            detail = resp.text[:200]
-            resp.close()
-            raise SessionError(f"endpoint returned HTTP {resp.status_code}: {detail}")
-        return resp
 
     def _event_iter(self, resp):
-        for line in resp.iter_lines(decode_unicode=True):
-            if not line or not line.startswith("data:"):
+        for line in resp:
+            if not line.startswith(b"data:"):
                 continue
             payload = line[5:].strip()
-            if payload == "[DONE]":
+            if payload == b"[DONE]":
                 self._saw_done = True
                 return
             yield json.loads(payload)
@@ -190,7 +196,7 @@ class LiveSession:
                 if not content:
                     continue
                 return self._observe(choice, content)
-        except (requests.RequestException, ValueError) as exc:
+        except (OSError, HTTPException, ValueError) as exc:
             raise SessionError(f"stream failed at step {self._t + 1}: {exc}") from exc
         if not self._saw_done:
             raise SessionError(f"stream ended without completion sentinel at step {self._t + 1}")
@@ -250,20 +256,18 @@ class LiveSession:
                 content = (choices[0].get("delta") or {}).get("content")
                 if content:
                     parts.append(content)
-        except (requests.RequestException, ValueError) as exc:
+        except (OSError, HTTPException, ValueError) as exc:
             raise SessionError(f"answer stream failed: {exc}") from exc
         if not self._saw_done:
             raise SessionError("answer stream ended without completion sentinel")
         return "".join(parts), len(parts)
 
     def _completion(self, assistant: str) -> tuple[str, int]:
-        resp = self._post(self._messages(assistant), stream=False, logprobs=False)
-        try:
-            data = resp.json()
-        except ValueError as exc:
-            raise SessionError(f"branch completion returned malformed JSON: {exc}") from exc
-        finally:
-            resp.close()
+        with self._post(self._messages(assistant), stream=False, logprobs=False) as resp:
+            try:
+                data = json.loads(resp.read())
+            except (OSError, HTTPException, ValueError) as exc:
+                raise SessionError(f"branch completion failed: {exc}") from exc
         try:
             text = data["choices"][0]["message"]["content"] or ""
         except (KeyError, IndexError, TypeError) as exc:
@@ -298,7 +302,4 @@ class LiveSession:
         # the event generator's frame refers back to this session; closing
         # it breaks that cycle so the session is freed by reference count
         self._events.close()
-        try:
-            self._resp.close()
-        finally:
-            self._http.close()
+        self._resp.close()

@@ -445,6 +445,15 @@ def write_records(path: str, records: Iterable[GenerationRecord]) -> None:
     jsonl.write_lines(path, (record_to_obj(r) for r in records))
 
 
+def _check_trajectories(record: GenerationRecord) -> None:
+    # json.loads accepts NaN and Infinity, so a file can hold what the
+    # controller never writes
+    if not all(isinstance(rank, int) and rank >= 0 for _, rank in record.rank_trajectory):
+        raise ValueError("ranks must be finite and >= 0")
+    if not all(math.isfinite(h) and h >= 0 for _, h in record.entropy_trajectory):
+        raise ValueError("entropies must be finite and >= 0")
+
+
 def read_records(path: str) -> list[GenerationRecord]:
     """Parse a records file; a malformed line raises MalformedRecordError."""
     records = []
@@ -453,6 +462,7 @@ def read_records(path: str) -> list[GenerationRecord]:
             try:
                 record = record_from_obj(obj)
                 record.validate()
+                _check_trajectories(record)
             except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
                 raise MalformedRecordError(f"{path}:{lineno}: bad record: {exc!r}") from exc
             records.append(record)

@@ -1,8 +1,9 @@
-"""JSON line serialization with fixed-width float formatting.
+"""JSON line serialization: compact, key order kept, finite floats only.
 
-Records are replayed and compared byte for byte, so floats are written
-with 17 significant digits (enough to round-trip any IEEE 754 double
-exactly) instead of repr's shortest form.  Parsing is plain stdlib json.
+Records are replayed and compared byte for byte.  json writes a float in
+its shortest form that parses back to the same double, so a
+parse/serialize cycle is byte-stable.  Keys must be str: json.dumps
+would quietly turn int keys into strings.
 """
 
 from __future__ import annotations
@@ -13,55 +14,14 @@ from typing import Any, Iterable, Iterator
 
 
 def format_float(value: float) -> str:
-    if math.isnan(value) or math.isinf(value):
+    if not math.isfinite(value):
         raise ValueError(f"non-finite float not representable in JSON: {value!r}")
-    text = format(value, ".17g")
-    # keep floats typed as floats across a round-trip
-    if "." not in text and "e" not in text and "E" not in text:
-        text += ".0"
-    return text
+    return repr(float(value))
 
 
 def dumps(obj: Any) -> str:
-    """Serialize one object; floats get 17 significant digits."""
-    out: list[str] = []
-    _write(obj, out)
-    return "".join(out)
-
-
-def _write(obj: Any, out: list[str]) -> None:
-    if obj is None:
-        out.append("null")
-    elif obj is True:
-        out.append("true")
-    elif obj is False:
-        out.append("false")
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(format_float(obj))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj, ensure_ascii=False))
-    elif isinstance(obj, (list, tuple)):
-        out.append("[")
-        for i, item in enumerate(obj):
-            if i:
-                out.append(",")
-            _write(item, out)
-        out.append("]")
-    elif isinstance(obj, dict):
-        out.append("{")
-        for i, (key, val) in enumerate(obj.items()):
-            if i:
-                out.append(",")
-            if not isinstance(key, str):
-                raise TypeError(f"object keys must be str, got {type(key).__name__}")
-            out.append(json.dumps(key, ensure_ascii=False))
-            out.append(":")
-            _write(val, out)
-        out.append("}")
-    else:
-        raise TypeError(f"not JSON-serializable: {type(obj).__name__}")
+    """Serialize one object on one line; NaN and infinities raise ValueError."""
+    return json.dumps(obj, ensure_ascii=False, separators=(",", ":"), allow_nan=False)
 
 
 def write_lines(path: str, objects: Iterable[Any]) -> None:

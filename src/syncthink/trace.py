@@ -3,8 +3,8 @@
 A trace is one JSON object per line.  Line 1 is a header identifying the
 source (tokenizer, vocab size, watched terminator id, seed) plus replay
 metadata: the natural stop step, if any, and recorded branch answers.
-Every following line is one decoding step.  Floats are written with 17
-significant digits so a parse/serialize cycle is byte-stable.
+Every following line is one decoding step.  Floats are written in their
+shortest round-trip form, so a parse/serialize cycle is byte-stable.
 
 Branch answers are keyed by the number of already-consumed tokens, so the
 same table serves probe forks (key t at decision point t), injected
@@ -14,6 +14,7 @@ answer (key t+1: the terminator was step t's own token).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -52,17 +53,18 @@ class StepObservation:
         if not self.topk:
             raise TraceIntegrityError(f"step {self.t}: empty topk")
         lps = [lp for _, lp in self.topk]
-        if any(a < b for a, b in zip(lps, lps[1:])):
+        # `not a >= b` also fails a NaN logprob
+        if not all(a >= b for a, b in zip(lps, lps[1:])):
             raise TraceIntegrityError(f"step {self.t}: topk not sorted descending")
         ids = [tok for tok, _ in self.topk]
         if len(set(ids)) != len(ids):
             raise TraceIntegrityError(f"step {self.t}: duplicate token in topk")
         if self.watched_rank < 0:
             raise TraceIntegrityError(f"step {self.t}: negative rank")
-        if self.entropy < 0.0:
-            raise TraceIntegrityError(f"step {self.t}: negative entropy")
-        if self.step_wall_time < 0.0:
-            raise TraceIntegrityError(f"step {self.t}: negative wall time")
+        if not (math.isfinite(self.entropy) and self.entropy >= 0.0):
+            raise TraceIntegrityError(f"step {self.t}: entropy must be finite and >= 0")
+        if not (math.isfinite(self.step_wall_time) and self.step_wall_time >= 0.0):
+            raise TraceIntegrityError(f"step {self.t}: wall time must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -160,31 +162,12 @@ class TraceFile:
 
 
 def write_trace(trace: TraceFile, path: str) -> None:
-    h = trace.header
-    header_obj = {
-        "tokenizer": h.tokenizer,
-        "vocab_size": h.vocab_size,
-        "watched_token": h.watched_token,
-        "source": h.source,
-        "seed": h.seed,
+    header = {
+        **vars(trace.header),
         "natural_stop": trace.natural_stop,
-        "probes": {str(k): list(trace.probes[k]) for k in sorted(trace.probes)},
+        "probes": {str(k): trace.probes[k] for k in sorted(trace.probes)},
     }
-    lines: list[object] = [header_obj]
-    for s in trace.steps:
-        lines.append(
-            {
-                "t": s.t,
-                "chosen_token": s.chosen_token,
-                "chosen_text": s.chosen_text,
-                "topk": [[tok, lp] for tok, lp in s.topk],
-                "watched_rank": s.watched_rank,
-                "censored": s.censored,
-                "entropy": s.entropy,
-                "step_wall_time": s.step_wall_time,
-            }
-        )
-    jsonl.write_lines(path, lines)
+    jsonl.write_lines(path, [header, *map(vars, trace.steps)])
 
 
 def _parse_header(obj: dict, path: str) -> tuple[TraceHeader, dict[int, tuple[str, str]], int | None]:
@@ -250,7 +233,10 @@ def read_trace(path: str) -> TraceFile:
     trace = TraceFile(
         header=header, steps=tuple(steps), probes=probes, natural_stop=natural_stop
     )
-    trace.validate()
+    try:
+        trace.validate()
+    except TraceIntegrityError as exc:
+        raise TraceIntegrityError(f"{path}: {exc}") from exc
     return trace
 
 

@@ -152,6 +152,22 @@ class TestRun:
         rc = run_cli("run", "--traces", *workspace["traces"], "--out", str(blocker))
         assert rc == 2
 
+    @pytest.mark.parametrize("field,value", [
+        ("entropy", float("nan")), ("entropy", float("inf")), ("step_wall_time", float("nan")),
+    ])
+    def test_non_finite_step_names_the_trace(self, workspace, tmp_path, capsys, field, value):
+        lines = Path(workspace["traces"][0]).read_text(encoding="utf-8").splitlines()
+        step = json.loads(lines[10])
+        step[field] = value
+        lines[10] = json.dumps(step)
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "nope"
+        rc = run_cli("run", "--policy", "syncthink", "--traces", str(path), "--out", str(out))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: step 9: ") and "must be finite" in err, err
+
     def test_missing_trace_file_is_usage_error(self, tmp_path):
         out = tmp_path / "nope"
         rc = run_cli("run", "--traces", str(tmp_path / "ghost.jsonl"),
@@ -366,7 +382,9 @@ class TestAnalyze:
         path.write_text(json.dumps(record) + "\n", encoding="utf-8")
         rc = run_cli("analyze", "--records", str(path), "--out", str(tmp_path / "an"))
         assert rc == 1
-        assert "ranks must be finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "ranks must be finite" in err
+        assert f"error: {path}:1:" in err
 
     def test_dataset_without_traces_is_usage_error(self, workspace, tmp_path):
         run_out = tmp_path / "run"

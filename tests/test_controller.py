@@ -21,6 +21,7 @@ from syncthink.controller import (
 )
 from syncthink.errors import (
     ConfigurationError,
+    MalformedRecordError,
     PolicyUnavailableError,
     SessionError,
     TraceIntegrityError,
@@ -333,6 +334,28 @@ class TestRecordIO:
                 assert obj["decision"] is None
             else:
                 assert obj["decision"]["rank"] == record.rank_trajectory[-1][1]
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("rank_trajectory", float("nan"), "ranks"),
+            ("rank_trajectory", float("inf"), "ranks"),
+            ("rank_trajectory", -1, "ranks"),
+            ("rank_trajectory", 2.5, "ranks"),
+            ("entropy_trajectory", float("nan"), "entropies"),
+            ("entropy_trajectory", float("inf"), "entropies"),
+            ("entropy_trajectory", -0.5, "entropies"),
+        ],
+    )
+    def test_out_of_range_trajectory_names_the_line(self, tmp_path, field, value, message):
+        record = run_generation(synth_reader(seed=3), "full", task_kind="numeric")
+        good = json.dumps(record_to_obj(record))
+        obj = json.loads(good)
+        obj[field][1][1] = value
+        path = tmp_path / "bad.jsonl"
+        path.write_text(good + "\n" + json.dumps(obj) + "\n", encoding="utf-8")
+        with pytest.raises(MalformedRecordError, match=f"bad.jsonl:2: .*{message} must be finite"):
+            read_records(str(path))
 
     def test_obj_round_trip_preserves_incomplete(self):
         source = FakeSource([plain_step(t) for t in range(4)], fail_after=2)

@@ -1,15 +1,21 @@
-"""The package's modules import each other without a cycle."""
+"""The package's modules import each other without a cycle, and every
+name the benchmark tracer wraps exists."""
 
 from __future__ import annotations
 
 import ast
+import functools
 import graphlib
+import importlib
 import pathlib
+
+import pytest
 
 import syncthink
 
 PACKAGE = "syncthink"
 SOURCE = pathlib.Path(syncthink.__file__).parent
+TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
 def module_name(path: pathlib.Path) -> str:
@@ -57,3 +63,19 @@ def test_package_has_no_import_cycle():
         graphlib.TopologicalSorter(import_graph()).prepare()
     except graphlib.CycleError as exc:
         raise AssertionError(f"import cycle: {' -> '.join(exc.args[1])}") from None
+
+
+def tracer_targets() -> list[tuple[str, str, str]]:
+    """perfbench/tracer.py's TARGETS, read without importing the tracer."""
+    tree = ast.parse(TRACER.read_text(encoding="utf-8"))
+    for node in tree.body:
+        names = [t.id for t in getattr(node, "targets", ()) if isinstance(t, ast.Name)]
+        if names == ["TARGETS"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError(f"{TRACER} defines no TARGETS")
+
+
+@pytest.mark.parametrize("module,path", [target[:2] for target in tracer_targets()])
+def test_tracer_target_resolves(module, path):
+    # a renamed function would otherwise break only the traced benchmark run
+    functools.reduce(getattr, path.split("."), importlib.import_module(module))

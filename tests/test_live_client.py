@@ -2,8 +2,13 @@
 
 from __future__ import annotations
 
+import contextlib
 import gc
+import json
+import threading
+import time
 import weakref
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -127,6 +132,84 @@ class TestStreamObservations:
             gc.enable()
 
 
+@contextlib.contextmanager
+def serving(handler):
+    """Serve one handler class on a free local port; yields its base URL."""
+    httpd = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    threading.Thread(target=httpd.serve_forever, daemon=True).start()
+    try:
+        yield "http://127.0.0.1:%d" % httpd.server_address[1]
+    finally:
+        httpd.shutdown()
+        httpd.server_close()
+
+
+def sse_event(text):
+    top = [{"token": text, "logprob": -0.1}, {"token": WATCHED_TEXT, "logprob": -2.5}]
+    choice = {
+        "delta": {"content": text},
+        "logprobs": {"content": [{"token": text, "logprob": -0.1, "top_logprobs": top}]},
+    }
+    return b"data: " + json.dumps({"choices": [choice]}).encode() + b"\n\n"
+
+
+class HoldingHandler(BaseHTTPRequestHandler):
+    """Streams one token, then holds the next until `release` is set."""
+
+    release: threading.Event
+    chunked: bool
+
+    def do_POST(self):
+        self.rfile.read(int(self.headers["Content-Length"]))
+        self.send_response(200)
+        self.send_header("Content-Type", "text/event-stream")
+        if self.chunked:
+            self.send_header("Transfer-Encoding", "chunked")
+        self.end_headers()
+        try:
+            self.send(sse_event("a"))
+            self.release.wait(5.0)
+            self.send(sse_event("b") + b"data: [DONE]\n\n")
+            if self.chunked:
+                self.wfile.write(b"0\r\n\r\n")
+        except OSError:
+            pass  # the client has gone
+
+    def send(self, data):
+        if self.chunked:
+            data = b"%x\r\n%s\r\n" % (len(data), data)
+        self.wfile.write(data)
+        self.wfile.flush()
+
+    def log_message(self, fmt, *args):
+        pass
+
+
+class TestTokenLatency:
+    @pytest.mark.parametrize(
+        "protocol,chunked", [("HTTP/1.0", False), ("HTTP/1.1", True)],
+        ids=["close-delimited", "chunked"],
+    )
+    def test_held_back_token_does_not_delay_the_step(self, protocol, chunked):
+        release = threading.Event()
+        handler = type("Handler", (HoldingHandler,), {
+            "protocol_version": protocol, "chunked": chunked, "release": release,
+        })
+        with serving(handler) as url:
+            factory = connect_endpoint(url, "m", top_logprobs=2)
+            try:
+                session = factory.open_session("q", watched_token=WATCHED_TEXT, pacing_cap=1)
+                start = time.perf_counter()
+                obs = next(session)
+                elapsed = time.perf_counter() - start
+                session.close()
+            finally:
+                release.set()
+        # the server holds the second token for 5 s; the first must not wait for it
+        assert elapsed < 2.0, f"first token took {elapsed:.2f} s"
+        assert (obs.chosen_text, obs.watched_rank) == ("a", 1)
+
+
 class TestPolicyParity:
     @pytest.mark.parametrize(
         "policy,kw",
@@ -221,9 +304,6 @@ class TestFailureHandling:
         assert 0 <= len(record.rank_trajectory) <= 5
 
     def test_http_error_is_session_error(self):
-        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-        from threading import Thread
-
         class Refuse(BaseHTTPRequestHandler):
             def do_POST(self):
                 self.send_error(503)
@@ -231,16 +311,10 @@ class TestFailureHandling:
             def log_message(self, fmt, *args):
                 pass
 
-        httpd = ThreadingHTTPServer(("127.0.0.1", 0), Refuse)
-        Thread(target=httpd.serve_forever, daemon=True).start()
-        try:
-            url = "http://127.0.0.1:%d" % httpd.server_address[1]
+        with serving(Refuse) as url:
             factory = connect_endpoint(url, "m", top_logprobs=WIDTH)
             with pytest.raises(SessionError, match="503"):
                 factory.open_session("q", watched_token=WATCHED_TEXT, pacing_cap=CAP)
-        finally:
-            httpd.shutdown()
-            httpd.server_close()
 
     def test_unreachable_endpoint_is_session_error(self):
         factory = connect_endpoint(

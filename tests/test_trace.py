@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import re
 
 import pytest
 
@@ -169,6 +171,47 @@ class TestIntegrity:
         )
         with pytest.raises(TraceIntegrityError):
             step.validate()
+
+    @pytest.mark.parametrize(
+        "change,message",
+        [
+            ({"topk": ()}, "empty topk"),
+            ({"topk": ((10, -0.5), (10, -0.9), (12, -1.3), (13, -1.7))}, "duplicate token"),
+            ({"topk": ((10, -0.5), (11, math.nan), (12, -1.3), (13, -1.7))}, "not sorted"),
+            ({"watched_rank": -1}, "negative rank"),
+            ({"entropy": -0.5}, "entropy must be finite"),
+            ({"entropy": math.nan}, "entropy must be finite"),
+            ({"entropy": math.inf}, "entropy must be finite"),
+            ({"step_wall_time": -0.01}, "wall time must be finite"),
+            ({"step_wall_time": math.nan}, "wall time must be finite"),
+            ({"chosen_token": 64}, "chosen token 64 outside vocabulary"),
+            ({"topk": ((10, -0.5), (11, -0.9), (12, -1.3), (99, -1.7))}, "topk token 99 outside"),
+            (None, "probe key 6 out of range"),
+        ],
+        ids=[
+            "empty-topk", "duplicate-token", "nan-logprob", "negative-rank",
+            "negative-entropy", "nan-entropy", "inf-entropy", "negative-wall",
+            "nan-wall", "chosen-outside-vocab", "topk-outside-vocab", "probe-key",
+        ],
+    )
+    def test_step_checks(self, change, message):
+        trace = make_trace([9, 7, 5, 2, 0], natural=True, probes={5: ("s", "x")})
+        if change is None:
+            bad = dataclasses.replace(trace, probes={6: ("s", "x")})
+        else:
+            steps = list(trace.steps)
+            steps[2] = dataclasses.replace(steps[2], **change)
+            bad = dataclasses.replace(trace, steps=tuple(steps))
+        trace.validate()
+        with pytest.raises(TraceIntegrityError, match=message):
+            bad.validate()
+
+    def test_integrity_error_names_the_file(self, tmp_path):
+        trace = make_trace([9, 7, 5], probes={4: ("s", "x")})
+        path = tmp_path / "t.jsonl"
+        write_trace(trace, str(path))
+        with pytest.raises(TraceIntegrityError, match="^" + re.escape(f"{path}: probe key 4 out of range")):
+            read_trace(str(path))
 
     def test_watched_emitted_without_natural_stop_rejected(self):
         trace = make_trace([2, 1, 0], natural=True)
