@@ -14,6 +14,13 @@ fall at or below the threshold and fire spuriously.
 Token identifiers on this path are the token strings off the wire, so
 the watched token is configured as text (for example "</think>").
 
+Each streamed token's top-K list is read once into a token list and a
+float64 logprob array.  It is sorted descending only when one vectorised
+check finds it is not already (a stable argsort, so ties keep server
+order), and rank and entropy are computed from those arrays.  An event
+of the wrong shape (a missing field, a non-numeric logprob, a payload
+that is not an object) ends the session with SessionError.
+
 HTTP is the standard library's: urllib honours HTTP(S)_PROXY/NO_PROXY and
 verifies HTTPS against the system trust store.  The event stream is read
 line by line, so each token reaches the controller as soon as its line
@@ -28,6 +35,9 @@ import urllib.error
 import urllib.request
 from dataclasses import dataclass
 from http.client import HTTPException
+from operator import itemgetter
+
+import numpy as np
 
 from .errors import CapabilityError, ConfigurationError, SessionError
 from .policy import Distribution, compute_rank, shannon_entropy
@@ -106,11 +116,11 @@ class EndpointFactory:
         return LiveSession(self.config, prompt, watched_token, pacing_cap)
 
 
-def _sorted_pairs(top: list) -> list[tuple[str, float]]:
-    pairs = [(item["token"], float(item["logprob"])) for item in top]
-    # servers send descending already; a stable sort keeps tie order
-    pairs.sort(key=lambda pair: -pair[1])
-    return pairs
+_TOKEN = itemgetter("token")
+_LOGPROB = itemgetter("logprob")
+# what a malformed event raises while its fields are read: a missing key
+# or index, a value of the wrong type, or bytes that are not JSON
+_MALFORMED = (LookupError, TypeError, AttributeError, ValueError)
 
 
 class LiveSession:
@@ -187,55 +197,82 @@ class LiveSession:
         if self._natural or self._exhausted:
             raise StopIteration
         try:
-            for event in self._events:
-                choices = event.get("choices") or []
-                if not choices:
-                    continue
-                choice = choices[0]
-                content = (choice.get("delta") or {}).get("content")
-                if not content:
-                    continue
-                return self._observe(choice, content)
-        except (OSError, HTTPException, ValueError) as exc:
-            raise SessionError(f"stream failed at step {self._t + 1}: {exc}") from exc
-        if not self._saw_done:
-            raise SessionError(f"stream ended without completion sentinel at step {self._t + 1}")
-        self._exhausted = True
-        raise StopIteration
+            step = self._next_token()
+        except (OSError, HTTPException, *_MALFORMED) as exc:
+            raise SessionError(
+                f"stream failed at step {self._t + 1}: {type(exc).__name__}: {exc}"
+            ) from exc
+        if step is None:
+            if not self._saw_done:
+                raise SessionError(
+                    f"stream ended without completion sentinel at step {self._t + 1}"
+                )
+            self._exhausted = True
+            raise StopIteration
+        return self._observe(*step)
 
-    def _observe(self, choice: dict, content: str) -> StepObservation:
+    def _next_token(self) -> tuple[str, object, list, np.ndarray] | None:
+        """Next streamed token as (text, token, top-K tokens, top-K logprobs).
+
+        The top-K columns come in server order; None means the stream ended.
+        """
+        for event in self._events:
+            choices = event.get("choices") or []
+            if not choices:
+                continue
+            choice = choices[0]
+            content = (choice.get("delta") or {}).get("content")
+            if not content:
+                continue
+            if not isinstance(content, str):
+                raise TypeError(f"delta content is {type(content).__name__}, not text")
+            entries = (choice.get("logprobs") or {}).get("content") or []
+            if not entries:
+                raise CapabilityError(
+                    "endpoint streams tokens without logprobs.content;"
+                    " per-token logprobs are required"
+                )
+            entry = entries[0]
+            top = entry.get("top_logprobs") or []
+            if not top:
+                raise CapabilityError(
+                    "endpoint omits top_logprobs on streamed tokens;"
+                    " per-token top-K logprobs are required"
+                )
+            logprobs = np.array(list(map(_LOGPROB, top)))
+            if logprobs.dtype.kind not in "fiu" or logprobs.ndim != 1:
+                raise TypeError("top_logprobs entries need a number as logprob")
+            tokens = list(map(_TOKEN, top))
+            token = entry.get("token", content)
+            return content, token, tokens, logprobs.astype(np.float64, copy=False)
+        return None
+
+    def _observe(
+        self, content: str, token, tokens: list, logprobs: np.ndarray
+    ) -> StepObservation:
         now = time.perf_counter()
         wall = now - self._mark
         self._mark = now
-        lp_block = choice.get("logprobs") or {}
-        entries = lp_block.get("content") or []
-        if not entries:
+        # servers send descending already; a stable sort keeps tie order,
+        # and a NaN fails the check, is sorted last and is rejected below
+        if not (logprobs[:-1] >= logprobs[1:]).all():
+            order = np.argsort(-logprobs, kind="stable")
+            logprobs = logprobs[order]
+            tokens = list(map(tokens.__getitem__, order.tolist()))
+        dist = Distribution(tokens, logprobs)
+        rank, censored = compute_rank(dist, self.watched_token)
+        if censored and len(tokens) < self._pacing_cap + 1:
             raise CapabilityError(
-                "endpoint streams tokens without logprobs.content;"
-                " per-token logprobs are required"
-            )
-        entry = entries[0]
-        top = entry.get("top_logprobs") or []
-        if not top:
-            raise CapabilityError(
-                "endpoint omits top_logprobs on streamed tokens;"
-                " per-token top-K logprobs are required"
-            )
-        pairs = _sorted_pairs(top)
-        rank, censored = compute_rank(pairs, self.watched_token)
-        if censored and len(pairs) < self._pacing_cap + 1:
-            raise CapabilityError(
-                f"server returned top-{len(pairs)} without the watched token;"
+                f"server returned top-{len(tokens)} without the watched token;"
                 f" ranks censored below pacing cap {self._pacing_cap} + 1 are unsound"
             )
-        entropy = shannon_entropy(Distribution.from_topk_logprobs(pairs))
-        token = entry.get("token", content)
+        entropy = shannon_entropy(dist)
         self._t += 1
         observation = StepObservation(
             t=self._t,
             chosen_token=token,
             chosen_text=content,
-            topk=tuple(pairs),
+            topk=tuple(zip(tokens, dist.logprobs.tolist())),
             watched_rank=rank,
             censored=censored,
             entropy=entropy,
@@ -256,11 +293,12 @@ class LiveSession:
                 content = (choices[0].get("delta") or {}).get("content")
                 if content:
                     parts.append(content)
-        except (OSError, HTTPException, ValueError) as exc:
-            raise SessionError(f"answer stream failed: {exc}") from exc
+            answer = "".join(parts)
+        except (OSError, HTTPException, *_MALFORMED) as exc:
+            raise SessionError(f"answer stream failed: {type(exc).__name__}: {exc}") from exc
         if not self._saw_done:
             raise SessionError("answer stream ended without completion sentinel")
-        return "".join(parts), len(parts)
+        return answer, len(parts)
 
     def _completion(self, assistant: str) -> tuple[str, int]:
         with self._post(self._messages(assistant), stream=False, logprobs=False) as resp:
@@ -270,10 +308,16 @@ class LiveSession:
                 raise SessionError(f"branch completion failed: {exc}") from exc
         try:
             text = data["choices"][0]["message"]["content"] or ""
-        except (KeyError, IndexError, TypeError) as exc:
-            raise SessionError(f"branch completion missing choices content: {exc}") from exc
-        usage = data.get("usage") or {}
-        tokens = int(usage.get("completion_tokens", len(text.split())))
+            if not isinstance(text, str):
+                raise TypeError(f"message content is {type(text).__name__}, not text")
+            usage = data.get("usage") or {}
+            tokens = int(usage.get("completion_tokens", len(text.split())))
+            if tokens < 0:
+                raise ValueError(f"completion_tokens {tokens} < 0")
+        except _MALFORMED as exc:
+            raise SessionError(
+                f"branch completion is malformed: {type(exc).__name__}: {exc}"
+            ) from exc
         return text, tokens
 
     def probe_with_time(self, suffix: str) -> tuple[str, float]:

@@ -9,14 +9,24 @@ so the bar rises as reasoning progresses and drops when the model is
 uncertain.  Baselines share the same decision-point shape: stop after a
 fixed fraction of a reference length, or once branch-probed answers
 stabilize.
+
+The per-step signals are computed over numpy arrays: a Distribution holds
+one token list and one float64 logprob array.  compute_rank counts the
+entries strictly above the watched one, so ties go to the watched token
+whatever the list order.  shannon_entropy is the one entropy code path:
+the live client, the synthetic generator and any re-derivation from a
+trace's top-K all call it on a Distribution, so they agree bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence, Union
+
+import numpy as np
 
 from .errors import ConfigurationError, MalformedDistributionError
 
@@ -87,46 +97,33 @@ class BaselineConfig:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Distribution:
-    """A next-token probability distribution, possibly truncated.
+    """A truncated next-token distribution, held as two parallel columns.
 
-    probs holds (token, probability) pairs for the explicitly known
-    tokens; tail_mass is the total probability of everything else.
-    Explicit probabilities plus the tail must account for all the mass.
+    tokens lists the explicitly known tokens and logprobs (float64) their
+    log-probabilities, in the order given; probs = exp(logprobs) is
+    derived once on construction.  tail_mass is the probability of every
+    token not listed; left unset it is derived as max(0, 1 - sum(probs)).
     """
 
-    probs: tuple[tuple[TokenId, float], ...]
-    tail_mass: float = 0.0
+    tokens: Sequence[TokenId]
+    logprobs: np.ndarray
+    tail_mass: float | None = None
+    probs: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        logprobs = np.ascontiguousarray(self.logprobs, dtype=np.float64)
+        probs = np.exp(logprobs)
+        object.__setattr__(self, "logprobs", logprobs)
+        object.__setattr__(self, "probs", probs)
+        if self.tail_mass is None:
+            object.__setattr__(self, "tail_mass", max(0.0, 1.0 - float(probs.sum())))
 
     @classmethod
     def from_topk_logprobs(cls, pairs: Sequence[tuple[TokenId, float]]) -> "Distribution":
         """Build from (token, logprob) pairs; unseen mass becomes the tail."""
-        probs = tuple((tok, math.exp(lp)) for tok, lp in pairs)
-        tail = 1.0 - math.fsum(p for _, p in probs)
-        return cls(probs=probs, tail_mass=max(0.0, tail))
-
-    def validate(self) -> None:
-        if not self.probs:
-            raise MalformedDistributionError("distribution has no explicit tokens")
-        seen: set[TokenId] = set()
-        for tok, p in self.probs:
-            if tok in seen:
-                raise MalformedDistributionError(f"duplicate token {tok!r}")
-            seen.add(tok)
-            if not math.isfinite(p) or p < 0.0:
-                raise MalformedDistributionError(
-                    f"negative or non-finite probability {p!r} for token {tok!r}"
-                )
-        if not math.isfinite(self.tail_mass) or self.tail_mass < 0.0:
-            raise MalformedDistributionError(
-                f"negative or non-finite tail mass {self.tail_mass!r}"
-            )
-        total = math.fsum(p for _, p in self.probs) + self.tail_mass
-        if abs(total - 1.0) > MASS_TOLERANCE:
-            raise MalformedDistributionError(
-                f"probability mass sums to {total!r}, off by more than {MASS_TOLERANCE}"
-            )
+        return cls(*_columns(pairs))
 
 
 @dataclass(frozen=True)
@@ -155,56 +152,86 @@ class StopDecision:
                 )
 
 
-def _as_pairs(
-    scores: Union[Distribution, Sequence[float], Sequence[tuple[TokenId, float]]],
-) -> tuple[tuple[TokenId, float], ...]:
+Scores = Union[Distribution, Sequence[float], Sequence[tuple[TokenId, float]]]
+
+
+def _columns(scores: Scores) -> tuple[Sequence[TokenId], np.ndarray]:
+    """Token labels and float64 values of a score collection.
+
+    A Distribution gives its logprobs, (token, score) pairs are split, and
+    a plain score vector is labelled by position.
+    """
     if isinstance(scores, Distribution):
-        return scores.probs
-    seq = list(scores)
+        return scores.tokens, scores.logprobs
+    seq = scores if isinstance(scores, (list, tuple)) else list(scores)
     if not seq:
         raise MalformedDistributionError("empty score collection")
     first = seq[0]
     if isinstance(first, (tuple, list)) and len(first) == 2:
-        return tuple((tok, float(s)) for tok, s in seq)
-    return tuple(enumerate(float(s) for s in seq))
+        tokens, values = zip(*seq)
+        return tokens, np.array(values, dtype=np.float64)
+    return range(len(seq)), np.array(seq, dtype=np.float64)
 
 
-def compute_rank(
-    scores: Union[Distribution, Sequence[float], Sequence[tuple[TokenId, float]]],
-    watched: TokenId,
-) -> tuple[int, bool]:
+def compute_rank(scores: Scores, watched: TokenId) -> tuple[int, bool]:
     """Rank of the watched token: entries scoring strictly above it.
 
     Ties resolve in the watched token's favor (rank 0 means nothing
     scores higher).  Works on any monotone score scale: probabilities,
-    logprobs, or raw logits.  When the watched token is absent from a
-    truncated score list, the rank is censored at the list length and
-    the second element of the result is True.
+    logprobs, or raw logits; a Distribution ranks by its logprobs.  When
+    the watched token is absent from a truncated score list, the rank is
+    censored at the list length and the second element of the result is
+    True.
     """
-    pairs = _as_pairs(scores)
-    watched_score = None
-    for tok, s in pairs:
-        if tok == watched:
-            if watched_score is not None:
-                raise MalformedDistributionError(f"duplicate token {watched!r}")
-            watched_score = s
-    if watched_score is None:
-        return len(pairs), True
-    rank = sum(1 for _, s in pairs if s > watched_score)
-    return rank, False
+    tokens, values = _columns(scores)
+    try:
+        i = tokens.index(watched)
+    except ValueError:
+        return len(tokens), True
+    if watched in tokens[i + 1 :]:
+        raise MalformedDistributionError(f"duplicate token {watched!r}")
+    return int(np.count_nonzero(values > values[i])), False
 
 
-def shannon_entropy(
-    dist: Union[Distribution, Sequence[float], Sequence[tuple[TokenId, float]]],
-) -> float:
-    """Entropy in nats; a positive tail counts as one pseudo-token."""
-    if not isinstance(dist, Distribution):
-        dist = Distribution(probs=_as_pairs(dist), tail_mass=0.0)
-    dist.validate()
-    terms = [-p * math.log(p) for _, p in dist.probs if p > 0.0]
-    if dist.tail_mass > 0.0:
-        terms.append(-dist.tail_mass * math.log(dist.tail_mass))
-    return max(0.0, math.fsum(terms))
+def shannon_entropy(dist: Scores) -> float:
+    """Entropy in nats; a positive tail counts as one pseudo-token.
+
+    A Distribution is read through its probs and tail_mass; a plain
+    collection is taken as probabilities with no tail.  The probabilities
+    must be finite, non-negative, on distinct tokens and, with the tail,
+    sum to 1 within MASS_TOLERANCE.
+    """
+    if isinstance(dist, Distribution):
+        tokens, probs, tail = dist.tokens, dist.probs, dist.tail_mass
+    else:
+        (tokens, probs), tail = _columns(dist), 0.0
+    if not len(probs):
+        raise MalformedDistributionError("distribution has no explicit tokens")
+    try:
+        distinct = len(set(tokens)) == len(tokens)
+    except TypeError as exc:
+        raise MalformedDistributionError(f"unhashable token: {exc}") from exc
+    if not distinct:
+        token = Counter(tokens).most_common(1)[0][0]
+        raise MalformedDistributionError(f"duplicate token {token!r}")
+    bad = ~(np.isfinite(probs) & (probs >= 0.0))
+    if bad.any():
+        i = int(bad.argmax())
+        raise MalformedDistributionError(
+            f"negative or non-finite probability {float(probs[i])!r} for token {tokens[i]!r}"
+        )
+    if not (math.isfinite(tail) and tail >= 0.0):
+        raise MalformedDistributionError(f"negative or non-finite tail mass {tail!r}")
+    total = float(probs.sum()) + tail
+    if abs(total - 1.0) > MASS_TOLERANCE:
+        raise MalformedDistributionError(
+            f"probability mass sums to {total!r}, off by more than {MASS_TOLERANCE}"
+        )
+    p = probs[probs > 0.0]
+    entropy = -float((p * np.log(p)).sum())
+    if tail > 0.0:
+        entropy -= tail * math.log(tail)
+    return max(0.0, entropy)
 
 
 def dynamic_threshold(t: int, entropy: float, config: PolicyConfig) -> int:

@@ -202,6 +202,7 @@ def generate_synthetic(
     betas = _solve_temperatures(targets, topk_width)
     u = np.arange(topk_width + 1, dtype=float)
     log_z = np.log(np.exp(-np.outer(betas, u)).sum(axis=1))
+    logprobs = -np.outer(betas, u[:topk_width]) - log_z[:, None]
 
     filler_pool = [i for i in range(topk_width + 1) if i != watched_token][:topk_width]
     max_rank = int(ranks.max())
@@ -210,13 +211,12 @@ def generate_synthetic(
     steps: list[StepObservation] = []
     for t in range(total):
         rank = int(ranks[t])
-        lps = [float(-betas[t] * i - log_z[t]) for i in range(topk_width)]
         if rank < topk_width:
             ids = filler_pool[:rank] + [watched_token] + filler_pool[rank : topk_width - 1]
         else:
             ids = filler_pool[:topk_width]
-        topk = tuple(zip(ids, lps))
-        entropy = shannon_entropy(Distribution.from_topk_logprobs(topk))
+        entropy = shannon_entropy(Distribution(ids, logprobs[t]))
+        topk = tuple(zip(ids, logprobs[t].tolist()))
         chosen = ids[0]
         steps.append(
             StepObservation(

@@ -15,6 +15,7 @@ answer (key t+1: the terminator was step t's own token).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -52,11 +53,12 @@ class StepObservation:
             raise TraceIntegrityError(f"step index {self.t} is negative")
         if not self.topk:
             raise TraceIntegrityError(f"step {self.t}: empty topk")
-        lps = [lp for _, lp in self.topk]
+        ids, lps = zip(*self.topk)
         # `not a >= b` also fails a NaN logprob
-        if not all(a >= b for a, b in zip(lps, lps[1:])):
+        if not all(map(operator.ge, lps, lps[1:])):
             raise TraceIntegrityError(f"step {self.t}: topk not sorted descending")
-        ids = [tok for tok, _ in self.topk]
+        if not all(map(math.isfinite, lps)):
+            raise TraceIntegrityError(f"step {self.t}: topk logprobs must be finite")
         if len(set(ids)) != len(ids):
             raise TraceIntegrityError(f"step {self.t}: duplicate token in topk")
         if self.watched_rank < 0:

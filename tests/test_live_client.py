@@ -10,15 +10,17 @@ import time
 import weakref
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+import numpy as np
 import pytest
 
 from syncthink.client import connect_endpoint
-from syncthink.controller import record_fingerprint, run_generation
+from syncthink.controller import BatchItem, record_fingerprint, run_batch, run_generation
 from syncthink.errors import CapabilityError, ConfigurationError, SessionError
 from syncthink.policy import BaselineConfig, PolicyConfig, compute_rank
 from syncthink.stub import StubServer
 from syncthink.synthetic import SyntheticPhaseSpec, generate_synthetic
 from syncthink.trace import TraceReader
+from test_policy import random_top, scalar_entropy, scalar_rank, scalar_sorted_pairs
 
 WATCHED_TEXT = "</think>"
 CAP = 64
@@ -144,8 +146,9 @@ def serving(handler):
         httpd.server_close()
 
 
-def sse_event(text):
-    top = [{"token": text, "logprob": -0.1}, {"token": WATCHED_TEXT, "logprob": -2.5}]
+def sse_event(text, top=None):
+    if top is None:
+        top = [{"token": text, "logprob": -0.1}, {"token": WATCHED_TEXT, "logprob": -2.5}]
     choice = {
         "delta": {"content": text},
         "logprobs": {"content": [{"token": text, "logprob": -0.1, "top_logprobs": top}]},
@@ -183,6 +186,58 @@ class HoldingHandler(BaseHTTPRequestHandler):
 
     def log_message(self, fmt, *args):
         pass
+
+
+class ScriptedHandler(BaseHTTPRequestHandler):
+    """Streams `events` and answers branch requests with `completion`."""
+
+    protocol_version = "HTTP/1.0"
+    events: list[bytes]
+    completion: object
+
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        self.send_response(200)
+        if body.get("stream"):
+            self.send_header("Content-Type", "text/event-stream")
+            self.end_headers()
+            self.wfile.write(b"".join(self.events) + b"data: [DONE]\n\n")
+        else:
+            self.send_header("Content-Type", "application/json")
+            self.end_headers()
+            self.wfile.write(json.dumps(self.completion).encode())
+
+    def log_message(self, fmt, *args):
+        pass
+
+
+class TestIngestMatchesScalarOracle:
+    def test_stream_matches_scalar_pipeline(self):
+        # random served lists: ties, shuffled order, watched present or absent
+        rng = np.random.default_rng(17)
+        tops = []
+        for k in (1, 2, 32, 513):
+            for _ in range(12):
+                top, watched = random_top(rng, k)
+                for item in top:
+                    if item["token"] == watched:
+                        item["token"] = WATCHED_TEXT
+                tops.append(top)
+        events = [sse_event(f"x{i}", top) for i, top in enumerate(tops)]
+        handler = type("Handler", (ScriptedHandler,), {"events": events, "completion": None})
+        with serving(handler) as url:
+            factory = connect_endpoint(url, "m", top_logprobs=513)
+            session = factory.open_session("q", watched_token=WATCHED_TEXT, pacing_cap=0)
+            try:
+                observations = list(session)
+            finally:
+                session.close()
+        assert len(observations) == len(tops)
+        for obs, top in zip(observations, tops):
+            pairs = scalar_sorted_pairs(top)
+            assert obs.topk == tuple(pairs)
+            assert (obs.watched_rank, obs.censored) == scalar_rank(pairs, WATCHED_TEXT)
+            assert abs(obs.entropy - scalar_entropy(pairs)) <= 1e-12
 
 
 class TestTokenLatency:
@@ -302,6 +357,70 @@ class TestFailureHandling:
         assert "SessionError" in record.error
         # buffered chunks may or may not survive the reset
         assert 0 <= len(record.rank_trajectory) <= 5
+
+    @pytest.mark.parametrize(
+        "events,completion,policy,error",
+        [
+            (
+                [sse_event("b", [{"token": "b"}])], None, "full",
+                "stream failed at step 1: KeyError",
+            ),
+            ([b"data: [1]\n\n"], None, "full", "stream failed at step 1: AttributeError"),
+            (
+                [sse_event("b", [{"token": "b", "logprob": None}])], None, "full",
+                "stream failed at step 1: TypeError",
+            ),
+            (
+                [sse_event("b", [{"token": "b", "logprob": "low"}])], None, "full",
+                "stream failed at step 1: TypeError",
+            ),
+            (
+                [sse_event(5)], None, "full",
+                "stream failed at step 1: TypeError",
+            ),
+            (
+                [], {"choices": [{"message": {"content": "7"}}],
+                     "usage": {"completion_tokens": None}},
+                "none", "branch completion is malformed: TypeError",
+            ),
+            (
+                [], {"choices": [{"message": {"content": "7"}}],
+                     "usage": {"completion_tokens": "many"}},
+                "none", "branch completion is malformed: ValueError",
+            ),
+            (
+                [], {"choices": [{"message": {"content": "7"}}],
+                     "usage": {"completion_tokens": -3}},
+                "none", "branch completion is malformed: ValueError",
+            ),
+            (
+                [], {"choices": [{"message": {"content": 7}}]},
+                "none", "branch completion is malformed: TypeError",
+            ),
+        ],
+        ids=[
+            "logprob-missing", "event-is-a-list", "logprob-null", "logprob-text",
+            "content-not-text", "completion-tokens-null", "completion-tokens-text",
+            "completion-tokens-negative", "completion-content-not-text",
+        ],
+    )
+    def test_malformed_event_fails_only_its_sample(
+        self, factory, events, completion, policy, error
+    ):
+        handler = type("Handler", (ScriptedHandler,), {
+            "events": [sse_event("a"), *events, sse_event("c")], "completion": completion,
+        })
+        with serving(handler) as url:
+            scripted = connect_endpoint(url, "m", top_logprobs=2)
+            items = [
+                BatchItem("bad", lambda: scripted.open_session(
+                    "q", watched_token=WATCHED_TEXT, pacing_cap=1)),
+                BatchItem("good", lambda: open_session(factory)),
+            ]
+            bad, good = run_batch(items, [policy], policy_config=live_config())
+        assert not bad.complete
+        assert "SessionError" in bad.error and error in bad.error, bad.error
+        assert good.complete
 
     def test_http_error_is_session_error(self):
         class Refuse(BaseHTTPRequestHandler):

@@ -54,6 +54,80 @@ def oracle_entropy(probs: list[float], tail: float = 0.0) -> float:
         return float(total)
 
 
+# The scalar ingest the vectorised one replaced, kept as its oracle: one
+# Python step per (token, logprob) pair for the sort, the rank scan, the
+# exponentials, the checks and an exactly rounded entropy sum.
+
+
+def scalar_sorted_pairs(top: list[dict]) -> list[tuple[object, float]]:
+    """Server top-K entries as pairs, stably sorted by logprob descending."""
+    pairs = [(item["token"], float(item["logprob"])) for item in top]
+    pairs.sort(key=lambda pair: -pair[1])
+    return pairs
+
+
+def scalar_rank(pairs, watched) -> tuple[int, bool]:
+    if not pairs:
+        raise MalformedDistributionError("empty score collection")
+    watched_score = None
+    for tok, s in pairs:
+        if tok == watched:
+            if watched_score is not None:
+                raise MalformedDistributionError(f"duplicate token {watched!r}")
+            watched_score = s
+    if watched_score is None:
+        return len(pairs), True
+    return sum(1 for _, s in pairs if s > watched_score), False
+
+
+def scalar_entropy(pairs, tail_mass=None) -> float:
+    """Entropy of (token, logprob) pairs; the unlisted mass is the tail."""
+    probs = [(tok, math.exp(lp)) for tok, lp in pairs]
+    if tail_mass is None:
+        tail_mass = max(0.0, 1.0 - math.fsum(p for _, p in probs))
+    if not probs:
+        raise MalformedDistributionError("distribution has no explicit tokens")
+    seen = set()
+    for tok, p in probs:
+        if tok in seen:
+            raise MalformedDistributionError(f"duplicate token {tok!r}")
+        seen.add(tok)
+        if not math.isfinite(p) or p < 0.0:
+            raise MalformedDistributionError(f"negative or non-finite probability {p!r}")
+    if not math.isfinite(tail_mass) or tail_mass < 0.0:
+        raise MalformedDistributionError(f"negative or non-finite tail mass {tail_mass!r}")
+    total = math.fsum(p for _, p in probs) + tail_mass
+    if abs(total - 1.0) > 1e-6:
+        raise MalformedDistributionError(f"probability mass sums to {total!r}")
+    terms = [-p * math.log(p) for _, p in probs if p > 0.0]
+    if tail_mass > 0.0:
+        terms.append(-tail_mass * math.log(tail_mass))
+    return max(0.0, math.fsum(terms))
+
+
+def random_top(rng, k: int) -> tuple[list[dict], str]:
+    """A served top-K list and a watched token, as a server might send them.
+
+    The K entries are drawn from K + extra tokens (extra > 0 leaves a
+    positive tail), some logprobs are repeated to make ties, the order is
+    shuffled half the time, and the watched token is present or absent.
+    """
+    extra = int(rng.integers(0, 2 * k + 1))
+    logits = rng.standard_normal(k + extra) * 3.0
+    lps = np.sort(logits - np.logaddexp.reduce(logits))[::-1][:k].tolist()
+    if k >= 2 and rng.random() < 0.7:
+        for _ in range(max(1, k // 8)):
+            i, j = sorted(int(x) for x in rng.integers(0, k, 2))
+            lps[i] = lps[j]  # lowering a logprob keeps the mass under 1
+        lps.sort(reverse=True)
+    *tokens, absent = [f"t{i}" for i in rng.permutation(k + 1)]
+    top = [{"token": tok, "logprob": lp} for tok, lp in zip(tokens, lps)]
+    if rng.random() < 0.5:
+        top = [top[i] for i in rng.permutation(k)]
+    watched = absent if rng.random() < 0.3 else tokens[int(rng.integers(0, k))]
+    return top, watched
+
+
 class TestDynamicThreshold:
     def test_matches_oracle_on_grid(self):
         cfg = PolicyConfig(entropy_weight=0.8, pacing_cap=512)
@@ -160,12 +234,12 @@ class TestShannonEntropy:
             assert abs(shannon_entropy(probs) - oracle_entropy(probs)) < 1e-12
 
     def test_tail_counts_as_pseudo_token(self):
-        dist = Distribution(probs=((0, 0.5), (1, 0.25)), tail_mass=0.25)
+        dist = Distribution((0, 1), np.log([0.5, 0.25]), tail_mass=0.25)
         expected = oracle_entropy([0.5, 0.25], tail=0.25)
         assert abs(shannon_entropy(dist) - expected) < 1e-15
 
     def test_zero_tail_ignored(self):
-        a = shannon_entropy(Distribution(probs=((0, 0.5), (1, 0.5)), tail_mass=0.0))
+        a = shannon_entropy(Distribution((0, 1), np.log([0.5, 0.5]), tail_mass=0.0))
         assert abs(a - math.log(2)) < 1e-15
 
     def test_mass_deficit_rejected(self):
@@ -174,7 +248,7 @@ class TestShannonEntropy:
 
     def test_negative_mass_rejected(self):
         with pytest.raises(MalformedDistributionError):
-            shannon_entropy(Distribution(probs=((0, -0.1), (1, 1.1)), tail_mass=0.0))
+            shannon_entropy([(0, -0.1), (1, 1.1)])
 
     def test_from_topk_logprobs_round_trip(self):
         lps = [(0, math.log(0.6)), (1, math.log(0.3))]
@@ -182,6 +256,73 @@ class TestShannonEntropy:
         assert abs(dist.tail_mass - 0.1) < 1e-12
         expected = oracle_entropy([0.6, 0.3], tail=dist.tail_mass)
         assert abs(shannon_entropy(dist) - expected) < 1e-12
+
+
+class TestVectorisedMatchesScalarOracle:
+    @pytest.mark.parametrize("k", [1, 2, 32, 513])
+    def test_rank_and_entropy(self, k):
+        rng = np.random.default_rng(1000 + k)
+        seen = set()
+        for _ in range(200 if k < 513 else 60):
+            top, watched = random_top(rng, k)
+            served = [(item["token"], item["logprob"]) for item in top]
+            pairs = scalar_sorted_pairs(top)
+            expected = scalar_rank(pairs, watched)
+            seen.add(expected[1])
+            tokens = [tok for tok, _ in served]
+            dist = Distribution(tokens, np.array([lp for _, lp in served]))
+            # rank does not depend on the order of the list
+            assert compute_rank(dist, watched) == expected
+            assert compute_rank(served, watched) == expected
+            assert compute_rank(pairs, watched) == expected
+            sorted_dist = Distribution.from_topk_logprobs(pairs)
+            assert abs(shannon_entropy(sorted_dist) - scalar_entropy(pairs)) <= 1e-12
+            assert abs(shannon_entropy(dist) - scalar_entropy(served)) <= 1e-12
+        # both a present and an absent watched token were drawn
+        assert seen == {False, True}
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: compute_rank([], "a"),
+            lambda: compute_rank([("a", -0.1), ("a", -2.0)], "a"),
+            lambda: shannon_entropy(Distribution([], np.array([]))),
+            lambda: Distribution.from_topk_logprobs([]),
+            lambda: shannon_entropy(Distribution(["a", "a"], np.log([0.5, 0.25]))),
+            lambda: shannon_entropy(Distribution([["a"], "b"], np.log([0.5, 0.25]))),
+            lambda: shannon_entropy(Distribution(["a", "b"], [-0.1, math.nan])),
+            lambda: shannon_entropy(Distribution(["a"], [math.nan])),
+            lambda: shannon_entropy(Distribution(["a", "b"], [math.inf, -1.0])),
+            lambda: shannon_entropy([("a", -0.1), ("b", 1.1)]),
+            lambda: shannon_entropy(Distribution(["a"], [math.log(0.5)], tail_mass=-0.5)),
+            lambda: shannon_entropy(Distribution(["a"], [math.log(0.5)], tail_mass=math.nan)),
+            lambda: shannon_entropy(Distribution(["a"], [math.log(0.5)], tail_mass=math.inf)),
+            lambda: shannon_entropy(Distribution(["a", "b"], np.log([0.7, 0.7]))),
+            lambda: shannon_entropy(Distribution(["a"], [math.log(0.5)], tail_mass=0.25)),
+            lambda: shannon_entropy([0.5, 0.3]),
+        ],
+        ids=[
+            "empty-rank", "duplicate-watched", "empty-entropy", "empty-pairs",
+            "duplicate-token", "unhashable-token", "nan-logprob", "nan-logprob-k1", "inf-logprob",
+            "negative-probability", "negative-tail", "nan-tail", "inf-tail",
+            "mass-excess", "mass-deficit-with-tail", "mass-deficit",
+        ],
+    )
+    def test_every_rejection_still_raises(self, call):
+        with pytest.raises(MalformedDistributionError):
+            call()
+
+    def test_scalar_oracle_rejects_the_same_shapes(self):
+        # the oracle itself is live: it refuses what the checks above refuse
+        for pairs, kw in [
+            ([], {}), ([("a", -0.7), ("a", -1.4)], {}), ([("a", math.nan)], {}),
+            ([("a", math.log(0.5))], {"tail_mass": -0.5}),
+            ([("a", math.log(0.7)), ("b", math.log(0.7))], {}),
+        ]:
+            with pytest.raises(MalformedDistributionError):
+                scalar_entropy(pairs, **kw)
+        with pytest.raises(MalformedDistributionError):
+            scalar_rank([("a", -0.1), ("a", -2.0)], "a")
 
 
 class _Obs:

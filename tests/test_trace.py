@@ -178,6 +178,9 @@ class TestIntegrity:
             ({"topk": ()}, "empty topk"),
             ({"topk": ((10, -0.5), (10, -0.9), (12, -1.3), (13, -1.7))}, "duplicate token"),
             ({"topk": ((10, -0.5), (11, math.nan), (12, -1.3), (13, -1.7))}, "not sorted"),
+            ({"topk": ((10, math.nan),)}, "logprobs must be finite"),
+            ({"topk": ((10, -0.5), (11, -0.9), (12, -1.3), (13, -math.inf))}, "logprobs must be finite"),
+            ({"topk": ((10, math.inf), (11, -0.9), (12, -1.3), (13, -1.7))}, "logprobs must be finite"),
             ({"watched_rank": -1}, "negative rank"),
             ({"entropy": -0.5}, "entropy must be finite"),
             ({"entropy": math.nan}, "entropy must be finite"),
@@ -189,7 +192,8 @@ class TestIntegrity:
             (None, "probe key 6 out of range"),
         ],
         ids=[
-            "empty-topk", "duplicate-token", "nan-logprob", "negative-rank",
+            "empty-topk", "duplicate-token", "nan-logprob", "nan-logprob-k1",
+            "minus-inf-logprob", "plus-inf-logprob", "negative-rank",
             "negative-entropy", "nan-entropy", "inf-entropy", "negative-wall",
             "nan-wall", "chosen-outside-vocab", "topk-outside-vocab", "probe-key",
         ],
