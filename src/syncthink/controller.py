@@ -12,9 +12,11 @@ arithmetic), eval (answer normalization).  Record contents other than
 the wall-time fields are deterministic for a given source and config;
 record_fingerprint captures exactly that deterministic part.
 
-A record keeps only the decision made at its stop step.  The rank and
-entropy of every step stay in its trajectories, and dynamic_threshold
-rebuilds a syncthink threshold at any step from the record's config.
+Each step's policy check is a plain bool (should_stop for syncthink),
+and a record keeps only the decision made at its stop step, built there
+once.  The rank and entropy of every step stay in its trajectories, and
+dynamic_threshold rebuilds a syncthink threshold at any step from the
+record's config.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .policy import (
     StopDecision,
     StopReason,
     answer_convergence_stop,
+    dynamic_threshold,
     fixed_ratio_stop,
     should_stop,
 )
@@ -187,7 +190,7 @@ def run_generation(
             total_tokens=reasoning + answer_tokens,
             answer_text=answer_text,
             normalized_answer=normalized,
-            decision=decision if stop_step is not None else None,
+            decision=decision,
             rank_trajectory=tuple(ranks),
             entropy_trajectory=tuple(entropies),
             t_gen=gen,
@@ -205,44 +208,33 @@ def run_generation(
             entropies.append((t, obs.entropy))
             step_times.append(obs.step_wall_time)
 
+            m0 = time.perf_counter()
             if obs.chosen_token == watched:
                 # the source ended reasoning on its own; policy defers
-                m0 = time.perf_counter()
-                if policy == "syncthink":
-                    probe_decision = should_stop(t, obs, pcfg)
-                    threshold = probe_decision.threshold
-                else:
-                    threshold = 0
-                metric_seconds += time.perf_counter() - m0
-                reason = StopReason.NATURAL_TERMINATION
-                decision = StopDecision(
-                    stop=True, threshold=threshold, rank=obs.watched_rank,
-                    entropy=obs.entropy, reason=reason,
+                reason, probe_secs = StopReason.NATURAL_TERMINATION, 0.0
+            else:
+                fired, probe_secs = _policy_decision(
+                    policy, t, obs, pcfg, bcfg, full_length, probe_answers, source, task_kind,
                 )
+                if fired:
+                    reason, injected = StopReason.THRESHOLD_FIRED, True
+                elif t + 1 >= budget:
+                    reason = StopReason.BUDGET_EXHAUSTED
+            if reason is not None:
                 stop_step = t
-                break
-
-            m0 = time.perf_counter()
-            decision, probe_secs = _policy_decision(
-                policy, t, obs, pcfg, bcfg, full_length, probe_answers, source, task_kind,
-            )
+                decision = _stop_decision(policy, obs, pcfg, reason)
             metric_seconds += time.perf_counter() - m0 - probe_secs
             probe_seconds += probe_secs
-            if decision.stop:
-                stop_step = t
-                injected = True
-                reason = StopReason.THRESHOLD_FIRED
-                break
-
-            if t + 1 >= budget:
-                reason = StopReason.BUDGET_EXHAUSTED
-                stop_step = t
+            if reason is not None:
                 break
         else:
-            if stop_step is None and step_times:
+            if step_times:
                 # stream ran dry without stopping
+                m0 = time.perf_counter()
                 reason = StopReason.BUDGET_EXHAUSTED
                 stop_step = len(step_times) - 1
+                decision = _stop_decision(policy, obs, pcfg, reason)
+                metric_seconds += time.perf_counter() - m0
     except SessionError as exc:
         error = f"SessionError: {exc}"
         return finish(False, ("", 0, 0.0), 0.0, "")
@@ -284,35 +276,45 @@ def _policy_decision(
     probe_answers: list[str],
     source,
     task_kind: str,
-) -> tuple[StopDecision, float]:
-    """Decide at one step; returns the decision and probe generation time."""
-    rank = obs.watched_rank
-    entropy = obs.entropy
-    probe_secs = 0.0
+) -> tuple[bool, float]:
+    """Whether the policy fires at one step, and the probe generation time."""
     if policy == "syncthink":
         return should_stop(t, obs, pcfg), 0.0
     if policy == "full":
-        fired = False
-    elif policy == "none":
-        fired = True
-    elif policy == "fixed_ratio":
-        fired = fixed_ratio_stop(t, full_length, bcfg.ratio)
-    elif policy == "answer_convergence":
-        fired = False
+        return False, 0.0
+    if policy == "none":
+        return True, 0.0
+    if policy == "fixed_ratio":
+        return fixed_ratio_stop(t, full_length, bcfg.ratio), 0.0
+    if policy == "answer_convergence":
         if t > 0 and t % bcfg.segment_len == 0:
             raw, probe_secs = source.probe_with_time(bcfg.probe_suffix)
             probe_answers.append(parse_answer(raw, task_kind))
-            fired = answer_convergence_stop(probe_answers, bcfg.convergence_k)
-    else:  # pragma: no cover - guarded by run_generation
-        raise ConfigurationError(f"unknown policy {policy!r}")
-    decision = StopDecision(
-        stop=fired,
-        threshold=rank if fired else 0,
+            return answer_convergence_stop(probe_answers, bcfg.convergence_k), probe_secs
+        return False, 0.0
+    raise ConfigurationError(f"unknown policy {policy!r}")  # pragma: no cover
+
+
+def _stop_decision(policy: str, obs, pcfg: PolicyConfig, reason: StopReason) -> StopDecision:
+    """The decision a record keeps, made at its stop step obs.
+
+    syncthink's threshold is dynamic_threshold at that step; a baseline's
+    is the rank when it fired and 0 otherwise.  A budget stop is a step
+    at which nothing fired.
+    """
+    rank = obs.watched_rank
+    if policy == "syncthink":
+        threshold = dynamic_threshold(obs.t, obs.entropy, pcfg)
+    else:
+        threshold = rank if reason is StopReason.THRESHOLD_FIRED else 0
+    stop = reason is not StopReason.BUDGET_EXHAUSTED
+    return StopDecision(
+        stop=stop,
+        threshold=threshold,
         rank=rank,
-        entropy=entropy,
-        reason=StopReason.THRESHOLD_FIRED if fired else StopReason.NOT_TRIGGERED,
+        entropy=obs.entropy,
+        reason=reason if stop else StopReason.NOT_TRIGGERED,
     )
-    return decision, probe_secs
 
 
 @dataclass(frozen=True)

@@ -6,9 +6,11 @@ fires at step t when that rank is at or below
     floor(min(t, pacing_cap) * exp(-entropy_weight * entropy))
 
 so the bar rises as reasoning progresses and drops when the model is
-uncertain.  Baselines share the same decision-point shape: stop after a
-fixed fraction of a reference length, or once branch-probed answers
-stabilize.
+uncertain.  should_stop is that rule and returns a bool.  Baselines
+share the same decision-point shape: stop after a fixed fraction of a
+reference length, or once branch-probed answers stabilize.  A
+StopDecision records the one decision a run keeps, the one at its stop
+step.
 
 The per-step signals are computed over numpy arrays: a Distribution holds
 one token list and one float64 logprob array.  compute_rank counts the
@@ -128,7 +130,7 @@ class Distribution:
 
 @dataclass(frozen=True)
 class StopDecision:
-    """Outcome of one decision point.
+    """Outcome of the decision point at a run's stop step.
 
     stop=True with reason THRESHOLD_FIRED guarantees rank <= threshold;
     stop=False always carries reason NOT_TRIGGERED.
@@ -244,27 +246,19 @@ def dynamic_threshold(t: int, entropy: float, config: PolicyConfig) -> int:
     return math.floor(pacing * math.exp(-config.entropy_weight * entropy))
 
 
-def should_stop(t: int, observation, config: PolicyConfig) -> StopDecision:
-    """Evaluate the rank-threshold rule at one decision point.
+def should_stop(t: int, observation, config: PolicyConfig) -> bool:
+    """The rank-threshold rule at one decision point: True when it fires.
 
     observation needs watched_rank and entropy attributes.  Steps before
-    min_steps and steps off the check_interval grid never fire, but the
-    decision still records the rank, entropy, and threshold seen there.
-    Censored ranks participate unchanged: a rank censored at K can still
-    only fire if K itself is at or below the threshold.
+    min_steps and steps off the check_interval grid never fire.  Censored
+    ranks participate unchanged: a rank censored at K can still only fire
+    if K itself is at or below the threshold.  The rule runs on every
+    decoded step, so it builds nothing; the controller builds one
+    StopDecision per run, at its stop step.
     """
-    rank = observation.watched_rank
-    entropy = observation.entropy
-    threshold = dynamic_threshold(t, entropy, config)
-    due = t >= config.min_steps and t % config.check_interval == 0
-    fired = due and rank <= threshold
-    return StopDecision(
-        stop=fired,
-        threshold=threshold,
-        rank=rank,
-        entropy=entropy,
-        reason=StopReason.THRESHOLD_FIRED if fired else StopReason.NOT_TRIGGERED,
-    )
+    if t < config.min_steps or t % config.check_interval:
+        return False
+    return observation.watched_rank <= dynamic_threshold(t, observation.entropy, config)
 
 
 def fixed_ratio_stop(t: int, full_length: int, ratio: float) -> bool:

@@ -7,6 +7,13 @@ Branch requests are matched by the longest step-text prefix of the
 assistant partial, then answered from the trace's recorded probe
 branches (nearest recorded branch at or before the matched step).
 
+Each step's streamed event is encoded once per request shape (logprobs
+on or off, top-K width), when the first request of that shape reaches
+the step, and later requests of that shape write the stored bytes.
+Building and encoding an event costs about as much CPU as the client
+spends decoding it, so re-encoding on every request would make the stub
+pace the client it serves.
+
 Test knobs: serve_logprobs=False strips logprobs from the stream;
 fail_after_steps resets the connection mid-stream to exercise the
 client's failure path.
@@ -26,6 +33,21 @@ from .trace import TraceFile
 
 def _wire_token(token, watched) -> str:
     return token if isinstance(token, str) else token_text(token, watched)
+
+
+def _sse(obj) -> bytes:
+    return b"data: " + json.dumps(obj, separators=(",", ":")).encode("utf-8") + b"\n\n"
+
+
+def _chunk(delta: dict, logprobs=None, finish=None) -> dict:
+    choice = {"index": 0, "delta": delta, "finish_reason": finish}
+    if logprobs is not None:
+        choice["logprobs"] = logprobs
+    return {
+        "id": "stub-chunk",
+        "object": "chat.completion.chunk",
+        "choices": [choice],
+    }
 
 
 class StubServer:
@@ -48,6 +70,8 @@ class StubServer:
             [(_wire_token(tok, watched), lp) for tok, lp in step.topk]
             for step in trace.steps
         ]
+        # (logprobs, width) -> each step's event bytes, None until first served
+        self._events: dict[tuple[bool, int], list[bytes | None]] = {}
         self._httpd = ThreadingHTTPServer(("127.0.0.1", 0), _make_handler(self))
         self._httpd.daemon_threads = True
         self._thread: threading.Thread | None = None
@@ -63,6 +87,32 @@ class StubServer:
         if not keys:
             return ""
         return self.trace.probes[max(keys)][1]
+
+    def step_event(self, i: int, logprobs: bool, width: int) -> bytes:
+        """SSE bytes of step i for one request shape, encoded on first use.
+
+        Concurrent requests may both encode a step; they store equal bytes.
+        """
+        events = self._events.setdefault((logprobs, width), [None] * len(self.step_texts))
+        event = events[i]
+        if event is None:
+            text = self.step_texts[i]
+            top_logprobs = None
+            if logprobs:
+                top = self.wire_topk[i][: width or None]
+                top_logprobs = {
+                    "content": [
+                        {
+                            "token": text,
+                            "logprob": dict(top).get(text, 0.0),
+                            "top_logprobs": [
+                                {"token": tok, "logprob": lp} for tok, lp in top
+                            ],
+                        }
+                    ]
+                }
+            event = events[i] = _sse(_chunk({"content": text}, top_logprobs))
+        return event
 
     def match_prefix(self, partial: str) -> tuple[int, str]:
         """Longest run of step texts prefixing the partial, plus the rest."""
@@ -134,20 +184,9 @@ def _make_handler(server: StubServer):
             self.end_headers()
             self.wfile.write(payload)
 
-        def _sse(self, obj):
-            data = json.dumps(obj, separators=(",", ":")).encode("utf-8")
-            self.wfile.write(b"data: " + data + b"\n\n")
+        def _send(self, event: bytes):
+            self.wfile.write(event)
             self.wfile.flush()
-
-        def _chunk(self, delta: dict, logprobs=None, finish=None):
-            choice = {"index": 0, "delta": delta, "finish_reason": finish}
-            if logprobs is not None:
-                choice["logprobs"] = logprobs
-            return {
-                "id": "stub-chunk",
-                "object": "chat.completion.chunk",
-                "choices": [choice],
-            }
 
         def _reset_connection(self):
             # RST instead of FIN so the client sees a network failure,
@@ -166,34 +205,18 @@ def _make_handler(server: StubServer):
             self.send_response(200)
             self.send_header("Content-Type", "text/event-stream")
             self.end_headers()
-            self._sse(self._chunk({"role": "assistant"}))
-            for i, step in enumerate(server.trace.steps):
+            self._send(_sse(_chunk({"role": "assistant"})))
+            for i in range(len(server.step_texts)):
                 if server.fail_after_steps is not None and i >= server.fail_after_steps:
                     self._reset_connection()
                     return
-                text = server.step_texts[i]
-                logprobs = None
-                if want_logprobs:
-                    top = server.wire_topk[i][: width or None]
-                    logprobs = {
-                        "content": [
-                            {
-                                "token": text,
-                                "logprob": dict(top).get(text, 0.0),
-                                "top_logprobs": [
-                                    {"token": tok, "logprob": lp} for tok, lp in top
-                                ],
-                            }
-                        ]
-                    }
-                self._sse(self._chunk({"content": text}, logprobs))
+                self._send(server.step_event(i, want_logprobs, width))
             answer = server.answer_at(len(server.trace.steps))
             for i, word in enumerate(answer.split()):
                 piece = word if i == 0 else " " + word
-                self._sse(self._chunk({"content": piece}))
-            self._sse(self._chunk({}, finish="stop"))
-            self.wfile.write(b"data: [DONE]\n\n")
-            self.wfile.flush()
+                self._send(_sse(_chunk({"content": piece})))
+            self._send(_sse(_chunk({}, finish="stop")))
+            self._send(b"data: [DONE]\n\n")
 
         def _branch(self, body: dict, partial: str):
             matched, rest = server.match_prefix(partial)

@@ -8,6 +8,7 @@ import math
 
 import pytest
 
+from syncthink import controller, policy as policy_module
 from syncthink.controller import (
     BatchItem,
     GenerationRecord,
@@ -26,7 +27,14 @@ from syncthink.errors import (
     SessionError,
     TraceIntegrityError,
 )
-from syncthink.policy import BaselineConfig, PolicyConfig, StopReason, dynamic_threshold
+from syncthink.policy import (
+    POLICIES,
+    BaselineConfig,
+    PolicyConfig,
+    StopDecision,
+    StopReason,
+    dynamic_threshold,
+)
 from syncthink.synthetic import SyntheticPhaseSpec, generate_synthetic
 from syncthink.trace import StepObservation, TraceReader, open_trace, write_trace
 
@@ -48,7 +56,7 @@ def oracle_stop(trace, pcfg):
     return None, "none"
 
 
-def plain_step(t, *, watched=3, chosen=10, rank=50):
+def plain_step(t, *, watched=3, chosen=10, rank=50, entropy=1.2):
     lps = [-0.5, -1.5, -2.5, -3.5]
     ids = [chosen, 11, 12, 13]
     return StepObservation(
@@ -58,7 +66,7 @@ def plain_step(t, *, watched=3, chosen=10, rank=50):
         topk=tuple(zip(ids, lps)),
         watched_rank=rank,
         censored=False,
-        entropy=1.2,
+        entropy=entropy,
         step_wall_time=0.01,
     )
 
@@ -66,11 +74,13 @@ def plain_step(t, *, watched=3, chosen=10, rank=50):
 class FakeSource:
     """Scripted source for edge cases a recorded trace cannot reach."""
 
-    def __init__(self, steps, *, watched=3, fail_after=None, answer=("ok", 1, 0.0)):
+    def __init__(self, steps, *, watched=3, fail_after=None, answer=("ok", 1, 0.0),
+                 answer_fails=False):
         self.watched_token = watched
         self._steps = list(steps)
         self._fail_after = fail_after
         self._answer = answer
+        self._answer_fails = answer_fails
         self._i = 0
         self.closed = False
 
@@ -90,6 +100,8 @@ class FakeSource:
         return "probed", 0.0
 
     def answer_after(self, t, injected):
+        if self._answer_fails:
+            raise SessionError("answer stream died")
         return self._answer
 
     def close(self):
@@ -300,6 +312,127 @@ class TestRunGeneration:
         ).decision
         assert not budget_hit.stop
         assert budget_hit.threshold == 0
+
+
+# every way a run can end; the decision a record keeps depends on which
+STOP_KINDS = (
+    "threshold_fired",
+    "natural_termination",
+    "budget_exhausted",
+    "stream_ran_dry",
+    "session_error",
+    "answer_error",
+)
+# full never fires; none fires at its first step, before a budget or the
+# end of the stream can stop it
+STOP_CASES = [
+    (policy, kind)
+    for policy in POLICIES
+    for kind in STOP_KINDS
+    if not (policy == "full" and kind == "threshold_fired")
+    and not (policy == "none" and kind in ("budget_exhausted", "stream_ran_dry"))
+]
+# the syncthink case fires at step 100 with the rank exactly at the bar
+STOP_PCFG = PolicyConfig(watched_token=3, entropy_weight=0.8, min_steps=0)
+STOP_H = 1.0
+STOP_BAR = dynamic_threshold(100, STOP_H, STOP_PCFG)
+STOP_RUN = {
+    "policy_config": STOP_PCFG,
+    # fixed_ratio fires at ceil(0.5 * 200) = 100; answer_convergence probes
+    # every 20 steps and fires on the fifth stable probe, at step 100
+    "baseline_config": BaselineConfig(ratio=0.5, segment_len=20, convergence_k=5),
+    "full_length": 200,
+}
+
+
+def stop_case(policy, kind):
+    """(source, budget, stop step or None, record reason or None) for one case."""
+    fires_at = 0 if policy == "none" else 100
+    steps = [
+        plain_step(t, rank=STOP_BAR if t == fires_at else 50, entropy=STOP_H)
+        for t in range(104)
+    ]
+    budget, stop, reason = 8192, fires_at, StopReason.THRESHOLD_FIRED
+    source_kw = {}
+    if kind == "natural_termination" or (kind == "answer_error" and policy == "full"):
+        stop, reason = (0 if policy == "none" else 60), StopReason.NATURAL_TERMINATION
+        steps[stop] = plain_step(stop, chosen=3, rank=0, entropy=STOP_H)
+    elif kind == "budget_exhausted":
+        budget, stop, reason = 51, 50, StopReason.BUDGET_EXHAUSTED
+    elif kind == "stream_ran_dry":
+        steps, stop, reason = steps[:30], 29, StopReason.BUDGET_EXHAUSTED
+    elif kind == "session_error":
+        source_kw["fail_after"] = 0 if policy == "none" else 30
+        stop, reason = None, None
+    if kind == "answer_error":
+        source_kw["answer_fails"] = True
+    return FakeSource(steps, **source_kw), budget, stop, reason
+
+
+def rebuilt_decision(policy, record):
+    """The decision at the record's stop step, from its trajectories."""
+    if record.stop_step is None:
+        return None
+    (t, rank), (_, entropy) = record.rank_trajectory[-1], record.entropy_trajectory[-1]
+    fired = record.reason is StopReason.THRESHOLD_FIRED
+    if policy == "syncthink":
+        threshold = dynamic_threshold(t, entropy, STOP_PCFG)
+    else:
+        threshold = rank if fired else 0
+    stop = record.reason is not StopReason.BUDGET_EXHAUSTED
+    return StopDecision(
+        stop=stop,
+        threshold=threshold,
+        rank=rank,
+        entropy=entropy,
+        reason=record.reason if stop else StopReason.NOT_TRIGGERED,
+    )
+
+
+class TestStopDecision:
+    @pytest.mark.parametrize("policy,kind", STOP_CASES)
+    def test_kept_decision_is_the_stop_steps(self, policy, kind):
+        source, budget, stop, reason = stop_case(policy, kind)
+        record = run_generation(source, policy, budget=budget, **STOP_RUN)
+        assert (record.stop_step, record.reason) == (stop, reason)
+        assert record.complete == (kind not in ("session_error", "answer_error"))
+        assert record.decision == rebuilt_decision(policy, record)
+        if stop is not None:
+            assert record.rank_trajectory[-1][0] == stop
+        if policy == "syncthink" and kind == "threshold_fired":
+            # the rank sits exactly at the bar, and that fires
+            assert record.decision.stop
+            assert record.decision.reason is StopReason.THRESHOLD_FIRED
+            assert record.decision.threshold == STOP_BAR == record.decision.rank
+        if policy == "syncthink" and kind == "budget_exhausted":
+            # a rank above the bar holds; the budget stops the run
+            assert not record.decision.stop
+            assert record.decision.reason is StopReason.NOT_TRIGGERED
+            assert record.decision.rank > record.decision.threshold
+
+    @pytest.mark.parametrize("policy,kind", STOP_CASES)
+    def test_one_decision_built_per_stopped_record(self, policy, kind, monkeypatch):
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(StopDecision(*args, **kwargs))
+            return built[-1]
+
+        # the rule and the controller both resolve the name at call time
+        monkeypatch.setattr(controller, "StopDecision", counting)
+        monkeypatch.setattr(policy_module, "StopDecision", counting)
+        source, budget, stop, _ = stop_case(policy, kind)
+        record = run_generation(source, policy, budget=budget, **STOP_RUN)
+        assert len(built) == (0 if stop is None else 1)
+        assert built == ([] if stop is None else [record.decision])
+
+    def test_no_decision_built_without_steps(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(controller, "StopDecision", lambda **kw: built.append(kw))
+        for policy in POLICIES:
+            record = run_generation(FakeSource([]), policy, **STOP_RUN)
+            assert record.decision is None
+        assert built == []
 
 
 class TestRecordIO:

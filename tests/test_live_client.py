@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import gc
+import http.client
 import json
 import threading
 import time
@@ -18,7 +19,7 @@ from syncthink.controller import BatchItem, record_fingerprint, run_batch, run_g
 from syncthink.errors import CapabilityError, ConfigurationError, SessionError
 from syncthink.policy import BaselineConfig, PolicyConfig, compute_rank
 from syncthink.stub import StubServer
-from syncthink.synthetic import SyntheticPhaseSpec, generate_synthetic
+from syncthink.synthetic import SyntheticPhaseSpec, generate_synthetic, token_text
 from syncthink.trace import TraceReader
 from test_policy import random_top, scalar_entropy, scalar_rank, scalar_sorted_pairs
 
@@ -188,6 +189,41 @@ class HoldingHandler(BaseHTTPRequestHandler):
         pass
 
 
+class FiringHoldingHandler(BaseHTTPRequestHandler):
+    """Streams up to a token syncthink fires on, then holds the next one
+    until `release` is set; answers branch requests at once."""
+
+    release: threading.Event
+
+    def do_POST(self):
+        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        self.send_response(200)
+        if not body.get("stream"):
+            payload = json.dumps({
+                "choices": [{"message": {"content": "42"}}],
+                "usage": {"completion_tokens": 1},
+            }).encode()
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(payload)))
+            self.end_headers()
+            self.wfile.write(payload)
+            return
+        self.send_header("Content-Type", "text/event-stream")
+        self.end_headers()
+        # the watched token is ranked 1 on "a" and "b" and 0 on "c"
+        fires = [{"token": WATCHED_TEXT, "logprob": -0.1}, {"token": "c", "logprob": -2.5}]
+        try:
+            self.wfile.write(sse_event("a") + sse_event("b") + sse_event("c", fires))
+            self.wfile.flush()
+            self.release.wait(5.0)
+            self.wfile.write(sse_event("d") + b"data: [DONE]\n\n")
+        except OSError:
+            pass  # the client has gone
+
+    def log_message(self, fmt, *args):
+        pass
+
+
 class ScriptedHandler(BaseHTTPRequestHandler):
     """Streams `events` and answers branch requests with `completion`."""
 
@@ -263,6 +299,133 @@ class TestTokenLatency:
         # the server holds the second token for 5 s; the first must not wait for it
         assert elapsed < 2.0, f"first token took {elapsed:.2f} s"
         assert (obs.chosen_text, obs.watched_rank) == ("a", 1)
+
+
+class TestDecisionLatency:
+    def test_stop_is_not_delayed_past_its_token(self):
+        release = threading.Event()
+        handler = type("Handler", (FiringHoldingHandler,), {"release": release})
+        # with pacing cap 1 the bar is 0 after step 0: rank 1 holds, rank 0 fires
+        pcfg = PolicyConfig(watched_token=WATCHED_TEXT, min_steps=0, pacing_cap=1)
+        with serving(handler) as url:
+            factory = connect_endpoint(url, "m", top_logprobs=2)
+            try:
+                session = factory.open_session("q", watched_token=WATCHED_TEXT, pacing_cap=1)
+                try:
+                    start = time.perf_counter()
+                    record = run_generation(
+                        session, "syncthink", policy_config=pcfg, task_kind="numeric"
+                    )
+                    elapsed = time.perf_counter() - start
+                finally:
+                    session.close()
+            finally:
+                release.set()
+        # the server holds the token after the trigger for 5 s
+        assert elapsed < 2.0, f"stop decision took {elapsed:.2f} s"
+        assert record.stop_step == 2
+        assert record.injected
+        assert record.complete and record.normalized_answer == "42"
+
+
+def parent_stream_events(trace, logprobs, width, fail_after=None) -> list[bytes]:
+    """The main stream's SSE events, each built and encoded from scratch
+    as StubServer did on every request before it kept encoded steps."""
+    watched = trace.header.watched_token
+
+    def sse(delta, lp=None, finish=None):
+        choice = {"index": 0, "delta": delta, "finish_reason": finish}
+        if lp is not None:
+            choice["logprobs"] = lp
+        obj = {"id": "stub-chunk", "object": "chat.completion.chunk", "choices": [choice]}
+        return b"data: " + json.dumps(obj, separators=(",", ":")).encode("utf-8") + b"\n\n"
+
+    events = [sse({"role": "assistant"})]
+    for i, step in enumerate(trace.steps):
+        if fail_after is not None and i >= fail_after:
+            return events
+        text = step.chosen_text
+        lp = None
+        if logprobs:
+            top = [
+                (tok if isinstance(tok, str) else token_text(tok, watched), value)
+                for tok, value in step.topk
+            ][: width or None]
+            lp = {"content": [{
+                "token": text,
+                "logprob": dict(top).get(text, 0.0),
+                "top_logprobs": [{"token": tok, "logprob": value} for tok, value in top],
+            }]}
+        events.append(sse({"content": text}, lp))
+    answer = trace.probes[max(k for k in trace.probes if k <= len(trace.steps))][1]
+    for i, word in enumerate(answer.split()):
+        events.append(sse({"content": word if i == 0 else " " + word}))
+    return events + [sse({}, finish="stop"), b"data: [DONE]\n\n"]
+
+
+class _Tee:
+    """A handler's wfile that logs each write (bytes) and flush (None)."""
+
+    def __init__(self, raw, log):
+        self._raw = raw
+        self._log = log
+
+    def write(self, data):
+        self._log.append(bytes(data))
+        return self._raw.write(data)
+
+    def flush(self):
+        self._log.append(None)
+        self._raw.flush()
+
+    def __getattr__(self, name):
+        return getattr(self._raw, name)
+
+
+class TestStubStreamBytes:
+    @pytest.fixture(scope="class")
+    def wide_trace(self):
+        return generate_synthetic(
+            SyntheticPhaseSpec(phase_lengths=(4, 6, 12, 6), seed=5), topk_width=513
+        )
+
+    @pytest.mark.parametrize("fail_after", [None, 7], ids=["whole", "fail-after-7"])
+    def test_served_bytes_match_per_request_encoding(self, wide_trace, fail_after):
+        # each shape is requested twice: the first request encodes every
+        # step, the second writes the stored bytes
+        shapes = [(True, 2), (True, 513), (False, 513)] * 2
+        with StubServer(wide_trace, fail_after_steps=fail_after) as stub:
+            logs = []
+
+            class Capturing(stub._httpd.RequestHandlerClass):
+                def setup(self):
+                    super().setup()
+                    logs.append([])
+                    self.wfile = _Tee(self.wfile, logs[-1])
+
+            stub._httpd.RequestHandlerClass = Capturing
+            host, port = stub._httpd.server_address[:2]
+            for logprobs, width in shapes:
+                body = json.dumps({
+                    "messages": [{"role": "user", "content": "q"}], "stream": True,
+                    "logprobs": logprobs, "top_logprobs": width,
+                })
+                conn = http.client.HTTPConnection(host, port, timeout=10)
+                try:
+                    conn.request("POST", "/v1/chat/completions", body=body)
+                    conn.getresponse().read()
+                except (OSError, http.client.HTTPException):
+                    assert fail_after is not None
+                finally:
+                    conn.close()
+        assert len(logs) == len(shapes)
+        for (logprobs, width), log in zip(shapes, logs):
+            expected = parent_stream_events(wide_trace, logprobs, width, fail_after)
+            assert log[0].endswith(b"\r\n\r\n")  # the status line and headers
+            writes = [entry for entry in log[1:] if entry is not None]
+            assert writes == expected, (logprobs, width)
+            # one write and one flush per event, so no token waits for another
+            assert log[1 : 1 + 2 * len(writes)] == [x for w in writes for x in (w, None)]
 
 
 class TestPolicyParity:

@@ -332,36 +332,36 @@ class _Obs:
 
 
 class TestShouldStop:
+    # the decision a record keeps at its stop step, with its threshold and
+    # reason, is checked in test_controller.py::TestStopDecision
+
     def test_fires_when_rank_at_threshold(self):
         cfg = PolicyConfig(watched_token=3, entropy_weight=0.8, min_steps=0)
         t, h = 100, 1.0
         bar = dynamic_threshold(t, h, cfg)
-        d = should_stop(t, _Obs(bar, h), cfg)
-        assert d.stop and d.reason is StopReason.THRESHOLD_FIRED
-        assert d.threshold == bar
+        assert should_stop(t, _Obs(bar, h), cfg) is True
 
     def test_holds_when_rank_above_threshold(self):
         cfg = PolicyConfig(min_steps=0)
         t, h = 100, 1.0
         bar = dynamic_threshold(t, h, cfg)
-        d = should_stop(t, _Obs(bar + 1, h), cfg)
-        assert not d.stop and d.reason is StopReason.NOT_TRIGGERED
+        assert should_stop(t, _Obs(bar + 1, h), cfg) is False
 
     def test_min_steps_gate(self):
         cfg = PolicyConfig(min_steps=16)
-        assert not should_stop(15, _Obs(0, 0.0), cfg).stop
-        assert should_stop(16, _Obs(0, 0.0), cfg).stop
+        assert should_stop(15, _Obs(0, 0.0), cfg) is False
+        assert should_stop(16, _Obs(0, 0.0), cfg) is True
 
     def test_check_interval_gate(self):
         cfg = PolicyConfig(min_steps=0, check_interval=4)
-        assert not should_stop(18, _Obs(0, 0.0), cfg).stop
-        assert should_stop(20, _Obs(0, 0.0), cfg).stop
+        assert should_stop(18, _Obs(0, 0.0), cfg) is False
+        assert should_stop(20, _Obs(0, 0.0), cfg) is True
 
     def test_censored_rank_participates_unchanged(self):
         # rank censored at K can only fire once the bar reaches K
         cfg = PolicyConfig(min_steps=0, entropy_weight=0.0, pacing_cap=512)
-        assert not should_stop(64, _Obs(65, 0.0), cfg).stop
-        assert should_stop(65, _Obs(65, 0.0), cfg).stop
+        assert should_stop(64, _Obs(65, 0.0), cfg) is False
+        assert should_stop(65, _Obs(65, 0.0), cfg) is True
 
     def test_decision_invariant_enforced(self):
         with pytest.raises(ConfigurationError):
