@@ -53,23 +53,10 @@ API_BASE_ENV = "SYNCTHINK_API_BASE"
 API_KEY_ENV = "SYNCTHINK_API_KEY"
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Reproducibility receipt dropped next to every command's outputs."""
-
-    command: str
-    config: dict
-    inputs: tuple[str, ...]
-    outputs: tuple[str, ...]
-    seed: int | None
-    version: str
-    started: str
-    finished: str
-    record_digest: str = ""
-
-
 @dataclass
 class _Outcome:
+    """What a command reports; manifest.json adds the command, version and times."""
+
     config: dict
     inputs: list
     outputs: list
@@ -164,20 +151,17 @@ def _records_digest(records) -> str:
 
 
 def _write_manifest(outcome: _Outcome, args) -> None:
-    manifest = RunManifest(
-        command=args.command,
-        config=outcome.config,
-        inputs=tuple(outcome.inputs),
-        outputs=tuple(outcome.outputs),
-        seed=outcome.seed,
-        version=__version__,
-        started=args._started,
-        finished=_utc_now(),
-        record_digest=outcome.record_digest,
-    )
+    """Drop the reproducibility receipt next to the command's outputs."""
+    manifest = {
+        **dataclasses.asdict(outcome),
+        "command": args.command,
+        "version": __version__,
+        "started": args._started,
+        "finished": _utc_now(),
+    }
     path = os.path.join(args.out, "manifest.json")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(dataclasses.asdict(manifest), fh, indent=2, sort_keys=True)
+        json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 

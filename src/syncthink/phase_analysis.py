@@ -2,11 +2,14 @@
 
 Rank trajectories are analyzed on the y = log10(rank + 1) scale.  A
 four-segment piecewise-linear fit is found by dynamic programming with
-exact OLS interval costs, run over bounded column blocks in O(n) memory;
-boundary confidence is the relative fit loss from removing that boundary
-alone.  A template check on the per-segment slopes flags trajectories
-that do not follow the expected shape (climb, recovery, plateau, final
-descent).
+exact OLS interval costs, run over bounded column blocks in O(n) memory.
+Only the two middle layers sweep a block: the first segment's layer is
+row 0 of the costs and the last is one column at n.  The interval cost
+is exact only on the cells the DP keeps (two or more points); the DP
+sets every other cell to inf.  Boundary confidence is the relative fit
+loss from removing that boundary alone.  A template check on the
+per-segment slopes flags trajectories that do not follow the expected
+shape (climb, recovery, plateau, final descent).
 """
 
 from __future__ import annotations
@@ -89,18 +92,30 @@ def _interval_stats(y: np.ndarray):
     pxy = np.concatenate([[0.0], np.cumsum(x * y)])
 
     def sse(i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        cnt = (j - i).astype(float)
-        sx = px[j] - px[i]
-        sy = py[j] - py[i]
-        sxx = pxx[j] - pxx[i]
-        syy = pyy[j] - pyy[i]
-        sxy = pxy[j] - pxy[i]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cxx = sxx - sx * sx / cnt
-            cxy = sxy - sx * sy / cnt
-            cyy = syy - sy * sy / cnt
-            out = cyy - np.where(cxx > 0, cxy * cxy / np.where(cxx > 0, cxx, 1.0), 0.0)
-        return np.maximum(np.nan_to_num(out, nan=0.0), 0.0)
+        # Exact only where j - i >= 2.  The x sums are integers, exact in
+        # float64 far past any length this O(n^2) DP can run, so there
+        # cxx > 0 and every value is finite: no guard is needed, and the
+        # caller masks every other cell.  Same arithmetic as the plain
+        # formula, operation for operation, on five reused buffers.
+        cnt = np.subtract(j, i, dtype=float)
+        sx = np.subtract(px[j], px[i])
+        sy = np.subtract(py[j], py[i])
+        tmp = np.multiply(sx, sx)
+        tmp /= cnt
+        cxx = np.subtract(pxx[j], pxx[i])
+        cxx -= tmp  # sxx - sx * sx / cnt
+        np.multiply(sx, sy, out=tmp)
+        tmp /= cnt
+        cxy = np.subtract(pxy[j], pxy[i], out=sx)
+        cxy -= tmp  # sxy - sx * sy / cnt
+        np.multiply(sy, sy, out=tmp)
+        tmp /= cnt
+        out = np.subtract(pyy[j], pyy[i], out=sy)
+        out -= tmp  # cyy = syy - sy * sy / cnt
+        np.multiply(cxy, cxy, out=tmp)
+        tmp /= cxx
+        out -= tmp  # cyy - cxy * cxy / cxx
+        return np.maximum(out, 0.0, out=out)
 
     def slope(i: int, j: int) -> float:
         cnt = float(j - i)
@@ -123,27 +138,37 @@ def _best_split(sse, n: int, min_segment: int) -> tuple[int, int, int, float]:
     first split i reaching it.  Column blocks keep the cost sub-matrix to
     _BLOCK_CELLS cells (one column once n + 1 exceeds it); a split lies
     min_segment or more before its column, so layer k - 1 of a block is
-    done before layer k reads it.
+    done before layer k reads it.  Only layers 2 and 3 go over a block:
+    best[0] is finite only at 0, so layer 1 is the block's row 0 (every
+    back[1] is 0), and layer 4 is read only at column n, the last
+    block's last column.  sse is called on whole blocks but is exact
+    only where j - i >= 2; every cell below min_segment is set to inf.
     """
-    best = np.full((5, n + 1), np.inf)
+    best = np.full((4, n + 1), np.inf)
     best[0, 0] = 0.0
-    back = np.zeros((5, n + 1), dtype=int)
+    back = np.zeros((4, n + 1), dtype=int)
     width = max(1, _BLOCK_CELLS // (n + 1))
     for start in range(0, n + 1, width):
         j = np.arange(start, min(start + width, n + 1))
         i = np.arange(max(j[-1] - min_segment + 1, 1))[:, None]
-        cost = np.where(j - i >= min_segment, sse(i, j), np.inf)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cost = sse(i, j)
+        # rows above lo are min_segment or more before every column here
+        lo = max(start - min_segment + 1, 0)
+        cost[lo:][j - i[lo:] < min_segment] = np.inf
+        best[1, j] = cost[0]
         cols = np.arange(len(j))
-        for k in range(1, 5):
+        for k in (2, 3):
             totals = best[k - 1, : len(i), None] + cost
             back[k, j] = totals.argmin(axis=0)
             best[k, j] = totals[back[k, j], cols]
-    if not np.isfinite(best[4, n]):
+    totals = best[3, : len(i)] + cost[:, -1]
+    b3 = int(totals.argmin())
+    if not np.isfinite(totals[b3]):
         raise InsufficientDataError(f"no valid 4-segment split of {n} steps")
-    b3 = int(back[4, n])
     b2 = int(back[3, b3])
     b1 = int(back[2, b2])
-    return b1, b2, b3, float(best[4, n])
+    return b1, b2, b3, float(totals[b3])
 
 
 def segment_phases(

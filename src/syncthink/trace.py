@@ -48,7 +48,12 @@ class StepObservation:
     entropy: float
     step_wall_time: float
 
-    def validate(self) -> None:
+    def validate(self) -> tuple[tuple[TokenId, ...], tuple[float, ...]]:
+        """Check the step on its own; returns its top-K tokens and logprobs.
+
+        The two columns are split once here, and the trace-level token
+        and rank checks reuse them.
+        """
         if self.t < 0:
             raise TraceIntegrityError(f"step index {self.t} is negative")
         if not self.topk:
@@ -67,6 +72,7 @@ class StepObservation:
             raise TraceIntegrityError(f"step {self.t}: entropy must be finite and >= 0")
         if not (math.isfinite(self.step_wall_time) and self.step_wall_time >= 0.0):
             raise TraceIntegrityError(f"step {self.t}: wall time must be finite and >= 0")
+        return ids, lps
 
 
 @dataclass(frozen=True)
@@ -101,9 +107,9 @@ class TraceFile:
                 raise TraceIntegrityError(
                     f"step indices must be consecutive from 0; saw {step.t} at line {i + 2}"
                 )
-            step.validate()
-            self._check_step_tokens(step)
-            self._check_rank_consistency(step)
+            ids, lps = step.validate()
+            self._check_step_tokens(step, ids)
+            self._check_rank_consistency(step, ids, lps)
         watched_positions = [
             s.t for s in self.steps if s.chosen_token == h.watched_token
         ]
@@ -126,41 +132,52 @@ class TraceFile:
             if not (0 <= key <= len(self.steps)):
                 raise TraceIntegrityError(f"probe key {key} out of range")
 
-    def _check_step_tokens(self, step: StepObservation) -> None:
+    def _check_step_tokens(self, step: StepObservation, ids: tuple) -> None:
         vocab = self.header.vocab_size
         if isinstance(step.chosen_token, int) and not (0 <= step.chosen_token < vocab):
             raise TraceIntegrityError(
                 f"step {step.t}: chosen token {step.chosen_token} outside vocabulary"
             )
-        for tok, _ in step.topk:
+        # min and max scan the ids in C.  Text tokens carry no id range;
+        # the loop runs only to name the first token outside it, or when
+        # the ids mix types that do not compare.
+        try:
+            lo, hi = min(ids), max(ids)
+            if isinstance(lo, str) or (0 <= lo and hi < vocab):
+                return
+        except TypeError:
+            pass
+        for tok in ids:
             if isinstance(tok, int) and not (0 <= tok < vocab):
                 raise TraceIntegrityError(
                     f"step {step.t}: topk token {tok} outside vocabulary"
                 )
 
-    def _check_rank_consistency(self, step: StepObservation) -> None:
-        watched = self.header.watched_token
-        rank, censored = compute_rank(step.topk, watched)
-        if not censored:
-            if step.censored:
-                raise TraceIntegrityError(
-                    f"step {step.t}: watched token present in topk but marked censored"
-                )
-            if step.watched_rank != rank:
-                raise TraceIntegrityError(
-                    f"step {step.t}: recorded rank {step.watched_rank}"
-                    f" disagrees with topk rank {rank}"
-                )
-        else:
-            if step.censored and step.watched_rank != len(step.topk):
+    def _check_rank_consistency(self, step: StepObservation, ids: tuple, lps: tuple) -> None:
+        try:
+            position = ids.index(self.header.watched_token)
+        except ValueError:  # absent: the true rank is censored at len(topk)
+            if step.censored and step.watched_rank != len(ids):
                 raise TraceIntegrityError(
                     f"step {step.t}: censored rank must equal topk size"
-                )
-            if not step.censored and step.watched_rank < len(step.topk):
+                ) from None
+            if not step.censored and step.watched_rank < len(ids):
                 raise TraceIntegrityError(
                     f"step {step.t}: watched token absent from topk"
                     f" but rank {step.watched_rank} is inside it"
-                )
+                ) from None
+            return
+        if step.censored:
+            raise TraceIntegrityError(
+                f"step {step.t}: watched token present in topk but marked censored"
+            )
+        # the logprob column ranked, its entries labelled by position
+        rank, _ = compute_rank(lps, position)
+        if step.watched_rank != rank:
+            raise TraceIntegrityError(
+                f"step {step.t}: recorded rank {step.watched_rank}"
+                f" disagrees with topk rank {rank}"
+            )
 
 
 def write_trace(trace: TraceFile, path: str) -> None:

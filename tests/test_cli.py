@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import hashlib
 import json
 import os
+from datetime import datetime
 from pathlib import Path
 
 import pytest
 
+from syncthink import __version__
 from syncthink.cli import main
-from syncthink.controller import GenerationRecord, read_records
+from syncthink.controller import GenerationRecord, read_records, record_fingerprint
 from syncthink.saliency import load_tensor, saliency_report, save_tensor
 from syncthink.stub import StubServer
 from syncthink.synthetic import SyntheticPhaseSpec, generate_synthetic
@@ -88,6 +91,59 @@ class TestGenSynthetic:
         assert run_cli("gen-synthetic", "--phases", "0,5,5,5", "--out", str(out)) == 2
         assert run_cli("gen-synthetic", "--count", "0", "--out", str(out)) == 2
         assert not out.exists()
+
+
+class TestManifest:
+    def pop_times(self, manifest):
+        started, finished = manifest.pop("started"), manifest.pop("finished")
+        assert datetime.fromisoformat(started) <= datetime.fromisoformat(finished)
+
+    def test_gen_synthetic_and_run_manifests(self, tmp_path):
+        corpus, run = tmp_path / "corpus", tmp_path / "run"
+        assert run_cli("gen-synthetic", "--count", "2", "--seed", "4", "--topk-width", "8",
+                       "--phases", "10,20,30,10", "--out", str(corpus)) == 0
+        traces = [str(corpus / "synth_0000.jsonl"), str(corpus / "synth_0001.jsonl")]
+        manifest = read_manifest(corpus)
+        self.pop_times(manifest)
+        assert manifest == {
+            "command": "gen-synthetic",
+            "config": {
+                "count": 2, "phases": [10, 20, 30, 10], "probe_every": 1,
+                "seeds": [4, 5], "topk_width": 8,
+            },
+            "inputs": [],
+            "outputs": traces,
+            "record_digest": "",
+            "seed": 4,
+            "version": __version__,
+        }
+
+        assert run_cli("run", "--policy", "syncthink", "--traces", *traces,
+                       "--out", str(run)) == 0
+        records = str(run / "records.jsonl")
+        digest = hashlib.sha256()
+        for record in read_records(records):
+            digest.update(record_fingerprint(record))
+        manifest = read_manifest(run)
+        self.pop_times(manifest)
+        assert manifest == {
+            "command": "run",
+            "config": {
+                "alpha_cost": 0.0, "api_base": "", "api_key_set": False,
+                "budget": 8192, "check_interval": 1, "convergence_k": 2,
+                "dataset": None, "entropy_weight": 0.8, "full_length": None,
+                "min_steps": 16, "model": None, "pacing_cap": 512,
+                "parallelism": 1, "policy": "syncthink",
+                "probe_suffix": "Final answer:", "ratio": 0.5,
+                "segment_len": 64, "source": "trace", "task_kind": None,
+                "timeout": 120.0, "top_logprobs": 513, "watched_token": None,
+            },
+            "inputs": traces,
+            "outputs": [records],
+            "record_digest": digest.hexdigest(),
+            "seed": None,
+            "version": __version__,
+        }
 
 
 class TestRun:

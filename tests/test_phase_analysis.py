@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import math
 import tracemalloc
+import warnings
 from dataclasses import astuple
 from types import SimpleNamespace
 
@@ -84,6 +85,43 @@ def matrix_best_split(sse, n, min_segment):
     b2 = int(back[3, b3])
     b1 = int(back[2, b2])
     return b1, b2, b3, float(best[4, n])
+
+
+def guarded_interval_sse(y):
+    """The interval cost with its guards: 0 where cxx <= 0, NaN read as 0.
+
+    The reference for phase_analysis._interval_stats' unguarded cost,
+    which must equal it bit for bit on every interval of two or more
+    points.
+    """
+    n = len(y)
+    x = np.arange(n, dtype=float)
+    px = np.concatenate([[0.0], np.cumsum(x)])
+    pxx = np.concatenate([[0.0], np.cumsum(x * x)])
+    py = np.concatenate([[0.0], np.cumsum(y)])
+    pyy = np.concatenate([[0.0], np.cumsum(y * y)])
+    pxy = np.concatenate([[0.0], np.cumsum(x * y)])
+
+    def sse(i, j):
+        cnt = (j - i).astype(float)
+        sx = px[j] - px[i]
+        sy = py[j] - py[i]
+        sxx = pxx[j] - pxx[i]
+        syy = pyy[j] - pyy[i]
+        sxy = pxy[j] - pxy[i]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cxx = sxx - sx * sx / cnt
+            cxy = sxy - sx * sy / cnt
+            cyy = syy - sy * sy / cnt
+            out = cyy - np.where(cxx > 0, cxy * cxy / np.where(cxx > 0, cxx, 1.0), 0.0)
+        return np.maximum(np.nan_to_num(out, nan=0.0), 0.0)
+
+    return sse
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 # one block up to n = 255; several from n = 256 on
@@ -213,6 +251,85 @@ class TestSegmentPhases:
         got = fit_all()
         monkeypatch.setattr(phase_analysis, "_best_split", matrix_best_split)
         assert got == fit_all()
+
+    @pytest.mark.parametrize("block_cells", [16, 1000])
+    @pytest.mark.parametrize("min_segment", [3, 6])
+    @pytest.mark.parametrize("window", [1, 9])
+    @pytest.mark.parametrize("kind", ["random", "constant", "zero_one"])
+    def test_block_edges_match_matrix_oracle(
+        self, kind, window, min_segment, block_cells, monkeypatch
+    ):
+        # 16 cells: one column per block at every size.  1000 cells:
+        # 76 columns at n = 12, 31 at n = 31, 3 at n = 255 to 300 and 1
+        # at n = 641; the last block is partial at n = 31, 255, 256, 300.
+        monkeypatch.setattr(phase_analysis, "_BLOCK_CELLS", block_cells)
+        cases = [
+            oracle_ranks(kind, n)
+            for n in ORACLE_SIZES
+            if n >= max(4 * min_segment, window)
+        ]
+
+        def fit_all():
+            return [
+                astuple(segment_phases(r, window=window, min_segment=min_segment))
+                for r in cases
+            ]
+
+        got = fit_all()
+        monkeypatch.setattr(phase_analysis, "_best_split", matrix_best_split)
+        assert got == fit_all()
+
+    @pytest.mark.parametrize("block_cells", [16, 1000, 1 << 16])
+    def test_masked_cells_raise_no_warning(self, block_cells, monkeypatch):
+        # the block costs hold 0/0 and x/0 cells below min_segment
+        monkeypatch.setattr(phase_analysis, "_BLOCK_CELLS", block_cells)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kind in ("random", "constant", "zero_one"):
+                for min_segment in (2, 3, 6):
+                    segment_phases(oracle_ranks(kind, 641), min_segment=min_segment)
+
+    @pytest.mark.parametrize("window", [1, 9])
+    @pytest.mark.parametrize("n", [12, 641, 2250])
+    @pytest.mark.parametrize("kind", ["random", "constant", "zero_one"])
+    def test_interval_cost_exact_on_every_kept_cell(self, kind, n, window):
+        y = phase_analysis._smooth(np.log10(oracle_ranks(kind, n) + 1.0), window)
+        sse, _ = phase_analysis._interval_stats(y)
+        want_sse = guarded_interval_sse(y)
+        j = np.arange(n + 1)
+        for lo in range(0, n + 1, 256):
+            i = np.arange(lo, min(lo + 256, n + 1))[:, None]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                got = sse(i, j)
+            kept = j - i >= 2
+            assert_same_bits(got[kept], want_sse(i, j)[kept])
+
+    @pytest.mark.parametrize("kind", ["random", "constant", "zero_one"])
+    def test_interval_cost_exact_at_default_budget(self, kind):
+        n = 8192
+        y = phase_analysis._smooth(np.log10(oracle_ranks(kind, n) + 1.0), 9)
+        sse, _ = phase_analysis._interval_stats(y)
+        rng = np.random.default_rng(2026)
+        i = rng.integers(0, n - 1, 200_000)
+        j = rng.integers(i + 2, n + 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert_same_bits(sse(i, j), guarded_interval_sse(y)(i, j))
+
+    @pytest.mark.parametrize("n", [12, 641, 2250])
+    def test_confidence_intervals_exact(self, n):
+        # the single-interval calls segment_phases makes for confidences
+        ranks = oracle_ranks("random", n)
+        y = phase_analysis._smooth(np.log10(ranks + 1.0), 9)
+        sse, _ = phase_analysis._interval_stats(y)
+        want_sse = guarded_interval_sse(y)
+        cuts = [0, *segment_phases(ranks).boundaries, n]
+        pairs = list(zip(cuts, cuts[1:])) + list(zip(cuts, cuts[2:]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for a, b in pairs:
+                interval = (np.array([a]), np.array([b]))
+                assert_same_bits(sse(*interval), want_sse(*interval))
 
     def test_default_budget_runs_in_bounded_memory(self):
         # the whole-matrix DP would need about 5.4 GB at this length

@@ -271,6 +271,120 @@ class TestIntegrity:
             trace.validate()
 
 
+def replace_step(trace, index, **change):
+    steps = list(trace.steps)
+    steps[index] = dataclasses.replace(steps[index], **change)
+    return dataclasses.replace(trace, steps=tuple(steps))
+
+
+def replace_header(trace, **change):
+    return dataclasses.replace(trace, header=dataclasses.replace(trace.header, **change))
+
+
+# make_trace([9, 7, 5, 2, 0], natural=True): width 4, watched token 3 at
+# ranks 2 and 0 in steps 3 and 4, fillers 10-13, vocabulary of 64
+BASE_RANKS = (9, 7, 5, 2, 0)
+MESSAGES = {
+    "vocab-size": (
+        lambda tr: replace_header(tr, vocab_size=0), "vocab_size 0 < 1"),
+    "watched-outside-vocab": (
+        lambda tr: replace_header(tr, watched_token=64),
+        "watched token 64 outside vocabulary of 64"),
+    "no-steps": (
+        lambda tr: dataclasses.replace(tr, steps=()), "trace has no steps"),
+    "nonconsecutive": (
+        lambda tr: replace_step(tr, 2, t=7),
+        "step indices must be consecutive from 0; saw 7 at line 4"),
+    "empty-topk": (lambda tr: replace_step(tr, 2, topk=()), "step 2: empty topk"),
+    "unsorted": (
+        lambda tr: replace_step(tr, 2, topk=((10, -0.9), (11, -0.5))),
+        "step 2: topk not sorted descending"),
+    "not-finite": (
+        lambda tr: replace_step(tr, 2, topk=((10, -0.5), (11, -math.inf))),
+        "step 2: topk logprobs must be finite"),
+    "duplicate": (
+        lambda tr: replace_step(tr, 2, topk=((10, -0.5), (10, -0.9))),
+        "step 2: duplicate token in topk"),
+    "negative-rank": (
+        lambda tr: replace_step(tr, 2, watched_rank=-1), "step 2: negative rank"),
+    "entropy": (
+        lambda tr: replace_step(tr, 2, entropy=-0.5),
+        "step 2: entropy must be finite and >= 0"),
+    "wall-time": (
+        lambda tr: replace_step(tr, 2, step_wall_time=math.inf),
+        "step 2: wall time must be finite and >= 0"),
+    "chosen-outside-vocab": (
+        lambda tr: replace_step(tr, 2, chosen_token=-1),
+        "step 2: chosen token -1 outside vocabulary"),
+    "chosen-before-topk": (
+        lambda tr: replace_step(
+            tr, 2, chosen_token=70, topk=((10, -0.5), (99, -0.9), (12, -1.3), (13, -1.7))),
+        "step 2: chosen token 70 outside vocabulary"),
+    "first-of-two-outside": (
+        lambda tr: replace_step(tr, 2, topk=((10, -0.5), (-1, -0.9), (99, -1.3), (13, -1.7))),
+        "step 2: topk token -1 outside vocabulary"),
+    "first-of-two-outside-high": (
+        lambda tr: replace_step(tr, 2, topk=((10, -0.5), (64, -0.9), (-5, -1.3), (13, -1.7))),
+        "step 2: topk token 64 outside vocabulary"),
+    "topk-at-vocab-size": (
+        lambda tr: replace_step(tr, 2, topk=((10, -0.5), (64, -0.9), (12, -1.3), (13, -1.7))),
+        "step 2: topk token 64 outside vocabulary"),
+    "outside-among-text": (
+        lambda tr: replace_step(tr, 2, topk=(("a", -0.5), (99, -0.9), ("b", -1.3), (13, -1.7))),
+        "step 2: topk token 99 outside vocabulary"),
+    "marked-censored": (
+        lambda tr: replace_step(tr, 3, censored=True),
+        "step 3: watched token present in topk but marked censored"),
+    "rank-disagrees": (
+        lambda tr: replace_step(tr, 3, watched_rank=1),
+        "step 3: recorded rank 1 disagrees with topk rank 2"),
+    "rank-disagrees-on-tie": (
+        lambda tr: replace_step(
+            tr, 3, topk=((10, -0.5), (11, -0.9), (3, -0.9), (13, -1.7))),
+        "step 3: recorded rank 2 disagrees with topk rank 1"),
+    "censored-rank": (
+        lambda tr: replace_step(tr, 2, censored=True, watched_rank=5),
+        "step 2: censored rank must equal topk size"),
+    "absent-but-inside": (
+        lambda tr: replace_step(tr, 2, watched_rank=3),
+        "step 2: watched token absent from topk but rank 3 is inside it"),
+    "emitted-without-natural-stop": (
+        lambda tr: dataclasses.replace(tr, natural_stop=None),
+        "watched token emitted at step 4 but natural_stop is unset"),
+    "natural-stop-not-final": (
+        lambda tr: dataclasses.replace(tr, natural_stop=3),
+        "natural_stop 3 is not the final step"),
+    "emissions-inconsistent": (
+        lambda tr: replace_step(tr, 1, chosen_token=3),
+        "watched token emissions inconsistent with natural_stop"),
+    "probe-key": (
+        lambda tr: dataclasses.replace(tr, probes={6: ("s", "x")}),
+        "probe key 6 out of range"),
+}
+
+
+class TestIntegrityMessages:
+    """Every integrity error, pinned to its exact message."""
+
+    @pytest.mark.parametrize("case", sorted(MESSAGES))
+    def test_message(self, case):
+        trace = make_trace(BASE_RANKS, natural=True)
+        trace.validate()
+        corrupt, message = MESSAGES[case]
+        with pytest.raises(TraceIntegrityError, match="^" + re.escape(message) + "$"):
+            corrupt(trace).validate()
+
+    def test_negative_step_index(self):
+        step = dataclasses.replace(make_step(0, 1), t=-1)
+        with pytest.raises(TraceIntegrityError, match="^step index -1 is negative$"):
+            step.validate()
+
+    def test_text_tokens_have_no_id_range(self):
+        trace = make_trace(BASE_RANKS, natural=True)
+        text = replace_step(trace, 2, topk=(("a", -0.5), ("b", -0.9), ("c", -1.3)))
+        text.validate()
+
+
 class TestReader:
     def test_iteration_and_probe(self, tmp_path):
         trace = make_trace([6, 5, 4], probes={1: ("Q:", "maybe"), 3: ("Q:", "done")})
