@@ -26,7 +26,6 @@ from .evaluation import (
     emit_report,
     load_dataset,
     parse_answer,
-    read_report,
     score,
 )
 from .phase_analysis import (
@@ -119,7 +118,6 @@ __all__ = [
     "optimal_truncation_zone",
     "parse_answer",
     "read_records",
-    "read_report",
     "read_trace",
     "record_fingerprint",
     "run_batch",

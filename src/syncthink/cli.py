@@ -467,10 +467,16 @@ def _validate_analyze(args) -> dict:
 def cmd_analyze(args) -> _Outcome:
     plan = _validate_analyze(args)
     rows, trajectories = [], []
+    # segment_phases is a pure function of the ranks, and a full run's
+    # record repeats its trace's trajectory: fit each distinct one once
+    fits = {}
 
     def add(label, ranks):
+        key = tuple(ranks)
         try:
-            rows.append((label, segment_phases(ranks)))
+            if key not in fits:
+                fits[key] = segment_phases(ranks)
+            rows.append((label, fits[key]))
             trajectories.append(ranks)
         except (InsufficientDataError, EmptyInputError) as exc:
             print(f"warning: skipped {label}: {exc}", file=sys.stderr)

@@ -272,7 +272,7 @@ class LiveSession:
             t=self._t,
             chosen_token=token,
             chosen_text=content,
-            topk=tuple(zip(tokens, dist.logprobs.tolist())),
+            topk=dist,
             watched_rank=rank,
             censored=censored,
             entropy=entropy,

@@ -273,7 +273,7 @@ _CSV_COLUMNS = (
 
 
 def emit_report(report: BenchmarkReport, path: str) -> None:
-    """Write the report as CSV; read_report reads it back losslessly."""
+    """Write the report as CSV, floats in their shortest round-trip form."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(_CSV_COLUMNS)
@@ -294,28 +294,3 @@ def emit_report(report: BenchmarkReport, path: str) -> None:
                     jsonl.format_float(report.alpha_cost),
                 ]
             )
-
-
-def read_report(path: str) -> BenchmarkReport:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        rows = []
-        alpha = 0.0
-        for rec in reader:
-            alpha = float(rec["alpha_cost"])
-            rows.append(
-                ReportRow(
-                    dataset=rec["dataset"],
-                    policy=rec["policy"],
-                    n=int(rec["n"]),
-                    n_incomplete=int(rec["n_incomplete"]),
-                    top1=float(rec["top1"]),
-                    mean_reasoning_tokens=float(rec["mean_reasoning_tokens"]),
-                    mean_answer_tokens=float(rec["mean_answer_tokens"]),
-                    mean_total_tokens=float(rec["mean_total_tokens"]),
-                    mean_total_time=float(rec["mean_total_time"]),
-                    objective=float(rec["objective"]),
-                    efficiency=float(rec["efficiency"]) if rec["efficiency"] else None,
-                )
-            )
-    return BenchmarkReport(rows=tuple(rows), alpha_cost=alpha)

@@ -105,8 +105,9 @@ class Distribution:
 
     tokens lists the explicitly known tokens and logprobs (float64) their
     log-probabilities, in the order given; probs = exp(logprobs) is
-    derived once on construction.  tail_mass is the probability of every
-    token not listed; left unset it is derived as max(0, 1 - sum(probs)).
+    derived once on construction (a logprob above about 709 overflows to
+    inf silently).  tail_mass is the probability of every token not
+    listed; left unset it is derived as max(0, 1 - sum(probs)).
     """
 
     tokens: Sequence[TokenId]
@@ -116,7 +117,8 @@ class Distribution:
 
     def __post_init__(self) -> None:
         logprobs = np.ascontiguousarray(self.logprobs, dtype=np.float64)
-        probs = np.exp(logprobs)
+        with np.errstate(over="ignore"):
+            probs = np.exp(logprobs)
         object.__setattr__(self, "logprobs", logprobs)
         object.__setattr__(self, "probs", probs)
         if self.tail_mass is None:

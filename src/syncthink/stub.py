@@ -66,8 +66,12 @@ class StubServer:
         watched = trace.header.watched_token
         self.terminator_text = _wire_token(watched, watched)
         self.step_texts = [step.chosen_text for step in trace.steps]
+        # each step's top-K on the wire: token texts and logprob floats
         self.wire_topk = [
-            [(_wire_token(tok, watched), lp) for tok, lp in step.topk]
+            (
+                [_wire_token(tok, watched) for tok in step.topk.tokens],
+                step.topk.logprobs.tolist(),
+            )
             for step in trace.steps
         ]
         # (logprobs, width) -> each step's event bytes, None until first served
@@ -99,14 +103,15 @@ class StubServer:
             text = self.step_texts[i]
             top_logprobs = None
             if logprobs:
-                top = self.wire_topk[i][: width or None]
+                tokens, lps = self.wire_topk[i]
+                tokens, lps = tokens[: width or None], lps[: width or None]
                 top_logprobs = {
                     "content": [
                         {
                             "token": text,
-                            "logprob": dict(top).get(text, 0.0),
+                            "logprob": dict(zip(tokens, lps)).get(text, 0.0),
                             "top_logprobs": [
-                                {"token": tok, "logprob": lp} for tok, lp in top
+                                {"token": tok, "logprob": lp} for tok, lp in zip(tokens, lps)
                             ],
                         }
                     ]

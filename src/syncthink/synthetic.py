@@ -215,8 +215,8 @@ def generate_synthetic(
             ids = filler_pool[:rank] + [watched_token] + filler_pool[rank : topk_width - 1]
         else:
             ids = filler_pool[:topk_width]
-        entropy = shannon_entropy(Distribution(ids, logprobs[t]))
-        topk = tuple(zip(ids, logprobs[t].tolist()))
+        topk = Distribution(ids, logprobs[t])
+        entropy = shannon_entropy(topk)
         chosen = ids[0]
         steps.append(
             StepObservation(

@@ -3,8 +3,9 @@
 A trace is one JSON object per line.  Line 1 is a header identifying the
 source (tokenizer, vocab size, watched terminator id, seed) plus replay
 metadata: the natural stop step, if any, and recorded branch answers.
-Every following line is one decoding step.  Floats are written in their
-shortest round-trip form, so a parse/serialize cycle is byte-stable.
+Every following line is one decoding step, its top-K as [token, logprob]
+pairs held in memory as one policy.Distribution.  Floats are written in
+their shortest round-trip form, so a parse/serialize cycle is byte-stable.
 
 Branch answers are keyed by the number of already-consumed tokens, so the
 same table serves probe forks (key t at decision point t), injected
@@ -15,9 +16,11 @@ answer (key t+1: the terminator was step t's own token).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterator
+
+import numpy as np
 
 from . import jsonl
 from .errors import (
@@ -25,7 +28,7 @@ from .errors import (
     TraceIntegrityError,
     UnsupportedProbeError,
 )
-from .policy import TokenId, compute_rank
+from .policy import Distribution, TokenId, compute_rank
 
 HEADER_FIELDS = ("tokenizer", "vocab_size", "watched_token", "source", "seed")
 
@@ -34,37 +37,34 @@ HEADER_FIELDS = ("tokenizer", "vocab_size", "watched_token", "source", "seed")
 class StepObservation:
     """One decoding step as seen by the controller.
 
-    topk holds (token, logprob) pairs sorted by logprob descending.
-    watched_rank is the terminator's rank; censored=True means the true
-    rank was unknown beyond the top-k and is reported as len(topk).
+    topk is the step's top-K as a Distribution, sorted by logprob
+    descending.  watched_rank is the terminator's rank; censored=True
+    means the true rank was unknown beyond the top-k and is reported as
+    the number of top-K tokens.
     """
 
     t: int
     chosen_token: TokenId
     chosen_text: str
-    topk: tuple[tuple[TokenId, float], ...]
+    topk: Distribution
     watched_rank: int
     censored: bool
     entropy: float
     step_wall_time: float
 
-    def validate(self) -> tuple[tuple[TokenId, ...], tuple[float, ...]]:
-        """Check the step on its own; returns its top-K tokens and logprobs.
-
-        The two columns are split once here, and the trace-level token
-        and rank checks reuse them.
-        """
+    def validate(self) -> None:
+        """Check the step on its own."""
         if self.t < 0:
             raise TraceIntegrityError(f"step index {self.t} is negative")
-        if not self.topk:
+        tokens, lps = self.topk.tokens, self.topk.logprobs
+        if not len(tokens):
             raise TraceIntegrityError(f"step {self.t}: empty topk")
-        ids, lps = zip(*self.topk)
         # `not a >= b` also fails a NaN logprob
-        if not all(map(operator.ge, lps, lps[1:])):
+        if not (lps[:-1] >= lps[1:]).all():
             raise TraceIntegrityError(f"step {self.t}: topk not sorted descending")
-        if not all(map(math.isfinite, lps)):
+        if not np.isfinite(lps).all():
             raise TraceIntegrityError(f"step {self.t}: topk logprobs must be finite")
-        if len(set(ids)) != len(ids):
+        if len(set(tokens)) != len(tokens):
             raise TraceIntegrityError(f"step {self.t}: duplicate token in topk")
         if self.watched_rank < 0:
             raise TraceIntegrityError(f"step {self.t}: negative rank")
@@ -72,7 +72,6 @@ class StepObservation:
             raise TraceIntegrityError(f"step {self.t}: entropy must be finite and >= 0")
         if not (math.isfinite(self.step_wall_time) and self.step_wall_time >= 0.0):
             raise TraceIntegrityError(f"step {self.t}: wall time must be finite and >= 0")
-        return ids, lps
 
 
 @dataclass(frozen=True)
@@ -107,9 +106,9 @@ class TraceFile:
                 raise TraceIntegrityError(
                     f"step indices must be consecutive from 0; saw {step.t} at line {i + 2}"
                 )
-            ids, lps = step.validate()
-            self._check_step_tokens(step, ids)
-            self._check_rank_consistency(step, ids, lps)
+            step.validate()
+            self._check_step_tokens(step)
+            self._check_rank_consistency(step)
         watched_positions = [
             s.t for s in self.steps if s.chosen_token == h.watched_token
         ]
@@ -132,7 +131,8 @@ class TraceFile:
             if not (0 <= key <= len(self.steps)):
                 raise TraceIntegrityError(f"probe key {key} out of range")
 
-    def _check_step_tokens(self, step: StepObservation, ids: tuple) -> None:
+    def _check_step_tokens(self, step: StepObservation) -> None:
+        ids = step.topk.tokens
         vocab = self.header.vocab_size
         if isinstance(step.chosen_token, int) and not (0 <= step.chosen_token < vocab):
             raise TraceIntegrityError(
@@ -153,31 +153,33 @@ class TraceFile:
                     f"step {step.t}: topk token {tok} outside vocabulary"
                 )
 
-    def _check_rank_consistency(self, step: StepObservation, ids: tuple, lps: tuple) -> None:
-        try:
-            position = ids.index(self.header.watched_token)
-        except ValueError:  # absent: the true rank is censored at len(topk)
-            if step.censored and step.watched_rank != len(ids):
+    def _check_rank_consistency(self, step: StepObservation) -> None:
+        rank, absent = compute_rank(step.topk, self.header.watched_token)
+        if absent:  # the true rank is censored at the top-K size
+            if step.censored and step.watched_rank != rank:
                 raise TraceIntegrityError(
                     f"step {step.t}: censored rank must equal topk size"
-                ) from None
-            if not step.censored and step.watched_rank < len(ids):
+                )
+            if not step.censored and step.watched_rank < rank:
                 raise TraceIntegrityError(
                     f"step {step.t}: watched token absent from topk"
                     f" but rank {step.watched_rank} is inside it"
-                ) from None
+                )
             return
         if step.censored:
             raise TraceIntegrityError(
                 f"step {step.t}: watched token present in topk but marked censored"
             )
-        # the logprob column ranked, its entries labelled by position
-        rank, _ = compute_rank(lps, position)
         if step.watched_rank != rank:
             raise TraceIntegrityError(
                 f"step {step.t}: recorded rank {step.watched_rank}"
                 f" disagrees with topk rank {rank}"
             )
+
+
+def _step_row(step: StepObservation) -> dict:
+    pairs = zip(step.topk.tokens, step.topk.logprobs.tolist())
+    return {**vars(step), "topk": [[tok, lp] for tok, lp in pairs]}
 
 
 def write_trace(trace: TraceFile, path: str) -> None:
@@ -186,7 +188,8 @@ def write_trace(trace: TraceFile, path: str) -> None:
         "natural_stop": trace.natural_stop,
         "probes": {str(k): trace.probes[k] for k in sorted(trace.probes)},
     }
-    jsonl.write_lines(path, [header, *map(vars, trace.steps)])
+    # one row at a time, so only one step's [token, logprob] lists exist
+    jsonl.write_lines(path, chain([header], map(_step_row, trace.steps)))
 
 
 def _parse_header(obj: dict, path: str) -> tuple[TraceHeader, dict[int, tuple[str, str]], int | None]:
@@ -212,13 +215,21 @@ def _parse_header(obj: dict, path: str) -> tuple[TraceHeader, dict[int, tuple[st
     return header, probes, natural_stop
 
 
+def _parse_topk(pairs) -> Distribution:
+    tokens, logprobs = [], []
+    for tok, lp in pairs:
+        tokens.append(tok)
+        logprobs.append(float(lp))
+    return Distribution(tokens, logprobs)
+
+
 def _parse_step(obj: dict, path: str, lineno: int) -> StepObservation:
     try:
         return StepObservation(
             t=int(obj["t"]),
             chosen_token=obj["chosen_token"],
             chosen_text=str(obj["chosen_text"]),
-            topk=tuple((tok, float(lp)) for tok, lp in obj["topk"]),
+            topk=_parse_topk(obj["topk"]),
             watched_rank=int(obj["watched_rank"]),
             censored=bool(obj["censored"]),
             entropy=float(obj["entropy"]),

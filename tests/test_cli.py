@@ -410,6 +410,33 @@ class TestAnalyze:
         with open(out / "segmentations.csv", newline="", encoding="utf-8") as fh:
             assert len(list(csv.DictReader(fh))) == 10  # traces only
 
+    def test_full_record_and_its_trace_are_fitted_once(self, workspace, tmp_path, monkeypatch):
+        import syncthink.cli
+
+        trace = workspace["traces"][0]
+        run_out = tmp_path / "run"
+        assert run_cli("run", "--policy", "full", "--traces", trace,
+                       "--out", str(run_out)) == 0
+        calls = []
+        fit = syncthink.cli.segment_phases
+
+        def counting(ranks, **kwargs):
+            calls.append(len(ranks))
+            return fit(ranks, **kwargs)
+
+        monkeypatch.setattr(syncthink.cli, "segment_phases", counting)
+        out = tmp_path / "an"
+        rc = run_cli("analyze", "--records", str(run_out / "records.jsonl"),
+                     "--traces", trace, "--out", str(out))
+        assert rc == 0
+        assert calls == [100]
+        with open(out / "segmentations.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2
+        stem = os.path.splitext(os.path.basename(trace))[0]
+        assert [row.pop("sample_id") for row in rows] == [f"{stem}:full", stem]
+        assert rows[0] == rows[1]
+
     def test_requires_some_input(self, tmp_path):
         assert run_cli("analyze", "--out", str(tmp_path / "nope")) == 2
 

@@ -30,6 +30,7 @@ from syncthink.errors import (
 from syncthink.policy import (
     POLICIES,
     BaselineConfig,
+    Distribution,
     PolicyConfig,
     StopDecision,
     StopReason,
@@ -63,7 +64,7 @@ def plain_step(t, *, watched=3, chosen=10, rank=50, entropy=1.2):
         t=t,
         chosen_token=chosen,
         chosen_text=f"<w{chosen}>",
-        topk=tuple(zip(ids, lps)),
+        topk=Distribution(ids, lps),
         watched_rank=rank,
         censored=False,
         entropy=entropy,

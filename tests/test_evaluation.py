@@ -1,5 +1,6 @@
-"""Answer parsing, dataset loading, scoring, and report round-trips."""
+"""Answer parsing, dataset loading, scoring, and report emission."""
 
+import csv
 import json
 import os
 
@@ -14,7 +15,6 @@ from syncthink.evaluation import (
     emit_report,
     load_dataset,
     parse_answer,
-    read_report,
     score,
 )
 from syncthink.policy import StopReason
@@ -275,13 +275,6 @@ class TestReportRoundTrip:
         )
         return BenchmarkReport(rows=rows, alpha_cost=0.01)
 
-    def test_lossless(self, tmp_path):
-        report = self.sample_report()
-        path = str(tmp_path / "report.csv")
-        emit_report(report, path)
-        back = read_report(path)
-        assert back == report
-
     def test_tabular_is_plain_csv(self, tmp_path):
         path = str(tmp_path / "report.csv")
         emit_report(self.sample_report(), path)
@@ -292,4 +285,7 @@ class TestReportRoundTrip:
         # 0.1 + 0.2 is not 0.3; the report must keep the exact double
         path = str(tmp_path / "p.csv")
         emit_report(self.sample_report(), path)
-        assert read_report(path).rows[0].mean_total_time == 0.1 + 0.2
+        with open(path, encoding="utf-8", newline="") as fh:
+            cell = next(csv.DictReader(fh))["mean_total_time"]
+        assert cell == "0.30000000000000004"
+        assert float(cell) == 0.1 + 0.2

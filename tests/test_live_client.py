@@ -103,9 +103,8 @@ class TestStreamObservations:
                 assert (obs.watched_rank, obs.censored) == compute_rank(
                     obs.topk, WATCHED_TEXT
                 )
-                assert [lp for _, lp in obs.topk] == sorted(
-                    (lp for _, lp in obs.topk), reverse=True
-                )
+                lps = obs.topk.logprobs.tolist()
+                assert lps == sorted(lps, reverse=True)
         finally:
             session.close()
 
@@ -271,7 +270,7 @@ class TestIngestMatchesScalarOracle:
         assert len(observations) == len(tops)
         for obs, top in zip(observations, tops):
             pairs = scalar_sorted_pairs(top)
-            assert obs.topk == tuple(pairs)
+            assert list(zip(obs.topk.tokens, obs.topk.logprobs.tolist())) == pairs
             assert (obs.watched_rank, obs.censored) == scalar_rank(pairs, WATCHED_TEXT)
             assert abs(obs.entropy - scalar_entropy(pairs)) <= 1e-12
 
@@ -349,7 +348,7 @@ def parent_stream_events(trace, logprobs, width, fail_after=None) -> list[bytes]
         if logprobs:
             top = [
                 (tok if isinstance(tok, str) else token_text(tok, watched), value)
-                for tok, value in step.topk
+                for tok, value in zip(step.topk.tokens, step.topk.logprobs.tolist())
             ][: width or None]
             lp = {"content": [{
                 "token": text,

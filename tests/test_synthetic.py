@@ -103,7 +103,7 @@ class TestSelfConsistency:
             if not censored:
                 assert rank == step.watched_rank
             else:
-                assert step.watched_rank >= len(step.topk)
+                assert step.watched_rank >= len(step.topk.tokens)
 
     def test_entropy_tracks_profile_per_phase(self):
         spec = SyntheticPhaseSpec(seed=9)

@@ -5,7 +5,9 @@ from __future__ import annotations
 import dataclasses
 import math
 import re
+import warnings
 
+import numpy as np
 import pytest
 
 from syncthink import jsonl
@@ -14,6 +16,7 @@ from syncthink.errors import (
     TraceIntegrityError,
     UnsupportedProbeError,
 )
+from syncthink.policy import Distribution
 from syncthink.trace import (
     StepObservation,
     TraceFile,
@@ -22,6 +25,11 @@ from syncthink.trace import (
     read_trace,
     write_trace,
 )
+
+
+def topk(*pairs):
+    """A step's top-K Distribution from (token, logprob) pairs."""
+    return Distribution([tok for tok, _ in pairs], np.array([lp for _, lp in pairs]))
 
 
 def make_step(t, rank, *, watched=3, width=4, chosen=None, entropy=1.0):
@@ -40,7 +48,7 @@ def make_step(t, rank, *, watched=3, width=4, chosen=None, entropy=1.0):
         t=t,
         chosen_token=chosen,
         chosen_text=f"<w{chosen}>",
-        topk=tuple(zip(ids, lps)),
+        topk=topk(*zip(ids, lps)),
         watched_rank=rank,
         censored=censored,
         entropy=entropy,
@@ -81,7 +89,7 @@ class TestRoundTrip:
         for a, b in zip(trace.steps, reread.steps):
             assert a.entropy == b.entropy
             assert a.step_wall_time == b.step_wall_time
-            assert all(x == y for (_, x), (_, y) in zip(a.topk, b.topk))
+            assert a.topk.logprobs.tolist() == b.topk.logprobs.tolist()
 
     def test_17_digit_floats(self):
         v = 0.1 + 0.2  # 0.30000000000000004
@@ -103,6 +111,41 @@ class TestRoundTrip:
         path = tmp_path / "t.jsonl"
         write_trace(trace, str(path))
         assert read_trace(str(path)).probes == {0: ("s", "x"), 3: ("s", "y")}
+
+    def test_fixed_bytes_survive_read_and_write(self, tmp_path):
+        # written by the writer that held top-K as (token, logprob) pairs:
+        # int tokens, a censored step of text tokens with a tie, 17-digit
+        # and whole-valued floats, probes and a natural stop
+        original = "".join([
+            '{"tokenizer":"toy","vocab_size":64,"watched_token":3,"source":"test",'
+            '"seed":7,"natural_stop":2,"probes":{"1":["Final answer:","4 2"],'
+            '"3":["Final answer:","42"]}}\n',
+            '{"t":0,"chosen_token":10,"chosen_text":"<w10>","topk":[[10,-0.1],'
+            '[11,-2.5],[3,-3.0000000000000004],[12,-7.25]],"watched_rank":2,'
+            '"censored":false,"entropy":0.30000000000000004,"step_wall_time":0.0125}\n',
+            '{"t":1,"chosen_token":"é","chosen_text":"é","topk":[["é",-1.0],'
+            '["b",-1.0],["</think>",-2.0]],"watched_rank":3,"censored":true,'
+            '"entropy":1.1,"step_wall_time":0.02}\n',
+            '{"t":2,"chosen_token":3,"chosen_text":"</think>","topk":[[3,-1e-05],'
+            '[10,-11.5]],"watched_rank":0,"censored":false,"entropy":0.0,'
+            '"step_wall_time":0.001}\n',
+        ]).encode("utf-8")
+        src, dst = tmp_path / "src.jsonl", tmp_path / "dst.jsonl"
+        src.write_bytes(original)
+        write_trace(read_trace(str(src)), str(dst))
+        assert dst.read_bytes() == original
+
+    def test_logprob_beyond_exp_range_reads_without_warning(self, tmp_path):
+        # exp(800) overflows a double; the step is still well-formed
+        path = tmp_path / "t.jsonl"
+        write_trace(make_trace([9, 7, 0], natural=True), str(path))
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[1] = lines[1].replace("[10,-0.5]", "[10,800.0]")
+        path.write_text("".join(lines), encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            trace = read_trace(str(path))
+        assert trace.steps[0].topk.logprobs[0] == 800.0
 
 
 class TestIntegrity:
@@ -163,7 +206,7 @@ class TestIntegrity:
             t=0,
             chosen_token=10,
             chosen_text="<w10>",
-            topk=((10, -1.0), (11, -0.5)),
+            topk=topk((10, -1.0), (11, -0.5)),
             watched_rank=2,
             censored=True,
             entropy=1.0,
@@ -175,12 +218,12 @@ class TestIntegrity:
     @pytest.mark.parametrize(
         "change,message",
         [
-            ({"topk": ()}, "empty topk"),
-            ({"topk": ((10, -0.5), (10, -0.9), (12, -1.3), (13, -1.7))}, "duplicate token"),
-            ({"topk": ((10, -0.5), (11, math.nan), (12, -1.3), (13, -1.7))}, "not sorted"),
-            ({"topk": ((10, math.nan),)}, "logprobs must be finite"),
-            ({"topk": ((10, -0.5), (11, -0.9), (12, -1.3), (13, -math.inf))}, "logprobs must be finite"),
-            ({"topk": ((10, math.inf), (11, -0.9), (12, -1.3), (13, -1.7))}, "logprobs must be finite"),
+            ({"topk": topk()}, "empty topk"),
+            ({"topk": topk((10, -0.5), (10, -0.9), (12, -1.3), (13, -1.7))}, "duplicate token"),
+            ({"topk": topk((10, -0.5), (11, math.nan), (12, -1.3), (13, -1.7))}, "not sorted"),
+            ({"topk": topk((10, math.nan))}, "logprobs must be finite"),
+            ({"topk": topk((10, -0.5), (11, -0.9), (12, -1.3), (13, -math.inf))}, "logprobs must be finite"),
+            ({"topk": topk((10, math.inf), (11, -0.9), (12, -1.3), (13, -1.7))}, "logprobs must be finite"),
             ({"watched_rank": -1}, "negative rank"),
             ({"entropy": -0.5}, "entropy must be finite"),
             ({"entropy": math.nan}, "entropy must be finite"),
@@ -188,7 +231,7 @@ class TestIntegrity:
             ({"step_wall_time": -0.01}, "wall time must be finite"),
             ({"step_wall_time": math.nan}, "wall time must be finite"),
             ({"chosen_token": 64}, "chosen token 64 outside vocabulary"),
-            ({"topk": ((10, -0.5), (11, -0.9), (12, -1.3), (99, -1.7))}, "topk token 99 outside"),
+            ({"topk": topk((10, -0.5), (11, -0.9), (12, -1.3), (99, -1.7))}, "topk token 99 outside"),
             (None, "probe key 6 out of range"),
         ],
         ids=[
@@ -234,7 +277,7 @@ class TestIntegrity:
             t=0,
             chosen_token=10,
             chosen_text="<w10>",
-            topk=((10, -0.5), (11, -1.0)),
+            topk=topk((10, -0.5), (11, -1.0)),
             watched_rank=7,
             censored=True,
             entropy=1.0,
@@ -255,7 +298,7 @@ class TestIntegrity:
             t=0,
             chosen_token=10,
             chosen_text="<w10>",
-            topk=((10, -0.5), (11, -1.0)),
+            topk=topk((10, -0.5), (11, -1.0)),
             watched_rank=1,
             censored=False,
             entropy=1.0,
@@ -295,15 +338,15 @@ MESSAGES = {
     "nonconsecutive": (
         lambda tr: replace_step(tr, 2, t=7),
         "step indices must be consecutive from 0; saw 7 at line 4"),
-    "empty-topk": (lambda tr: replace_step(tr, 2, topk=()), "step 2: empty topk"),
+    "empty-topk": (lambda tr: replace_step(tr, 2, topk=topk()), "step 2: empty topk"),
     "unsorted": (
-        lambda tr: replace_step(tr, 2, topk=((10, -0.9), (11, -0.5))),
+        lambda tr: replace_step(tr, 2, topk=topk((10, -0.9), (11, -0.5))),
         "step 2: topk not sorted descending"),
     "not-finite": (
-        lambda tr: replace_step(tr, 2, topk=((10, -0.5), (11, -math.inf))),
+        lambda tr: replace_step(tr, 2, topk=topk((10, -0.5), (11, -math.inf))),
         "step 2: topk logprobs must be finite"),
     "duplicate": (
-        lambda tr: replace_step(tr, 2, topk=((10, -0.5), (10, -0.9))),
+        lambda tr: replace_step(tr, 2, topk=topk((10, -0.5), (10, -0.9))),
         "step 2: duplicate token in topk"),
     "negative-rank": (
         lambda tr: replace_step(tr, 2, watched_rank=-1), "step 2: negative rank"),
@@ -318,19 +361,19 @@ MESSAGES = {
         "step 2: chosen token -1 outside vocabulary"),
     "chosen-before-topk": (
         lambda tr: replace_step(
-            tr, 2, chosen_token=70, topk=((10, -0.5), (99, -0.9), (12, -1.3), (13, -1.7))),
+            tr, 2, chosen_token=70, topk=topk((10, -0.5), (99, -0.9), (12, -1.3), (13, -1.7))),
         "step 2: chosen token 70 outside vocabulary"),
     "first-of-two-outside": (
-        lambda tr: replace_step(tr, 2, topk=((10, -0.5), (-1, -0.9), (99, -1.3), (13, -1.7))),
+        lambda tr: replace_step(tr, 2, topk=topk((10, -0.5), (-1, -0.9), (99, -1.3), (13, -1.7))),
         "step 2: topk token -1 outside vocabulary"),
     "first-of-two-outside-high": (
-        lambda tr: replace_step(tr, 2, topk=((10, -0.5), (64, -0.9), (-5, -1.3), (13, -1.7))),
+        lambda tr: replace_step(tr, 2, topk=topk((10, -0.5), (64, -0.9), (-5, -1.3), (13, -1.7))),
         "step 2: topk token 64 outside vocabulary"),
     "topk-at-vocab-size": (
-        lambda tr: replace_step(tr, 2, topk=((10, -0.5), (64, -0.9), (12, -1.3), (13, -1.7))),
+        lambda tr: replace_step(tr, 2, topk=topk((10, -0.5), (64, -0.9), (12, -1.3), (13, -1.7))),
         "step 2: topk token 64 outside vocabulary"),
     "outside-among-text": (
-        lambda tr: replace_step(tr, 2, topk=(("a", -0.5), (99, -0.9), ("b", -1.3), (13, -1.7))),
+        lambda tr: replace_step(tr, 2, topk=topk(("a", -0.5), (99, -0.9), ("b", -1.3), (13, -1.7))),
         "step 2: topk token 99 outside vocabulary"),
     "marked-censored": (
         lambda tr: replace_step(tr, 3, censored=True),
@@ -340,7 +383,7 @@ MESSAGES = {
         "step 3: recorded rank 1 disagrees with topk rank 2"),
     "rank-disagrees-on-tie": (
         lambda tr: replace_step(
-            tr, 3, topk=((10, -0.5), (11, -0.9), (3, -0.9), (13, -1.7))),
+            tr, 3, topk=topk((10, -0.5), (11, -0.9), (3, -0.9), (13, -1.7))),
         "step 3: recorded rank 2 disagrees with topk rank 1"),
     "censored-rank": (
         lambda tr: replace_step(tr, 2, censored=True, watched_rank=5),
@@ -381,7 +424,7 @@ class TestIntegrityMessages:
 
     def test_text_tokens_have_no_id_range(self):
         trace = make_trace(BASE_RANKS, natural=True)
-        text = replace_step(trace, 2, topk=(("a", -0.5), ("b", -0.9), ("c", -1.3)))
+        text = replace_step(trace, 2, topk=topk(("a", -0.5), ("b", -0.9), ("c", -1.3)))
         text.validate()
 
 
