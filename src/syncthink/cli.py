@@ -4,6 +4,10 @@ Every command validates its flags before touching the filesystem, writes
 its outputs under --out, then drops a manifest.json recording the
 resolved configuration, inputs, outputs and timestamps.  Exit codes:
 0 success, 1 runtime failure, 2 usage error.
+
+Each config is built once, during validation, from the flags named after
+its fields.  The manifest's config is the parsed flags less _NOT_CONFIG:
+list flags in parsed form, endpoint settings resolved from the environment.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import csv
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -52,6 +57,15 @@ from .trace import TraceReader, read_trace, write_trace
 API_BASE_ENV = "SYNCTHINK_API_BASE"
 API_KEY_ENV = "SYNCTHINK_API_KEY"
 
+# Parsed flags the manifest's config leaves out: the command and --out,
+# input paths (the manifest lists them under inputs), the API key (only
+# api_key_set is recorded), the seed (a manifest field of its own) and
+# the raw grid strings (their parsed lists stand in).
+_NOT_CONFIG = frozenset({
+    "command", "out", "traces", "records", "attention", "gradients",
+    "api_key", "seed", "lambda_grid", "ratio_grid", "_started",
+})
+
 
 @dataclass
 class _Outcome:
@@ -83,48 +97,37 @@ def _parse_list(text: str, flag: str, kind=float) -> list:
         raise UsageError(f"{flag}: {exc}") from exc
 
 
-def _require_files(paths, flag: str) -> list[str]:
+def _require_files(paths, flag: str) -> None:
     if not paths:
         raise UsageError(f"{flag} is required here")
     missing = [p for p in paths if not os.path.isfile(p)]
     if missing:
         raise UsageError(f"{flag}: no such file: {missing[0]}")
-    return list(paths)
 
 
-def _check_out(out: str) -> None:
-    if os.path.isfile(out):
-        raise UsageError(f"--out {out!r} is an existing file, need a directory")
+def _require_positive(args, *names: str) -> None:
+    for name in names:
+        value = getattr(args, name)
+        if value < 1:
+            raise UsageError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
 
 
-def _validated_policy_numbers(args) -> None:
-    # constructing a throwaway config reuses the module's own validation
+def _flag_configs(args) -> tuple[PolicyConfig, BaselineConfig]:
+    """Both rule configs; a field without a flag, or left unset, keeps its default."""
+    def flags(cls) -> dict:
+        return {f.name: getattr(args, f.name) for f in dataclasses.fields(cls)
+                if getattr(args, f.name, None) is not None}
+
     try:
-        PolicyConfig(
-            watched_token=0,
-            entropy_weight=args.entropy_weight,
-            pacing_cap=args.t_max,
-            min_steps=args.min_steps,
-            check_interval=args.check_interval,
-        )
+        return PolicyConfig(**flags(PolicyConfig)), BaselineConfig(**flags(BaselineConfig))
     except SyncThinkError as exc:
         raise UsageError(str(exc)) from exc
-    if args.budget < 1:
-        raise UsageError(f"--budget must be >= 1, got {args.budget}")
-    if args.parallelism < 1:
-        raise UsageError(f"--parallelism must be >= 1, got {args.parallelism}")
 
 
-def _baseline_config(args) -> BaselineConfig:
-    try:
-        return BaselineConfig(
-            ratio=args.ratio,
-            segment_len=args.segment_len,
-            convergence_k=args.convergence_k,
-            probe_suffix=args.probe_suffix,
-        )
-    except SyncThinkError as exc:
-        raise UsageError(str(exc)) from exc
+def _inputs(args) -> list[str]:
+    """The records and trace paths given, then the dataset."""
+    paths = (getattr(args, "records", None) or []) + (args.traces or [])
+    return paths + ([args.dataset] if args.dataset else [])
 
 
 def _load_samples(args) -> tuple[list, dict]:
@@ -136,11 +139,16 @@ def _load_samples(args) -> tuple[list, dict]:
     return samples, {s.sample_id: s for s in samples}
 
 
-def _task_kind_for(sample_id: str, by_id: dict, flag_kind) -> str:
-    if flag_kind:
-        return flag_kind
-    sample = by_id.get(sample_id)
-    return sample.task_kind if sample else "freeform"
+def _trace_items(traces, by_id: dict, task_kind) -> list[BatchItem]:
+    """One replay item per (path, TraceFile); task kind from the flag, the dataset or freeform."""
+    return [
+        BatchItem(
+            sample_id=_stem(path),
+            open_source=(lambda tr=tr: TraceReader(tr)),
+            task_kind=task_kind or getattr(by_id.get(_stem(path)), "task_kind", "freeform"),
+        )
+        for path, tr in traces
+    ]
 
 
 def _records_digest(records) -> str:
@@ -148,6 +156,15 @@ def _records_digest(records) -> str:
     for record in records:
         digest.update(record_fingerprint(record))
     return digest.hexdigest()
+
+
+def _manifest_config(args, **parsed) -> dict:
+    """The parsed flags less _NOT_CONFIG; parsed values replace their raw text."""
+    flags = vars(args)
+    config = {name: value for name, value in flags.items() if name not in _NOT_CONFIG}
+    if "api_key" in flags:
+        config["api_key_set"] = bool(args.api_key)
+    return {**config, **parsed}
 
 
 def _write_manifest(outcome: _Outcome, args) -> None:
@@ -169,11 +186,10 @@ def _write_manifest(outcome: _Outcome, args) -> None:
 
 
 def _validate_run(args) -> dict:
-    _check_out(args.out)
-    _validated_policy_numbers(args)
-    bcfg = _baseline_config(args)
+    pcfg, bcfg = _flag_configs(args)
+    _require_positive(args, "budget", "parallelism")
 
-    plan = {"bcfg": bcfg, "samples": None, "by_id": {}}
+    plan = {"pcfg": pcfg, "bcfg": bcfg, "samples": None, "by_id": {}}
     if args.dataset:
         plan["samples"], plan["by_id"] = _load_samples(args)
 
@@ -183,19 +199,17 @@ def _validate_run(args) -> dict:
                              " traces carry their own")
         if args.api_base or args.model:
             raise UsageError("--api-base/--model apply to --source endpoint only")
-        plan["traces"] = _require_files(args.traces, "--traces")
-        if args.dataset:
-            known = set(plan["by_id"])
-            missing = [s for s in map(_stem, plan["traces"]) if s not in known]
-            if missing:
-                raise UsageError(
-                    f"dataset lacks entries for trace ids: {', '.join(missing)}"
-                )
-    else:
+        _require_files(args.traces, "--traces")
+        missing = [s for s in map(_stem, args.traces) if args.dataset and s not in plan["by_id"]]
+        if missing:
+            raise UsageError(f"dataset lacks entries for trace ids: {', '.join(missing)}")
+    # resolved for both sources: the manifest records what the environment set
+    args.api_base = args.api_base or os.environ.get(API_BASE_ENV, "")
+    args.api_key = args.api_key or os.environ.get(API_KEY_ENV, "")
+    if args.source == "endpoint":
         if args.traces:
             raise UsageError("--traces applies to --source trace only")
-        api_base = args.api_base or os.environ.get(API_BASE_ENV, "")
-        if not api_base:
+        if not args.api_base:
             raise UsageError(f"--api-base or ${API_BASE_ENV} is required")
         if not args.model:
             raise UsageError("--model is required for --source endpoint")
@@ -206,126 +220,69 @@ def _validate_run(args) -> dict:
                 "fixed_ratio against an endpoint needs --full-length;"
                 " there is no recorded run to take the reference from"
             )
-        if args.top_logprobs < args.t_max + 1:
+        if args.top_logprobs < args.pacing_cap + 1:
             raise UsageError(
                 f"--top-logprobs {args.top_logprobs} cannot cover"
-                f" --t-max {args.t_max} + 1"
+                f" --t-max {args.pacing_cap} + 1"
             )
-        plan["api_base"] = api_base
-        plan["api_key"] = args.api_key or os.environ.get(API_KEY_ENV, "")
+    plan["inputs"] = _inputs(args)
     return plan
 
 
-def _build_items(args, plan) -> tuple[list[BatchItem], object, list[str]]:
-    """Returns (items, policy_config, input paths); opens no sessions."""
-    by_id = plan["by_id"]
+def _build_items(args, plan) -> None:
+    """Adds the batch items and fills in the watched token; opens no sessions."""
     if args.source == "trace":
-        traces = [(path, read_trace(path)) for path in plan["traces"]]
+        traces = [(path, read_trace(path)) for path in args.traces]
         watched = {tr.header.watched_token for _, tr in traces}
         if len(watched) > 1:
             raise UsageError(f"traces watch different tokens: {sorted(map(repr, watched))}")
-        pcfg = PolicyConfig(
-            watched_token=next(iter(watched)),
-            entropy_weight=args.entropy_weight,
-            pacing_cap=args.t_max,
-            min_steps=args.min_steps,
-            check_interval=args.check_interval,
-        )
-        items = [
-            BatchItem(
-                sample_id=_stem(path),
-                open_source=(lambda tr=tr: TraceReader(tr)),
-                task_kind=_task_kind_for(_stem(path), by_id, args.task_kind),
-            )
-            for path, tr in traces
-        ]
-        return items, pcfg, plan["traces"]
+        plan["items"] = _trace_items(traces, plan["by_id"], args.task_kind)
+        plan["pcfg"] = dataclasses.replace(plan["pcfg"], watched_token=watched.pop())
+        return
 
     watched = args.watched_token or "</think>"
-    pcfg = PolicyConfig(
-        watched_token=watched,
-        entropy_weight=args.entropy_weight,
-        pacing_cap=args.t_max,
-        min_steps=args.min_steps,
-        check_interval=args.check_interval,
-    )
     factory = connect_endpoint(
-        plan["api_base"],
-        args.model,
-        api_key=plan["api_key"],
-        top_logprobs=args.top_logprobs,
-        max_new_tokens=args.budget,
-        timeout=args.timeout,
+        args.api_base, args.model, api_key=args.api_key, top_logprobs=args.top_logprobs,
+        max_new_tokens=args.budget, timeout=args.timeout,
     )
-    items = [
+    plan["items"] = [
         BatchItem(
             sample_id=sample.sample_id,
-            open_source=(
-                lambda q=sample.question: factory.open_session(
-                    q, watched_token=watched, pacing_cap=args.t_max
-                )
-            ),
-            task_kind=_task_kind_for(sample.sample_id, by_id, args.task_kind),
+            open_source=(lambda q=sample.question: factory.open_session(
+                q, watched_token=watched, pacing_cap=args.pacing_cap)),
+            task_kind=args.task_kind or sample.task_kind,
             full_length=args.full_length,
         )
         for sample in plan["samples"]
     ]
-    return items, pcfg, [args.dataset]
+    plan["pcfg"] = dataclasses.replace(plan["pcfg"], watched_token=watched)
 
 
-def _run_config(args) -> dict:
-    return {
-        "source": args.source,
-        "policy": args.policy,
-        "entropy_weight": args.entropy_weight,
-        "pacing_cap": args.t_max,
-        "min_steps": args.min_steps,
-        "check_interval": args.check_interval,
-        "budget": args.budget,
-        "ratio": args.ratio,
-        "segment_len": args.segment_len,
-        "convergence_k": args.convergence_k,
-        "probe_suffix": args.probe_suffix,
-        "task_kind": args.task_kind,
-        "alpha_cost": args.alpha_cost,
-        "parallelism": args.parallelism,
-        "watched_token": args.watched_token,
-        "model": args.model,
-        "api_base": args.api_base or os.environ.get(API_BASE_ENV, ""),
-        "api_key_set": bool(args.api_key or os.environ.get(API_KEY_ENV, "")),
-        "top_logprobs": args.top_logprobs,
-        "full_length": args.full_length,
-        "timeout": args.timeout,
-        "dataset": args.dataset,
-    }
+def _run_point(args, plan, pcfg, bcfg, out_dir: str) -> tuple[list, object, list[str]]:
+    """Run the batch, then make out_dir and write records.jsonl (and report.csv) there."""
+    records = run_batch(
+        plan["items"], [args.policy], policy_config=pcfg, baseline_config=bcfg,
+        budget=args.budget, parallelism=args.parallelism,
+    )
+    os.makedirs(out_dir, exist_ok=True)
+    records_path = os.path.join(out_dir, "records.jsonl")
+    write_records(records_path, records)
+    outputs, report = [records_path], None
+    if plan["samples"] is not None:
+        report = score(records, plan["samples"], alpha_cost=args.alpha_cost)
+        report_path = os.path.join(out_dir, "report.csv")
+        emit_report(report, report_path)
+        outputs.append(report_path)
+    return records, report, outputs
 
 
 def cmd_run(args) -> _Outcome:
     plan = _validate_run(args)
-    items, pcfg, inputs = _build_items(args, plan)
-    if args.dataset:
-        inputs = inputs + [args.dataset] if args.dataset not in inputs else inputs
-
-    os.makedirs(args.out, exist_ok=True)
-    records = run_batch(
-        items,
-        [args.policy],
-        policy_config=pcfg,
-        baseline_config=plan["bcfg"],
-        budget=args.budget,
-        parallelism=args.parallelism,
-    )
-    records_path = os.path.join(args.out, "records.jsonl")
-    write_records(records_path, records)
-    outputs = [records_path]
-    if plan["samples"] is not None:
-        report = score(records, plan["samples"], alpha_cost=args.alpha_cost)
-        report_path = os.path.join(args.out, "report.csv")
-        emit_report(report, report_path)
-        outputs.append(report_path)
+    _build_items(args, plan)
+    records, _, outputs = _run_point(args, plan, plan["pcfg"], plan["bcfg"], args.out)
     return _Outcome(
-        config=_run_config(args),
-        inputs=inputs,
+        config=_manifest_config(args),
+        inputs=plan["inputs"],
         outputs=outputs,
         record_digest=_records_digest(records),
     )
@@ -337,86 +294,59 @@ def cmd_run(args) -> _Outcome:
 def _validate_sweep(args) -> dict:
     if bool(args.lambda_grid) == bool(args.ratio_grid):
         raise UsageError("give exactly one of --lambda-grid or --ratio-grid")
-    if args.lambda_grid:
-        values = _parse_list(args.lambda_grid, "--lambda-grid")
-        bad = [v for v in values if v < 0]
-        param = "lambda"
-    else:
-        values = _parse_list(args.ratio_grid, "--ratio-grid")
-        bad = [v for v in values if not 0 < v <= 1]
-        param = "ratio"
+    over_lambda = bool(args.lambda_grid)
+    param = "lambda" if over_lambda else "ratio"
+    values = _parse_list(args.lambda_grid or args.ratio_grid, f"--{param}-grid")
+    # the ranges PolicyConfig.entropy_weight and BaselineConfig.ratio accept
+    bad = [v for v in values if not (0 <= v < math.inf if over_lambda else 0 < v <= 1)]
     if bad:
         raise UsageError(f"--{param}-grid holds invalid value {bad[0]!r}")
-    args.policy = "syncthink" if param == "lambda" else "fixed_ratio"
+    args.policy = "syncthink" if over_lambda else "fixed_ratio"
     plan = _validate_run(args)
     plan.update(param=param, values=values)
     return plan
 
 
-def _overall_top1(report) -> float:
+def _overall_top1(report) -> str:
     total = sum(row.n for row in report.rows)
-    if total == 0:
-        return 0.0
-    return sum(row.top1 * row.n for row in report.rows) / total
+    return format_float(sum(row.top1 * row.n for row in report.rows) / total if total else 0.0)
 
 
-def _mean_of(records, getter) -> float:
-    values = [getter(r) for r in records if r.complete]
-    return sum(values) / len(values) if values else 0.0
+def _mean_of(records, field: str) -> str:
+    values = [getattr(r, field) for r in records if r.complete]
+    return format_float(sum(values) / len(values) if values else 0.0)
 
 
 def cmd_sweep(args) -> _Outcome:
     plan = _validate_sweep(args)
-    items, pcfg, inputs = _build_items(args, plan)
+    _build_items(args, plan)
     param, values = plan["param"], plan["values"]
 
     os.makedirs(args.out, exist_ok=True)
-    outputs, rows = [], []
-    all_records = []
+    outputs, rows, all_records = [], [], []
     for i, value in enumerate(values):
-        point_dir = os.path.join(args.out, f"point_{i:02d}")
+        pcfg, bcfg = plan["pcfg"], plan["bcfg"]
         if param == "lambda":
-            point_pcfg = dataclasses.replace(pcfg, entropy_weight=value)
-            point_bcfg = plan["bcfg"]
+            pcfg = dataclasses.replace(pcfg, entropy_weight=value)
         else:
-            point_pcfg = pcfg
-            point_bcfg = dataclasses.replace(plan["bcfg"], ratio=value)
+            bcfg = dataclasses.replace(bcfg, ratio=value)
         try:
-            records = run_batch(
-                items,
-                [args.policy],
-                policy_config=point_pcfg,
-                baseline_config=point_bcfg,
-                budget=args.budget,
-                parallelism=args.parallelism,
-            )
-            os.makedirs(point_dir, exist_ok=True)
-            records_path = os.path.join(point_dir, "records.jsonl")
-            write_records(records_path, records)
-            outputs.append(records_path)
-            top1 = ""
-            if plan["samples"] is not None:
-                report = score(records, plan["samples"], alpha_cost=args.alpha_cost)
-                report_path = os.path.join(point_dir, "report.csv")
-                emit_report(report, report_path)
-                outputs.append(report_path)
-                top1 = format_float(_overall_top1(report))
-            all_records.extend(records)
-            rows.append([
-                param,
-                format_float(value),
-                str(len(records)),
-                str(sum(1 for r in records if r.complete)),
-                top1,
-                format_float(_mean_of(records, lambda r: r.reasoning_tokens)),
-                format_float(_mean_of(records, lambda r: r.total_tokens)),
-                format_float(_mean_of(records, lambda r: r.t_total)),
-                "",
-            ])
+            point_dir = os.path.join(args.out, f"point_{i:02d}")
+            records, report, point_outputs = _run_point(args, plan, pcfg, bcfg, point_dir)
         except (SyncThinkError, OSError) as exc:
             # a failing grid point is flagged, not fatal to the sweep
             print(f"warning: {param}={value:g} failed: {exc}", file=sys.stderr)
             rows.append([param, format_float(value), "0", "0", "", "", "", "", str(exc)])
+            continue
+        outputs.extend(point_outputs)
+        all_records.extend(records)
+        rows.append([
+            param, format_float(value), str(len(records)),
+            str(sum(1 for r in records if r.complete)),
+            "" if report is None else _overall_top1(report),
+            *(_mean_of(records, f) for f in ("reasoning_tokens", "total_tokens", "t_total")),
+            "",
+        ])
 
     curve_path = os.path.join(args.out, "sweep.csv")
     with open(curve_path, "w", encoding="utf-8", newline="") as fh:
@@ -428,11 +358,9 @@ def cmd_sweep(args) -> _Outcome:
         writer.writerows(rows)
     outputs.append(curve_path)
 
-    config = _run_config(args)
-    config[f"{param}_grid"] = values
     return _Outcome(
-        config=config,
-        inputs=inputs,
+        config=_manifest_config(args, **{f"{param}_grid": values}),
+        inputs=plan["inputs"],
         outputs=outputs,
         record_digest=_records_digest(all_records),
     )
@@ -442,17 +370,16 @@ def cmd_sweep(args) -> _Outcome:
 
 
 def _validate_analyze(args) -> dict:
-    _check_out(args.out)
     if not args.records and not args.traces:
         raise UsageError("give --records and/or --traces")
-    plan = {"records": [], "traces": [], "samples": None}
     if args.records:
-        plan["records"] = _require_files(args.records, "--records")
+        _require_files(args.records, "--records")
     if args.traces:
-        plan["traces"] = _require_files(args.traces, "--traces")
+        _require_files(args.traces, "--traces")
     if args.epsilon < 0:
         raise UsageError(f"--epsilon must be >= 0, got {args.epsilon}")
-    plan["grid"] = _parse_list(args.grid, "--grid")
+    _require_positive(args, "parallelism")
+    plan = {"grid": _parse_list(args.grid, "--grid"), "samples": None}
     bad = [v for v in plan["grid"] if not 0 < v <= 1]
     if bad:
         raise UsageError(f"--grid ratio {bad[0]!r} outside (0, 1]")
@@ -461,6 +388,7 @@ def _validate_analyze(args) -> dict:
             raise UsageError("--dataset only pairs with --traces"
                              " (the truncation curve replays probes)")
         plan["samples"], plan["by_id"] = _load_samples(args)
+        plan["bcfg"] = _flag_configs(args)[1]
     return plan
 
 
@@ -481,11 +409,11 @@ def cmd_analyze(args) -> _Outcome:
         except (InsufficientDataError, EmptyInputError) as exc:
             print(f"warning: skipped {label}: {exc}", file=sys.stderr)
 
-    for path in plan["records"]:
+    for path in args.records or []:
         for record in read_records(path):
             ranks = [rank for _, rank in record.rank_trajectory]
             add(f"{record.sample_id}:{record.policy}", ranks)
-    parsed_traces = [(path, read_trace(path)) for path in plan["traces"]]
+    parsed_traces = [(path, read_trace(path)) for path in args.traces or []]
     for path, trace in parsed_traces:
         add(_stem(path), [step.watched_rank for step in trace.steps])
 
@@ -502,19 +430,12 @@ def cmd_analyze(args) -> _Outcome:
         print("warning: no usable trajectories; macro curve skipped", file=sys.stderr)
 
     if plan["samples"] is not None:
-        items = [
-            BatchItem(
-                sample_id=_stem(path),
-                open_source=(lambda tr=trace: TraceReader(tr)),
-                task_kind=_task_kind_for(_stem(path), plan["by_id"], None),
-            )
-            for path, trace in parsed_traces
-        ]
+        items = _trace_items(parsed_traces, plan["by_id"], None)
         records_by_ratio = {
             ratio: run_batch(
                 items,
                 ["fixed_ratio"],
-                baseline_config=BaselineConfig(ratio=ratio),
+                baseline_config=dataclasses.replace(plan["bcfg"], ratio=ratio),
                 parallelism=args.parallelism,
             )
             for ratio in plan["grid"]
@@ -531,15 +452,9 @@ def cmd_analyze(args) -> _Outcome:
             fh.write("\n")
         outputs.extend([curve_path, zone_path])
 
-    inputs = plan["records"] + plan["traces"] + ([args.dataset] if args.dataset else [])
     return _Outcome(
-        config={
-            "grid": plan["grid"],
-            "epsilon": args.epsilon,
-            "dataset": args.dataset,
-            "parallelism": args.parallelism,
-        },
-        inputs=inputs,
+        config=_manifest_config(args, grid=plan["grid"]),
+        inputs=_inputs(args),
         outputs=outputs,
     )
 
@@ -547,8 +462,7 @@ def cmd_analyze(args) -> _Outcome:
 # ---------------------------------------------------------------- saliency
 
 
-def _validate_saliency(args) -> dict:
-    _check_out(args.out)
+def _validate_saliency(args) -> list[int]:
     _require_files([args.attention], "--attention")
     _require_files([args.gradients], "--gradients")
     bounds = _parse_list(args.boundaries, "--boundaries", int)
@@ -557,20 +471,18 @@ def _validate_saliency(args) -> dict:
     p, r, s, end = bounds
     if not 0 <= p < r < s <= end:
         raise UsageError(f"--boundaries must satisfy 0 <= p < r < s <= end, got {bounds}")
-    return {"bounds": tuple(bounds)}
+    return bounds
 
 
 def cmd_saliency(args) -> _Outcome:
-    plan = _validate_saliency(args)
-    tensors = {}
-    for name, path in (("attention", args.attention), ("gradients", args.gradients)):
+    bounds = _validate_saliency(args)
+    tensors = []
+    for path in (args.attention, args.gradients):
         try:
-            tensors[name] = load_tensor(path).data
+            tensors.append(load_tensor(path).data)
         except SyncThinkError as exc:
             raise type(exc)(f"{path}: {exc}") from exc
-    report = saliency_report(
-        tensors["attention"], tensors["gradients"], plan["bounds"], alpha=args.alpha
-    )
+    report = saliency_report(*tensors, tuple(bounds), alpha=args.alpha)
 
     os.makedirs(args.out, exist_ok=True)
     report_path = os.path.join(args.out, "report.json")
@@ -580,7 +492,7 @@ def cmd_saliency(args) -> _Outcome:
     curves_path = os.path.join(args.out, "curves.csv")
     report_curves_to_csv(report, curves_path)
     return _Outcome(
-        config={"boundaries": list(plan["bounds"]), "alpha": args.alpha},
+        config=_manifest_config(args, boundaries=bounds),
         inputs=[args.attention, args.gradients],
         outputs=[report_path, curves_path],
     )
@@ -589,44 +501,34 @@ def cmd_saliency(args) -> _Outcome:
 # ---------------------------------------------------------------- gen-synthetic
 
 
-def _validate_gen(args) -> dict:
-    _check_out(args.out)
+def _validate_gen(args) -> SyntheticPhaseSpec:
     lengths = _parse_list(args.phases, "--phases", int)
-    if len(lengths) != 4:
-        raise UsageError(f"--phases needs four lengths, got {len(lengths)}")
-    if args.count < 1:
-        raise UsageError(f"--count must be >= 1, got {args.count}")
+    _require_positive(args, "count", "probe_every")
     if args.topk_width < 2:
         raise UsageError(f"--topk-width must be >= 2, got {args.topk_width}")
-    if args.probe_every < 1:
-        raise UsageError(f"--probe-every must be >= 1, got {args.probe_every}")
     try:
-        SyntheticPhaseSpec(phase_lengths=tuple(lengths), seed=args.seed)
+        return SyntheticPhaseSpec(phase_lengths=tuple(lengths), seed=args.seed)
     except SyncThinkError as exc:
         raise UsageError(str(exc)) from exc
-    return {"lengths": tuple(lengths)}
 
 
 def cmd_gen_synthetic(args) -> _Outcome:
-    plan = _validate_gen(args)
+    spec = _validate_gen(args)
     os.makedirs(args.out, exist_ok=True)
     outputs = []
     for i in range(args.count):
-        spec = SyntheticPhaseSpec(phase_lengths=plan["lengths"], seed=args.seed + i)
         trace = generate_synthetic(
-            spec, topk_width=args.topk_width, probe_every=args.probe_every
+            dataclasses.replace(spec, seed=args.seed + i),
+            topk_width=args.topk_width, probe_every=args.probe_every,
         )
         path = os.path.join(args.out, f"synth_{i:04d}.jsonl")
         write_trace(trace, path)
         outputs.append(path)
     return _Outcome(
-        config={
-            "phases": list(plan["lengths"]),
-            "count": args.count,
-            "topk_width": args.topk_width,
-            "probe_every": args.probe_every,
-            "seeds": list(range(args.seed, args.seed + args.count)),
-        },
+        config=_manifest_config(
+            args, phases=list(spec.phase_lengths),
+            seeds=list(range(args.seed, args.seed + args.count)),
+        ),
         inputs=[],
         outputs=outputs,
         seed=args.seed,
@@ -636,10 +538,12 @@ def cmd_gen_synthetic(args) -> _Outcome:
 # ---------------------------------------------------------------- wiring
 
 
-def _add_policy_flags(parser) -> None:
+def _add_run_flags(parser) -> None:
+    """Flags shared by run and sweep; each dest names the field it sets."""
     parser.add_argument("--lambda", dest="entropy_weight", type=float, default=0.8,
                         help="entropy weight in the stop rule")
-    parser.add_argument("--t-max", type=int, default=512, help="pacing cap")
+    parser.add_argument("--t-max", dest="pacing_cap", metavar="T_MAX", type=int,
+                        default=512, help="pacing cap")
     parser.add_argument("--min-steps", type=int, default=16)
     parser.add_argument("--check-interval", type=int, default=1)
     parser.add_argument("--budget", type=int, default=8192)
@@ -648,9 +552,6 @@ def _add_policy_flags(parser) -> None:
     parser.add_argument("--segment-len", type=int, default=64)
     parser.add_argument("--convergence-k", type=int, default=2)
     parser.add_argument("--probe-suffix", default="Final answer:")
-
-
-def _add_source_flags(parser) -> None:
     parser.add_argument("--source", choices=("trace", "endpoint"), default="trace")
     parser.add_argument("--traces", nargs="+", metavar="TRACE")
     parser.add_argument("--dataset", help="JSONL samples: id, question, gold")
@@ -680,18 +581,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run one policy over traces or an endpoint")
     run.add_argument("--policy", choices=POLICIES, default="syncthink")
-    _add_policy_flags(run)
-    _add_source_flags(run)
-    run.add_argument("--out", required=True)
+    _add_run_flags(run)
 
     sweep = sub.add_parser("sweep", help="grid over lambda or truncation ratio")
     sweep.add_argument("--lambda-grid", default=None,
                        help="comma-separated entropy weights")
     sweep.add_argument("--ratio-grid", default=None,
                        help="comma-separated truncation ratios")
-    _add_policy_flags(sweep)
-    _add_source_flags(sweep)
-    sweep.add_argument("--out", required=True)
+    _add_run_flags(sweep)
 
     analyze = sub.add_parser("analyze", help="segment trajectories, macro curves, zone")
     analyze.add_argument("--records", nargs="+", metavar="RECORDS")
@@ -702,14 +599,12 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--epsilon", type=float, default=0.05,
                          help="accuracy slack defining the safe truncation zone")
     analyze.add_argument("--parallelism", type=int, default=1)
-    analyze.add_argument("--out", required=True)
 
     sal = sub.add_parser("saliency", help="score attention paths between regions")
     sal.add_argument("--attention", required=True)
     sal.add_argument("--gradients", required=True)
     sal.add_argument("--boundaries", required=True, help="p,r,s,end indices")
     sal.add_argument("--alpha", type=float, default=1.0)
-    sal.add_argument("--out", required=True)
 
     gen = sub.add_parser("gen-synthetic", help="write planted four-phase traces")
     gen.add_argument("--phases", default="20,40,200,40",
@@ -718,8 +613,9 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--count", type=int, default=1)
     gen.add_argument("--topk-width", type=int, default=64)
     gen.add_argument("--probe-every", type=int, default=1)
-    gen.add_argument("--out", required=True)
 
+    for command in sub.choices.values():
+        command.add_argument("--out", required=True)
     return parser
 
 
@@ -739,9 +635,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     args._started = _utc_now()
-    command = _COMMANDS[args.command]
     try:
-        outcome = command(args)
+        if os.path.isfile(args.out):
+            raise UsageError(f"--out {args.out!r} is an existing file, need a directory")
+        outcome = _COMMANDS[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -85,13 +85,6 @@ class StubServer:
         host, port = self._httpd.server_address[:2]
         return f"http://{host}:{port}"
 
-    def answer_at(self, consumed: int) -> str:
-        """Recorded branch answer for a prefix of `consumed` tokens."""
-        keys = [k for k in self.trace.probes if k <= consumed]
-        if not keys:
-            return ""
-        return self.trace.probes[max(keys)][1]
-
     def step_event(self, i: int, logprobs: bool, width: int) -> bytes:
         """SSE bytes of step i for one request shape, encoded on first use.
 
@@ -216,7 +209,7 @@ def _make_handler(server: StubServer):
                     self._reset_connection()
                     return
                 self._send(server.step_event(i, want_logprobs, width))
-            answer = server.answer_at(len(server.trace.steps))
+            answer = server.trace.answer_at(len(server.trace.steps))
             for i, word in enumerate(answer.split()):
                 piece = word if i == 0 else " " + word
                 self._send(_sse(_chunk({"content": piece})))
@@ -228,7 +221,7 @@ def _make_handler(server: StubServer):
             if not rest.startswith(server.terminator_text):
                 self._error(400, "assistant partial does not continue the trace")
                 return
-            answer = server.answer_at(matched)
+            answer = server.trace.answer_at(matched)
             tokens = len(answer.split())
             payload = json.dumps(
                 {

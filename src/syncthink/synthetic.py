@@ -51,6 +51,8 @@ class SyntheticPhaseSpec:
             raise ConfigurationError(
                 f"phase_lengths needs four entries >= 2, got {self.phase_lengths!r}"
             )
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {self.seed!r}")
         low, high = self.plateau_band
         if not (0.0 < low <= high):
             raise ConfigurationError(f"bad plateau band {self.plateau_band!r}")

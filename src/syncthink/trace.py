@@ -64,7 +64,11 @@ class StepObservation:
             raise TraceIntegrityError(f"step {self.t}: topk not sorted descending")
         if not np.isfinite(lps).all():
             raise TraceIntegrityError(f"step {self.t}: topk logprobs must be finite")
-        if len(set(tokens)) != len(tokens):
+        try:
+            distinct = len(set(tokens))
+        except TypeError as exc:  # a JSON array or object as a token
+            raise TraceIntegrityError(f"step {self.t}: topk token of {exc}") from exc
+        if distinct != len(tokens):
             raise TraceIntegrityError(f"step {self.t}: duplicate token in topk")
         if self.watched_rank < 0:
             raise TraceIntegrityError(f"step {self.t}: negative rank")
@@ -130,6 +134,11 @@ class TraceFile:
         for key in self.probes:
             if not (0 <= key <= len(self.steps)):
                 raise TraceIntegrityError(f"probe key {key} out of range")
+
+    def answer_at(self, consumed: int) -> str:
+        """Answer of the nearest recorded branch at or before `consumed` tokens."""
+        keys = [k for k in self.probes if k <= consumed]
+        return self.probes[max(keys)][1] if keys else ""
 
     def _check_step_tokens(self, step: StepObservation) -> None:
         ids = step.topk.tokens
@@ -321,11 +330,7 @@ class TraceReader:
         natural stops include it.  Exact recorded branches are preferred,
         otherwise the nearest earlier branch stands in.
         """
-        key = t if injected else t + 1
-        candidates = [k for k in self.trace.probes if k <= key]
-        if not candidates:
-            return "", 0, 0.0
-        answer = self.trace.probes[max(candidates)][1]
+        answer = self.trace.answer_at(t if injected else t + 1)
         return answer, len(answer.split()), 0.0
 
     def close(self) -> None:

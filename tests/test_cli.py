@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import dataclasses
 import hashlib
@@ -10,6 +11,7 @@ import os
 from datetime import datetime
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from syncthink import __version__
@@ -90,6 +92,7 @@ class TestGenSynthetic:
         assert run_cli("gen-synthetic", "--phases", "1,2,3", "--out", str(out)) == 2
         assert run_cli("gen-synthetic", "--phases", "0,5,5,5", "--out", str(out)) == 2
         assert run_cli("gen-synthetic", "--count", "0", "--out", str(out)) == 2
+        assert run_cli("gen-synthetic", "--seed", "-1", "--out", str(out)) == 2
         assert not out.exists()
 
 
@@ -144,6 +147,68 @@ class TestManifest:
             "seed": None,
             "version": __version__,
         }
+
+    def test_sweep_manifest(self, workspace, tmp_path, monkeypatch):
+        monkeypatch.delenv("SYNCTHINK_API_BASE", raising=False)
+        monkeypatch.delenv("SYNCTHINK_API_KEY", raising=False)
+        out = tmp_path / "sw"
+        traces, gold = workspace["traces"], workspace["gold"]
+        assert run_cli("sweep", "--lambda-grid", "0.2,1.6", "--traces", *traces,
+                       "--dataset", gold, "--out", str(out)) == 0
+        points = [out / "point_00", out / "point_01"]
+        digest = hashlib.sha256()
+        for point in points:
+            for record in read_records(str(point / "records.jsonl")):
+                digest.update(record_fingerprint(record))
+        manifest = read_manifest(out)
+        self.pop_times(manifest)
+        assert manifest == {
+            "command": "sweep",
+            "config": {
+                "alpha_cost": 0.0, "api_base": "", "api_key_set": False,
+                "budget": 8192, "check_interval": 1, "convergence_k": 2,
+                "dataset": gold, "entropy_weight": 0.8, "full_length": None,
+                "lambda_grid": [0.2, 1.6], "min_steps": 16, "model": None,
+                "pacing_cap": 512, "parallelism": 1, "policy": "syncthink",
+                "probe_suffix": "Final answer:", "ratio": 0.5,
+                "segment_len": 64, "source": "trace", "task_kind": None,
+                "timeout": 120.0, "top_logprobs": 513, "watched_token": None,
+            },
+            # the dataset is read to score each point, so it is an input
+            "inputs": [*traces, gold],
+            "outputs": [
+                *(str(p / name) for p in points for name in ("records.jsonl", "report.csv")),
+                str(out / "sweep.csv"),
+            ],
+            "record_digest": digest.hexdigest(),
+            "seed": None,
+            "version": __version__,
+        }
+
+    @pytest.mark.parametrize("command", ["run", "sweep", "analyze", "saliency", "gen-synthetic"])
+    def test_every_flag_reaches_the_manifest(self, command, workspace, tmp_path):
+        # a flag added later lands in config unless _NOT_CONFIG names it
+        from syncthink import cli
+
+        trace = workspace["traces"][0]
+        att, grad = str(tmp_path / "a.stns"), str(tmp_path / "g.stns")
+        save_tensor(np.ones((1, 1, 8, 8), dtype=np.float32), att)
+        save_tensor(np.ones((1, 1, 8, 8), dtype=np.float32), grad)
+        argv = {
+            "run": ["--traces", trace],
+            "sweep": ["--lambda-grid", "0.8", "--traces", trace],
+            "analyze": ["--traces", trace],
+            "saliency": ["--attention", att, "--gradients", grad, "--boundaries", "0,2,4,8"],
+            "gen-synthetic": ["--phases", "4,4,4,4"],
+        }[command]
+        out = tmp_path / "out"
+        assert run_cli(command, *argv, "--out", str(out)) == 0
+        config = read_manifest(out)["config"]
+        subparsers = next(a for a in cli._build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        dests = {a.dest for a in subparsers.choices[command]._actions} - {"help"}
+        assert dests, command
+        assert not {d for d in dests if d not in config and d not in cli._NOT_CONFIG}
 
 
 class TestRun:
@@ -223,6 +288,20 @@ class TestRun:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: step 9: ") and "must be finite" in err, err
+
+    def test_unhashable_topk_token_names_the_trace(self, workspace, tmp_path, capsys):
+        lines = Path(workspace["traces"][0]).read_text(encoding="utf-8").splitlines()
+        step = json.loads(lines[10])
+        step["topk"][1][0] = [1]
+        lines[10] = json.dumps(step)
+        path = tmp_path / "bad.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "nope"
+        rc = run_cli("run", "--policy", "syncthink", "--traces", str(path), "--out", str(out))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: step 9: topk token of unhashable type: 'list'\n", err
+        assert not out.exists()
 
     def test_missing_trace_file_is_usage_error(self, tmp_path):
         out = tmp_path / "nope"
@@ -332,6 +411,14 @@ class TestSweep:
         assert run_cli(*base, "--ratio-grid", "0,0.5") == 2  # ratio 0 invalid
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("grid", ["0.5,nan", "0.5,inf", "-0.1"])
+    def test_invalid_lambda_is_usage_error(self, workspace, tmp_path, grid):
+        # each point's PolicyConfig would reject it, after point_00 is written
+        out = tmp_path / "nope"
+        assert run_cli("sweep", "--lambda-grid", grid, "--traces", *workspace["traces"],
+                       "--out", str(out)) == 2
+        assert not out.exists()
+
     def test_failing_point_is_flagged_not_fatal(self, workspace, tmp_path, monkeypatch):
         import syncthink.cli as cli_module
         from syncthink.errors import SessionError
@@ -436,6 +523,14 @@ class TestAnalyze:
         stem = os.path.splitext(os.path.basename(trace))[0]
         assert [row.pop("sample_id") for row in rows] == [f"{stem}:full", stem]
         assert rows[0] == rows[1]
+
+    @pytest.mark.parametrize("with_dataset", [False, True])
+    def test_zero_parallelism_is_usage_error(self, workspace, tmp_path, with_dataset):
+        out = tmp_path / "nope"
+        dataset = ["--dataset", workspace["gold"]] if with_dataset else []
+        assert run_cli("analyze", "--traces", *workspace["traces"], *dataset,
+                       "--parallelism", "0", "--out", str(out)) == 2
+        assert not out.exists()
 
     def test_requires_some_input(self, tmp_path):
         assert run_cli("analyze", "--out", str(tmp_path / "nope")) == 2

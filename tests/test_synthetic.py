@@ -149,6 +149,11 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             SyntheticPhaseSpec(phase_lengths=(1, 5, 5, 5))
 
+    def test_negative_seed(self):
+        # numpy's default_rng rejects it, and only once a trace is generated
+        with pytest.raises(ConfigurationError, match="seed must be >= 0"):
+            SyntheticPhaseSpec(seed=-1)
+
     def test_floor_must_exceed_recovery(self):
         with pytest.raises(ConfigurationError):
             SyntheticPhaseSpec(descent_floor=2.5, recovery_level=3.0)

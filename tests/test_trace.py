@@ -220,6 +220,8 @@ class TestIntegrity:
         [
             ({"topk": topk()}, "empty topk"),
             ({"topk": topk((10, -0.5), (10, -0.9), (12, -1.3), (13, -1.7))}, "duplicate token"),
+            ({"topk": topk((10, -0.5), ([1], -0.9), (12, -1.3), (13, -1.7))},
+             "step 2: topk token of unhashable type"),
             ({"topk": topk((10, -0.5), (11, math.nan), (12, -1.3), (13, -1.7))}, "not sorted"),
             ({"topk": topk((10, math.nan))}, "logprobs must be finite"),
             ({"topk": topk((10, -0.5), (11, -0.9), (12, -1.3), (13, -math.inf))}, "logprobs must be finite"),
@@ -235,7 +237,7 @@ class TestIntegrity:
             (None, "probe key 6 out of range"),
         ],
         ids=[
-            "empty-topk", "duplicate-token", "nan-logprob", "nan-logprob-k1",
+            "empty-topk", "duplicate-token", "unhashable-token", "nan-logprob", "nan-logprob-k1",
             "minus-inf-logprob", "plus-inf-logprob", "negative-rank",
             "negative-entropy", "nan-entropy", "inf-entropy", "negative-wall",
             "nan-wall", "chosen-outside-vocab", "topk-outside-vocab", "probe-key",
@@ -472,3 +474,9 @@ class TestReader:
 
         reader = TraceReader(make_trace([6, 5]))
         assert reader.answer_after(1, injected=True) == ("", 0, 0.0)
+
+    def test_answer_at_takes_the_nearest_branch_at_or_before(self):
+        trace = make_trace([6, 5, 4, 0], natural=True,
+                           probes={1: ("s", "one"), 3: ("s", "three")})
+        assert [trace.answer_at(k) for k in range(5)] == ["", "one", "one", "three", "three"]
+        assert make_trace([6, 5]).answer_at(2) == ""
