@@ -97,6 +97,14 @@ def _parse_list(text: str, flag: str, kind=float) -> list:
         raise UsageError(f"{flag}: {exc}") from exc
 
 
+def _finite_float(text: str) -> float:
+    """Every float flag's type: NaN and the infinities are usage errors."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def _require_files(paths, flag: str) -> None:
     if not paths:
         raise UsageError(f"{flag} is required here")
@@ -178,7 +186,7 @@ def _write_manifest(outcome: _Outcome, args) -> None:
     }
     path = os.path.join(args.out, "manifest.json")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
+        json.dump(manifest, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 
@@ -540,14 +548,14 @@ def cmd_gen_synthetic(args) -> _Outcome:
 
 def _add_run_flags(parser) -> None:
     """Flags shared by run and sweep; each dest names the field it sets."""
-    parser.add_argument("--lambda", dest="entropy_weight", type=float, default=0.8,
+    parser.add_argument("--lambda", dest="entropy_weight", type=_finite_float, default=0.8,
                         help="entropy weight in the stop rule")
     parser.add_argument("--t-max", dest="pacing_cap", metavar="T_MAX", type=int,
                         default=512, help="pacing cap")
     parser.add_argument("--min-steps", type=int, default=16)
     parser.add_argument("--check-interval", type=int, default=1)
     parser.add_argument("--budget", type=int, default=8192)
-    parser.add_argument("--ratio", type=float, default=0.5,
+    parser.add_argument("--ratio", type=_finite_float, default=0.5,
                         help="fixed_ratio truncation point")
     parser.add_argument("--segment-len", type=int, default=64)
     parser.add_argument("--convergence-k", type=int, default=2)
@@ -556,7 +564,7 @@ def _add_run_flags(parser) -> None:
     parser.add_argument("--traces", nargs="+", metavar="TRACE")
     parser.add_argument("--dataset", help="JSONL samples: id, question, gold")
     parser.add_argument("--task-kind", choices=TASK_KINDS, default=None)
-    parser.add_argument("--alpha-cost", type=float, default=0.0)
+    parser.add_argument("--alpha-cost", type=_finite_float, default=0.0)
     parser.add_argument("--parallelism", type=int, default=1)
     parser.add_argument("--api-base", default=None,
                         help=f"endpoint URL; falls back to ${API_BASE_ENV}")
@@ -568,7 +576,7 @@ def _add_run_flags(parser) -> None:
                         help="terminator text for endpoint sessions")
     parser.add_argument("--full-length", type=int, default=None,
                         help="reference length for fixed_ratio on endpoints")
-    parser.add_argument("--timeout", type=float, default=120.0)
+    parser.add_argument("--timeout", type=_finite_float, default=120.0)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -596,7 +604,7 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--dataset", default=None)
     analyze.add_argument("--grid", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0",
                          help="truncation ratios for the accuracy curve")
-    analyze.add_argument("--epsilon", type=float, default=0.05,
+    analyze.add_argument("--epsilon", type=_finite_float, default=0.05,
                          help="accuracy slack defining the safe truncation zone")
     analyze.add_argument("--parallelism", type=int, default=1)
 
@@ -604,7 +612,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sal.add_argument("--attention", required=True)
     sal.add_argument("--gradients", required=True)
     sal.add_argument("--boundaries", required=True, help="p,r,s,end indices")
-    sal.add_argument("--alpha", type=float, default=1.0)
+    sal.add_argument("--alpha", type=_finite_float, default=1.0)
 
     gen = sub.add_parser("gen-synthetic", help="write planted four-phase traces")
     gen.add_argument("--phases", default="20,40,200,40",

@@ -52,7 +52,7 @@ class Sample:
 
 
 def load_dataset(path: str, dataset: str | None = None) -> tuple[list[Sample], list[tuple[int, str]]]:
-    """Read samples from JSONL; malformed lines are reported, not fatal.
+    """Read samples from JSONL; malformed lines, non-UTF-8 ones too, are reported.
 
     Returns (samples, errors) where each error is (line number, message).
     """
@@ -62,7 +62,7 @@ def load_dataset(path: str, dataset: str | None = None) -> tuple[list[Sample], l
     samples: list[Sample] = []
     errors: list[tuple[int, str]] = []
     seen: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

@@ -96,94 +96,90 @@ class TraceFile:
     natural_stop: int | None = None
 
     def validate(self) -> None:
-        h = self.header
-        if h.vocab_size < 1:
-            raise TraceIntegrityError(f"vocab_size {h.vocab_size} < 1")
-        if not (0 <= h.watched_token < h.vocab_size):
-            raise TraceIntegrityError(
-                f"watched token {h.watched_token} outside vocabulary of {h.vocab_size}"
-            )
-        if not self.steps:
-            raise TraceIntegrityError("trace has no steps")
+        """Check the trace held in memory; step i is named as file line i + 2."""
+        _check_header(self.header)
+        watched = []
         for i, step in enumerate(self.steps):
-            if step.t != i:
-                raise TraceIntegrityError(
-                    f"step indices must be consecutive from 0; saw {step.t} at line {i + 2}"
-                )
-            step.validate()
-            self._check_step_tokens(step)
-            self._check_rank_consistency(step)
-        watched_positions = [
-            s.t for s in self.steps if s.chosen_token == h.watched_token
-        ]
-        if self.natural_stop is None:
-            if watched_positions:
-                raise TraceIntegrityError(
-                    f"watched token emitted at step {watched_positions[0]}"
-                    " but natural_stop is unset"
-                )
-        else:
-            if self.natural_stop != len(self.steps) - 1:
-                raise TraceIntegrityError(
-                    f"natural_stop {self.natural_stop} is not the final step"
-                )
-            if watched_positions != [self.natural_stop]:
-                raise TraceIntegrityError(
-                    "watched token emissions inconsistent with natural_stop"
-                )
-        for key in self.probes:
-            if not (0 <= key <= len(self.steps)):
-                raise TraceIntegrityError(f"probe key {key} out of range")
+            _check_step(step, self.header, i, i + 2)
+            if step.chosen_token == self.header.watched_token:
+                watched.append(i)
+        _check_end(len(self.steps), watched, self.natural_stop, self.probes)
 
     def answer_at(self, consumed: int) -> str:
         """Answer of the nearest recorded branch at or before `consumed` tokens."""
         keys = [k for k in self.probes if k <= consumed]
         return self.probes[max(keys)][1] if keys else ""
 
-    def _check_step_tokens(self, step: StepObservation) -> None:
-        ids = step.topk.tokens
-        vocab = self.header.vocab_size
-        if isinstance(step.chosen_token, int) and not (0 <= step.chosen_token < vocab):
-            raise TraceIntegrityError(
-                f"step {step.t}: chosen token {step.chosen_token} outside vocabulary"
-            )
-        # min and max scan the ids in C.  Text tokens carry no id range;
-        # the loop runs only to name the first token outside it, or when
-        # the ids mix types that do not compare.
-        try:
-            lo, hi = min(ids), max(ids)
-            if isinstance(lo, str) or (0 <= lo and hi < vocab):
-                return
-        except TypeError:
-            pass
+
+def _check_header(h: TraceHeader) -> None:
+    if h.vocab_size < 1:
+        raise TraceIntegrityError(f"vocab_size {h.vocab_size} < 1")
+    if not (0 <= h.watched_token < h.vocab_size):
+        raise TraceIntegrityError(
+            f"watched token {h.watched_token} outside vocabulary of {h.vocab_size}"
+        )
+
+
+def _check_step(step: StepObservation, header: TraceHeader, index: int, lineno: int) -> None:
+    """Check step number `index`, read from file line `lineno`, against its header."""
+    if step.t != index:
+        raise TraceIntegrityError(
+            f"step indices must be consecutive from 0; saw {step.t} at line {lineno}"
+        )
+    step.validate()
+    ids, vocab = step.topk.tokens, header.vocab_size
+    if isinstance(step.chosen_token, int) and not (0 <= step.chosen_token < vocab):
+        raise TraceIntegrityError(
+            f"step {step.t}: chosen token {step.chosen_token} outside vocabulary"
+        )
+    # min and max scan the ids in C.  Text tokens carry no id range; the
+    # loop runs only to name the first token outside it, or when the ids
+    # mix types that do not compare.
+    try:
+        lo, hi = min(ids), max(ids)
+        in_range = isinstance(lo, str) or (0 <= lo and hi < vocab)
+    except TypeError:
+        in_range = False
+    if not in_range:
         for tok in ids:
             if isinstance(tok, int) and not (0 <= tok < vocab):
-                raise TraceIntegrityError(
-                    f"step {step.t}: topk token {tok} outside vocabulary"
-                )
+                raise TraceIntegrityError(f"step {step.t}: topk token {tok} outside vocabulary")
 
-    def _check_rank_consistency(self, step: StepObservation) -> None:
-        rank, absent = compute_rank(step.topk, self.header.watched_token)
-        if absent:  # the true rank is censored at the top-K size
-            if step.censored and step.watched_rank != rank:
-                raise TraceIntegrityError(
-                    f"step {step.t}: censored rank must equal topk size"
-                )
-            if not step.censored and step.watched_rank < rank:
-                raise TraceIntegrityError(
-                    f"step {step.t}: watched token absent from topk"
-                    f" but rank {step.watched_rank} is inside it"
-                )
-            return
-        if step.censored:
+    rank, absent = compute_rank(step.topk, header.watched_token)
+    if absent:  # the true rank is censored at the top-K size
+        if step.censored and step.watched_rank != rank:
+            raise TraceIntegrityError(f"step {step.t}: censored rank must equal topk size")
+        if not step.censored and step.watched_rank < rank:
             raise TraceIntegrityError(
-                f"step {step.t}: watched token present in topk but marked censored"
+                f"step {step.t}: watched token absent from topk"
+                f" but rank {step.watched_rank} is inside it"
             )
-        if step.watched_rank != rank:
+    elif step.censored:
+        raise TraceIntegrityError(
+            f"step {step.t}: watched token present in topk but marked censored"
+        )
+    elif step.watched_rank != rank:
+        raise TraceIntegrityError(
+            f"step {step.t}: recorded rank {step.watched_rank} disagrees with topk rank {rank}"
+        )
+
+
+def _check_end(n_steps: int, watched: list[int], natural_stop: int | None, probes: dict) -> None:
+    """The checks that need every step: `watched` lists the steps that emit the terminator."""
+    if not n_steps:
+        raise TraceIntegrityError("trace has no steps")
+    if natural_stop is None:
+        if watched:
             raise TraceIntegrityError(
-                f"step {step.t}: recorded rank {step.watched_rank}"
-                f" disagrees with topk rank {rank}"
+                f"watched token emitted at step {watched[0]} but natural_stop is unset"
             )
+    elif natural_stop != n_steps - 1:
+        raise TraceIntegrityError(f"natural_stop {natural_stop} is not the final step")
+    elif watched != [natural_stop]:
+        raise TraceIntegrityError("watched token emissions inconsistent with natural_stop")
+    for key in probes:
+        if not (0 <= key <= n_steps):
+            raise TraceIntegrityError(f"probe key {key} out of range")
 
 
 def _step_row(step: StepObservation) -> dict:
@@ -201,10 +197,10 @@ def write_trace(trace: TraceFile, path: str) -> None:
     jsonl.write_lines(path, chain([header], map(_step_row, trace.steps)))
 
 
-def _parse_header(obj: dict, path: str) -> tuple[TraceHeader, dict[int, tuple[str, str]], int | None]:
+def _parse_header(obj: dict, where: str) -> tuple[TraceHeader, dict[int, tuple[str, str]], int | None]:
     for key in HEADER_FIELDS:
         if key not in obj:
-            raise MalformedTraceError(f"{path}:1: header missing field {key!r}")
+            raise MalformedTraceError(f"{where}: header missing field {key!r}")
     try:
         header = TraceHeader(
             tokenizer=str(obj["tokenizer"]),
@@ -220,63 +216,59 @@ def _parse_header(obj: dict, path: str) -> tuple[TraceHeader, dict[int, tuple[st
         raw_stop = obj.get("natural_stop")
         natural_stop = None if raw_stop is None else int(raw_stop)
     except (ValueError, IndexError, TypeError, AttributeError) as exc:
-        raise MalformedTraceError(f"{path}:1: bad header: {exc}") from exc
+        raise MalformedTraceError(f"{where}: bad header: {exc}") from exc
     return header, probes, natural_stop
 
 
-def _parse_topk(pairs) -> Distribution:
-    tokens, logprobs = [], []
-    for tok, lp in pairs:
-        tokens.append(tok)
-        logprobs.append(float(lp))
-    return Distribution(tokens, logprobs)
-
-
-def _parse_step(obj: dict, path: str, lineno: int) -> StepObservation:
+def _parse_step(obj: dict, where: str) -> StepObservation:
     try:
         return StepObservation(
             t=int(obj["t"]),
             chosen_token=obj["chosen_token"],
             chosen_text=str(obj["chosen_text"]),
-            topk=_parse_topk(obj["topk"]),
+            topk=Distribution([tok for tok, _ in obj["topk"]], [float(lp) for _, lp in obj["topk"]]),
             watched_rank=int(obj["watched_rank"]),
             censored=bool(obj["censored"]),
             entropy=float(obj["entropy"]),
             step_wall_time=float(obj["step_wall_time"]),
         )
     except (KeyError, ValueError, TypeError) as exc:
-        raise MalformedTraceError(f"{path}:{lineno}: bad step record: {exc}") from exc
+        raise MalformedTraceError(f"{where}: bad step record: {exc}") from exc
 
 
 def read_trace(path: str) -> TraceFile:
-    """Parse and integrity-check a trace file."""
+    """Parse and check a trace file in one pass; the first fault by line is reported."""
     header = None
-    probes: dict[int, tuple[str, str]] = {}
-    natural_stop = None
     steps: list[StepObservation] = []
+    watched: list[int] = []
+    where = path  # a step's integrity error names its line, others the file
     try:
-        rows = list(jsonl.read_lines(path))
+        for lineno, obj in jsonl.read_lines(path):
+            if not isinstance(obj, dict):
+                raise MalformedTraceError(f"{path}:{lineno}: expected a JSON object")
+            if header is None:
+                header, probes, natural_stop = _parse_header(obj, f"{path}:{lineno}")
+                _check_header(header)
+                continue
+            where = f"{path}:{lineno}"
+            step = _parse_step(obj, where)
+            _check_step(step, header, len(steps), lineno)
+            if step.chosen_token == header.watched_token:
+                watched.append(step.t)
+            steps.append(step)
+        where = path
+        if header is None:
+            raise MalformedTraceError(f"{path}: empty trace file")
+        _check_end(len(steps), watched, natural_stop, probes)
+    except TraceIntegrityError as exc:
+        raise TraceIntegrityError(f"{where}: {exc}") from exc
     except ValueError as exc:
         raise MalformedTraceError(str(exc)) from exc
     except OSError as exc:
         raise MalformedTraceError(f"{path}: {exc}") from exc
-    if not rows:
-        raise MalformedTraceError(f"{path}: empty trace file")
-    for lineno, obj in rows:
-        if not isinstance(obj, dict):
-            raise MalformedTraceError(f"{path}:{lineno}: expected a JSON object")
-        if header is None:
-            header, probes, natural_stop = _parse_header(obj, path)
-        else:
-            steps.append(_parse_step(obj, path, lineno))
-    trace = TraceFile(
+    return TraceFile(
         header=header, steps=tuple(steps), probes=probes, natural_stop=natural_stop
     )
-    try:
-        trace.validate()
-    except TraceIntegrityError as exc:
-        raise TraceIntegrityError(f"{path}: {exc}") from exc
-    return trace
 
 
 class TraceReader:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from syncthink import __version__
+from syncthink import __version__, cli
 from syncthink.cli import main
 from syncthink.controller import GenerationRecord, read_records, record_fingerprint
 from syncthink.saliency import load_tensor, saliency_report, save_tensor
@@ -43,6 +43,41 @@ def records_sans_timing(path):
         }
         rows.append(row)
     return rows
+
+
+SUBPARSERS = next(a for a in cli._build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def parses_to_float(action) -> bool:
+    try:
+        return isinstance(action.type("0.5"), float)
+    except (TypeError, ValueError, argparse.ArgumentTypeError):
+        return False
+
+
+# (command, flag) for every flag whose value is parsed as a float
+FLOAT_FLAGS = [
+    (command, action.option_strings[0])
+    for command, parser in sorted(SUBPARSERS.items())
+    for action in parser._actions
+    if parses_to_float(action)
+]
+
+
+def valid_argv(command, workspace, tmp_path) -> list[str]:
+    """The fewest flags with which each command runs to exit 0, --out aside."""
+    trace = workspace["traces"][0]
+    att, grad = str(tmp_path / "a.stns"), str(tmp_path / "g.stns")
+    save_tensor(np.ones((1, 1, 8, 8), dtype=np.float32), att)
+    save_tensor(np.ones((1, 1, 8, 8), dtype=np.float32), grad)
+    return {
+        "run": ["--traces", trace],
+        "sweep": ["--lambda-grid", "0.8", "--traces", trace],
+        "analyze": ["--traces", trace],
+        "saliency": ["--attention", att, "--gradients", grad, "--boundaries", "0,2,4,8"],
+        "gen-synthetic": ["--phases", "4,4,4,4"],
+    }[command]
 
 
 @pytest.fixture(scope="module")
@@ -185,30 +220,26 @@ class TestManifest:
             "version": __version__,
         }
 
-    @pytest.mark.parametrize("command", ["run", "sweep", "analyze", "saliency", "gen-synthetic"])
+    @pytest.mark.parametrize("command", sorted(SUBPARSERS))
     def test_every_flag_reaches_the_manifest(self, command, workspace, tmp_path):
         # a flag added later lands in config unless _NOT_CONFIG names it
-        from syncthink import cli
-
-        trace = workspace["traces"][0]
-        att, grad = str(tmp_path / "a.stns"), str(tmp_path / "g.stns")
-        save_tensor(np.ones((1, 1, 8, 8), dtype=np.float32), att)
-        save_tensor(np.ones((1, 1, 8, 8), dtype=np.float32), grad)
-        argv = {
-            "run": ["--traces", trace],
-            "sweep": ["--lambda-grid", "0.8", "--traces", trace],
-            "analyze": ["--traces", trace],
-            "saliency": ["--attention", att, "--gradients", grad, "--boundaries", "0,2,4,8"],
-            "gen-synthetic": ["--phases", "4,4,4,4"],
-        }[command]
         out = tmp_path / "out"
-        assert run_cli(command, *argv, "--out", str(out)) == 0
+        assert run_cli(command, *valid_argv(command, workspace, tmp_path), "--out", str(out)) == 0
         config = read_manifest(out)["config"]
-        subparsers = next(a for a in cli._build_parser()._actions
-                          if isinstance(a, argparse._SubParsersAction))
-        dests = {a.dest for a in subparsers.choices[command]._actions} - {"help"}
+        dests = {a.dest for a in SUBPARSERS[command]._actions} - {"help"}
         assert dests, command
         assert not {d for d in dests if d not in config and d not in cli._NOT_CONFIG}
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command,flag", FLOAT_FLAGS)
+    def test_every_float_flag_rejects_non_finite(self, command, flag, value, workspace,
+                                                 tmp_path, capsys):
+        # a manifest is strict JSON, and no flag may carry NaN or inf into one
+        out = tmp_path / "out"
+        argv = valid_argv(command, workspace, tmp_path)
+        assert run_cli(command, *argv, f"{flag}={value}", "--out", str(out)) == 2
+        assert f"argument {flag}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRun:
@@ -287,7 +318,7 @@ class TestRun:
         rc = run_cli("run", "--policy", "syncthink", "--traces", str(path), "--out", str(out))
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}: step 9: ") and "must be finite" in err, err
+        assert err.startswith(f"error: {path}:11: step 9: ") and "must be finite" in err, err
 
     def test_unhashable_topk_token_names_the_trace(self, workspace, tmp_path, capsys):
         lines = Path(workspace["traces"][0]).read_text(encoding="utf-8").splitlines()
@@ -300,7 +331,7 @@ class TestRun:
         rc = run_cli("run", "--policy", "syncthink", "--traces", str(path), "--out", str(out))
         assert rc == 1
         err = capsys.readouterr().err
-        assert err == f"error: {path}: step 9: topk token of unhashable type: 'list'\n", err
+        assert err == f"error: {path}:11: step 9: topk token of unhashable type: 'list'\n", err
         assert not out.exists()
 
     def test_missing_trace_file_is_usage_error(self, tmp_path):

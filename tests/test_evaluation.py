@@ -98,6 +98,15 @@ class TestLoadDataset:
         assert [lineno for lineno, _ in errors] == [2, 3, 4, 5, 6]
         assert "duplicate id" in errors[3][1]
 
+    def test_line_that_is_not_utf8_is_reported_not_fatal(self, tmp_path):
+        path = tmp_path / "demo.jsonl"
+        good = json.dumps({"id": "ok", "question": "café?", "gold": "é"}, ensure_ascii=False)
+        path.write_bytes(b"\xff\n" + good.encode("utf-8") + b"\n")
+        samples, errors = load_dataset(str(path))
+        assert [(s.sample_id, s.question, s.gold) for s in samples] == [("ok", "café?", "é")]
+        assert [lineno for lineno, _ in errors] == [1]
+        assert errors[0][1].startswith("invalid JSON: ")
+
 
 def make_record(
     sample_id,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -157,7 +158,8 @@ class TestIntegrity:
 
     def test_bad_json_names_line(self, tmp_path):
         path = tmp_path / "bad.jsonl"
-        path.write_text('{"tokenizer":"x"}\nnot json\n')
+        header = '{"tokenizer":"x","vocab_size":10,"watched_token":3,"source":"s","seed":0}'
+        path.write_text(header + "\nnot json\n")
         with pytest.raises(MalformedTraceError) as err:
             read_trace(str(path))
         assert "bad.jsonl:2:" in str(err.value)
@@ -174,6 +176,12 @@ class TestIntegrity:
             path.write_text("{" + header + "," + bad + "}\n")
             with pytest.raises(MalformedTraceError, match="h.jsonl:1:"):
                 read_trace(str(path))
+
+    def test_header_error_names_its_line(self, tmp_path):
+        path = tmp_path / "h.jsonl"
+        path.write_text('\n\n{"tokenizer":"x","vocab_size":10}\n')
+        with pytest.raises(MalformedTraceError, match="h.jsonl:3: header missing field"):
+            read_trace(str(path))
 
     def test_nonconsecutive_steps_rejected(self):
         trace = make_trace([5, 4, 3])
@@ -408,6 +416,19 @@ MESSAGES = {
 }
 
 
+# write_trace refuses a non-finite float, so these faults never reach a file
+FILE_CASES = sorted(set(MESSAGES) - {"not-finite", "wall-time"})
+
+
+def file_location(message):
+    """Where read_trace names a MESSAGES fault: ":line" of its step, or "" for the file."""
+    step = re.match(r"step (\d+): ", message)
+    if step:
+        return f":{int(step[1]) + 2}"
+    line = re.search(r" at line (\d+)$", message)
+    return f":{line[1]}" if line else ""
+
+
 class TestIntegrityMessages:
     """Every integrity error, pinned to its exact message."""
 
@@ -418,6 +439,39 @@ class TestIntegrityMessages:
         corrupt, message = MESSAGES[case]
         with pytest.raises(TraceIntegrityError, match="^" + re.escape(message) + "$"):
             corrupt(trace).validate()
+
+    @pytest.mark.parametrize("case", FILE_CASES)
+    def test_message_from_file(self, case, tmp_path):
+        corrupt, message = MESSAGES[case]
+        path = tmp_path / "t.jsonl"
+        write_trace(corrupt(make_trace(BASE_RANKS, natural=True)), str(path))
+        where = f"{path}{file_location(message)}"
+        with pytest.raises(TraceIntegrityError, match="^" + re.escape(f"{where}: {message}") + "$"):
+            read_trace(str(path))
+
+    @pytest.mark.parametrize("case", ["nonconsecutive", "unsorted"])
+    def test_blank_lines_do_not_shift_the_line(self, case, tmp_path):
+        # header on line 1, blank lines 2 and 3, so step 2 sits on line 6
+        path = tmp_path / "t.jsonl"
+        write_trace(MESSAGES[case][0](make_trace(BASE_RANKS, natural=True)), str(path))
+        header, *steps = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join([header, "\n", " \n", *steps]), encoding="utf-8")
+        with pytest.raises(TraceIntegrityError) as err:
+            read_trace(str(path))
+        assert str(err.value).startswith(f"{path}:6: step ")
+        if case == "nonconsecutive":
+            assert str(err.value).endswith("saw 7 at line 6")
+
+    def test_first_fault_by_line_is_reported(self, tmp_path):
+        # a bad rank on line 4 comes before a line that is not JSON
+        path = tmp_path / "t.jsonl"
+        write_trace(replace_step(make_trace(BASE_RANKS, natural=True), 2, watched_rank=-1),
+                    str(path))
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write("not json\n")
+        with pytest.raises(TraceIntegrityError) as err:
+            read_trace(str(path))
+        assert str(err.value) == f"{path}:4: step 2: negative rank"
 
     def test_negative_step_index(self):
         step = dataclasses.replace(make_step(0, 1), t=-1)
@@ -480,3 +534,35 @@ class TestReader:
                            probes={1: ("s", "one"), 3: ("s", "three")})
         assert [trace.answer_at(k) for k in range(5)] == ["", "one", "one", "three", "three"]
         assert make_trace([6, 5]).answer_at(2) == ""
+
+
+WIDE_K, LONG_N = 513, 1024
+
+
+@pytest.fixture(scope="module")
+def long_wide_trace(tmp_path_factory):
+    """A LONG_N-step trace of WIDE_K top-K entries, the watched token censored at every step."""
+    path = tmp_path_factory.mktemp("wide") / "t.jsonl"
+    header = {"tokenizer": "toy", "vocab_size": 4 * WIDE_K, "watched_token": 0,
+              "source": "test", "seed": 0, "natural_stop": None, "probes": {}}
+    row = {"chosen_token": 1, "chosen_text": "<w1>",
+           "topk": [[tok, -0.001 * tok] for tok in range(1, WIDE_K + 1)],
+           "watched_rank": WIDE_K, "censored": True, "entropy": 1.5, "step_wall_time": 0.04}
+    jsonl.write_lines(str(path), [header, *({"t": t, **row} for t in range(LONG_N))])
+    return path
+
+
+def test_reading_a_long_wide_trace_peaks_at_what_it_holds(long_wide_trace):
+    # the peak above the trace held is one line's parse (about 16x the
+    # line's bytes), whatever the step count; holding every parsed row
+    # at once would cost about 3x the trace held
+    line = max(map(len, long_wide_trace.read_bytes().splitlines()))
+    tracemalloc.start()
+    try:
+        trace = read_trace(str(long_wide_trace))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(trace.steps) == LONG_N
+    over = peak - held
+    assert over < 32 * line, f"{over / 2**10:.0f} KiB above {held / 2**20:.1f} MiB held"
