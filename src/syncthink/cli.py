@@ -43,6 +43,7 @@ from .evaluation import TASK_KINDS, emit_report, load_dataset, score
 from .jsonl import dumps, format_float
 from .phase_analysis import (
     aggregate_macro,
+    grid_index,
     macro_curve_to_csv,
     optimal_truncation_zone,
     segment_phases,
@@ -116,7 +117,7 @@ def _require_files(paths, flag: str) -> None:
 def _require_positive(args, *names: str) -> None:
     for name in names:
         value = getattr(args, name)
-        if value < 1:
+        if value is not None and value < 1:
             raise UsageError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
 
 
@@ -195,18 +196,19 @@ def _write_manifest(outcome: _Outcome, args) -> None:
 
 def _validate_run(args) -> dict:
     pcfg, bcfg = _flag_configs(args)
-    _require_positive(args, "budget", "parallelism")
+    _require_positive(args, "budget", "parallelism", "full_length")
 
     plan = {"pcfg": pcfg, "bcfg": bcfg, "samples": None, "by_id": {}}
     if args.dataset:
         plan["samples"], plan["by_id"] = _load_samples(args)
 
     if args.source == "trace":
-        if args.watched_token is not None:
-            raise UsageError("--watched-token applies to --source endpoint only;"
-                             " traces carry their own")
-        if args.api_base or args.model:
-            raise UsageError("--api-base/--model apply to --source endpoint only")
+        endpoint_only = {"--watched-token": args.watched_token, "--api-base": args.api_base,
+                         "--model": args.model, "--full-length": args.full_length}
+        given = [flag for flag, value in endpoint_only.items() if value is not None]
+        if given:
+            raise UsageError(f"{given[0]} applies to --source endpoint only;"
+                             " a trace carries its own terminator and length")
         _require_files(args.traces, "--traces")
         missing = [s for s in map(_stem, args.traces) if args.dataset and s not in plan["by_id"]]
         if missing:
@@ -395,6 +397,9 @@ def _validate_analyze(args) -> dict:
         if not args.traces:
             raise UsageError("--dataset only pairs with --traces"
                              " (the truncation curve replays probes)")
+        if max(map(grid_index, plan["grid"])) != grid_index(1.0):
+            raise UsageError("--grid never reaches full length; the truncation"
+                             " zone is measured against a ratio at 1.0")
         plan["samples"], plan["by_id"] = _load_samples(args)
         plan["bcfg"] = _flag_configs(args)[1]
     return plan

@@ -255,6 +255,11 @@ def aggregate_macro(trajectories: Sequence, grid_size: int = 100) -> MacroCurve:
     )
 
 
+def grid_index(ratio: float, grid_size: int = 100) -> int:
+    """The progress-grid point at which truncation_accuracy_curve places a ratio."""
+    return int(np.rint(ratio * (grid_size - 1)))
+
+
 def truncation_accuracy_curve(
     records_by_ratio: Mapping[float, Sequence],
     samples: Sequence,
@@ -298,7 +303,7 @@ def truncation_accuracy_curve(
             scored += 1
             if record.complete and record.normalized_answer == gold_norm:
                 matches += 1
-        at = int(np.rint(ratio * (grid_size - 1)))
+        at = grid_index(ratio, grid_size)
         accuracy[at] = 100.0 * matches / scored if scored else np.nan
         counts[at] = scored
     return MacroCurve(progress=grid, accuracy=accuracy, counts=counts, exclusions=exclusions)

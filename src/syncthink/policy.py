@@ -13,7 +13,8 @@ StopDecision records the one decision a run keeps, the one at its stop
 step.
 
 The per-step signals are computed over numpy arrays: a Distribution holds
-one token list and one float64 logprob array.  compute_rank counts the
+one token list and one float64 logprob array, and nothing derived from
+them; shannon_entropy exponentiates once per call.  compute_rank counts the
 entries strictly above the watched one, so ties go to the watched token
 whatever the list order.  shannon_entropy is the one entropy code path:
 the live client, the synthetic generator and any re-derivation from a
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence, Union
 
@@ -104,25 +105,20 @@ class Distribution:
     """A truncated next-token distribution, held as two parallel columns.
 
     tokens lists the explicitly known tokens and logprobs (float64) their
-    log-probabilities, in the order given; probs = exp(logprobs) is
-    derived once on construction (a logprob above about 709 overflows to
-    inf silently).  tail_mass is the probability of every token not
-    listed; left unset it is derived as max(0, 1 - sum(probs)).
+    log-probabilities, in the order given.  Nothing else is stored: the
+    probabilities and the tail (the mass of every token not listed,
+    max(0, 1 - sum(exp(logprobs)))) are derived when read.
     """
 
     tokens: Sequence[TokenId]
     logprobs: np.ndarray
-    tail_mass: float | None = None
-    probs: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        logprobs = np.ascontiguousarray(self.logprobs, dtype=np.float64)
-        with np.errstate(over="ignore"):
-            probs = np.exp(logprobs)
-        object.__setattr__(self, "logprobs", logprobs)
-        object.__setattr__(self, "probs", probs)
-        if self.tail_mass is None:
-            object.__setattr__(self, "tail_mass", max(0.0, 1.0 - float(probs.sum())))
+        object.__setattr__(self, "logprobs", np.ascontiguousarray(self.logprobs, np.float64))
+
+    @property
+    def tail_mass(self) -> float:
+        return _probs_and_tail(self.logprobs)[1]
 
     @classmethod
     def from_topk_logprobs(cls, pairs: Sequence[tuple[TokenId, float]]) -> "Distribution":
@@ -177,6 +173,13 @@ def _columns(scores: Scores) -> tuple[Sequence[TokenId], np.ndarray]:
     return range(len(seq)), np.array(seq, dtype=np.float64)
 
 
+def _probs_and_tail(logprobs: np.ndarray) -> tuple[np.ndarray, float]:
+    """exp(logprobs) (above about 709 it overflows to inf) and the unlisted mass."""
+    with np.errstate(over="ignore"):
+        probs = np.exp(logprobs)
+    return probs, max(0.0, 1.0 - float(probs.sum()))
+
+
 def compute_rank(scores: Scores, watched: TokenId) -> tuple[int, bool]:
     """Rank of the watched token: entries scoring strictly above it.
 
@@ -200,13 +203,13 @@ def compute_rank(scores: Scores, watched: TokenId) -> tuple[int, bool]:
 def shannon_entropy(dist: Scores) -> float:
     """Entropy in nats; a positive tail counts as one pseudo-token.
 
-    A Distribution is read through its probs and tail_mass; a plain
-    collection is taken as probabilities with no tail.  The probabilities
-    must be finite, non-negative, on distinct tokens and, with the tail,
-    sum to 1 within MASS_TOLERANCE.
+    A Distribution's probabilities and tail are derived here from its
+    logprobs; a plain collection is taken as probabilities with no tail.
+    The probabilities must be finite, non-negative, on distinct tokens
+    and, with the tail, sum to 1 within MASS_TOLERANCE.
     """
     if isinstance(dist, Distribution):
-        tokens, probs, tail = dist.tokens, dist.probs, dist.tail_mass
+        tokens, (probs, tail) = dist.tokens, _probs_and_tail(dist.logprobs)
     else:
         (tokens, probs), tail = _columns(dist), 0.0
     if not len(probs):
@@ -224,8 +227,6 @@ def shannon_entropy(dist: Scores) -> float:
         raise MalformedDistributionError(
             f"negative or non-finite probability {float(probs[i])!r} for token {tokens[i]!r}"
         )
-    if not (math.isfinite(tail) and tail >= 0.0):
-        raise MalformedDistributionError(f"negative or non-finite tail mass {tail!r}")
     total = float(probs.sum()) + tail
     if abs(total - 1.0) > MASS_TOLERANCE:
         raise MalformedDistributionError(

@@ -12,7 +12,9 @@ on or off, top-K width), when the first request of that shape reaches
 the step, and later requests of that shape write the stored bytes.
 Building and encoding an event costs about as much CPU as the client
 spends decoding it, so re-encoding on every request would make the stub
-pace the client it serves.
+pace the client it serves.  The event is built straight from the trace's
+step; the stub keeps no copy of the top-K, only one wire text per
+distinct token.
 
 Test knobs: serve_logprobs=False strips logprobs from the stream;
 fail_after_steps resets the connection mid-stream to exercise the
@@ -65,15 +67,9 @@ class StubServer:
         self.fail_after_steps = fail_after_steps
         watched = trace.header.watched_token
         self.terminator_text = _wire_token(watched, watched)
-        self.step_texts = [step.chosen_text for step in trace.steps]
-        # each step's top-K on the wire: token texts and logprob floats
-        self.wire_topk = [
-            (
-                [_wire_token(tok, watched) for tok in step.topk.tokens],
-                step.topk.logprobs.tolist(),
-            )
-            for step in trace.steps
-        ]
+        # each distinct token's wire text: K + 1 entries for a synthetic trace
+        distinct = {tok for step in trace.steps for tok in step.topk.tokens}
+        self._wire_texts = {tok: _wire_token(tok, watched) for tok in distinct}
         # (logprobs, width) -> each step's event bytes, None until first served
         self._events: dict[tuple[bool, int], list[bytes | None]] = {}
         self._httpd = ThreadingHTTPServer(("127.0.0.1", 0), _make_handler(self))
@@ -90,24 +86,24 @@ class StubServer:
 
         Concurrent requests may both encode a step; they store equal bytes.
         """
-        events = self._events.setdefault((logprobs, width), [None] * len(self.step_texts))
+        steps = self.trace.steps
+        events = self._events.setdefault((logprobs, width), [None] * len(steps))
         event = events[i]
         if event is None:
-            text = self.step_texts[i]
+            step = steps[i]
+            text = step.chosen_text
             top_logprobs = None
             if logprobs:
-                tokens, lps = self.wire_topk[i]
-                tokens, lps = tokens[: width or None], lps[: width or None]
+                cut = slice(width or None)
+                tokens = list(map(self._wire_texts.__getitem__, step.topk.tokens[cut]))
+                lps = step.topk.logprobs[cut].tolist()
+                # the chosen text's last entry, the one dict(zip(tokens, lps))
+                # would keep, found by a scan in C rather than a K-entry dict
+                rev = tokens[::-1]
+                chosen = lps[~rev.index(text)] if text in rev else 0.0
+                top = [{"token": tok, "logprob": lp} for tok, lp in zip(tokens, lps)]
                 top_logprobs = {
-                    "content": [
-                        {
-                            "token": text,
-                            "logprob": dict(zip(tokens, lps)).get(text, 0.0),
-                            "top_logprobs": [
-                                {"token": tok, "logprob": lp} for tok, lp in zip(tokens, lps)
-                            ],
-                        }
-                    ]
+                    "content": [{"token": text, "logprob": chosen, "top_logprobs": top}]
                 }
             event = events[i] = _sse(_chunk({"content": text}, top_logprobs))
         return event
@@ -116,7 +112,7 @@ class StubServer:
         """Longest run of step texts prefixing the partial, plus the rest."""
         pos = 0
         matched = 0
-        for text in self.step_texts:
+        for text in (step.chosen_text for step in self.trace.steps):
             if text and partial.startswith(text, pos):
                 pos += len(text)
                 matched += 1
@@ -175,7 +171,10 @@ def _make_handler(server: StubServer):
                 self._branch(body, assistant.get("content") or "")
 
         def _error(self, code: int, message: str):
-            payload = json.dumps({"error": {"message": message}}).encode("utf-8")
+            self._reply(code, {"error": {"message": message}})
+
+        def _reply(self, code: int, obj: dict):
+            payload = json.dumps(obj).encode("utf-8")
             self.send_response(code)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(payload)))
@@ -204,7 +203,7 @@ def _make_handler(server: StubServer):
             self.send_header("Content-Type", "text/event-stream")
             self.end_headers()
             self._send(_sse(_chunk({"role": "assistant"})))
-            for i in range(len(server.step_texts)):
+            for i in range(len(server.trace.steps)):
                 if server.fail_after_steps is not None and i >= server.fail_after_steps:
                     self._reset_connection()
                     return
@@ -223,28 +222,13 @@ def _make_handler(server: StubServer):
                 return
             answer = server.trace.answer_at(matched)
             tokens = len(answer.split())
-            payload = json.dumps(
-                {
-                    "id": "stub-completion",
-                    "object": "chat.completion",
-                    "choices": [
-                        {
-                            "index": 0,
-                            "message": {"role": "assistant", "content": answer},
-                            "finish_reason": "stop",
-                        }
-                    ],
-                    "usage": {
-                        "prompt_tokens": matched + 1,
-                        "completion_tokens": tokens,
-                        "total_tokens": matched + 1 + tokens,
-                    },
-                }
-            ).encode("utf-8")
-            self.send_response(200)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(payload)))
-            self.end_headers()
-            self.wfile.write(payload)
+            self._reply(200, {
+                "id": "stub-completion",
+                "object": "chat.completion",
+                "choices": [{"index": 0, "message": {"role": "assistant", "content": answer},
+                             "finish_reason": "stop"}],
+                "usage": {"prompt_tokens": matched + 1, "completion_tokens": tokens,
+                          "total_tokens": matched + 1 + tokens},
+            })
 
     return Handler

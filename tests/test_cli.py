@@ -341,6 +341,22 @@ class TestRun:
         assert rc == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("flag,value", [
+        ("--watched-token", "</think>"), ("--api-base", "http://x"),
+        ("--model", "m"), ("--full-length", "5"),
+    ])
+    def test_endpoint_only_flags_are_usage_errors_over_traces(
+        self, workspace, tmp_path, capsys, command, flag, value,
+    ):
+        # a trace carries its own terminator and length; a flag that
+        # would be ignored must not reach the manifest as if it applied
+        out = tmp_path / "nope"
+        argv = valid_argv(command, workspace, tmp_path)
+        assert run_cli(command, *argv, flag, value, "--out", str(out)) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
 
 @pytest.fixture(scope="module")
 def stub():
@@ -387,6 +403,11 @@ class TestRunEndpoint:
                        "--policy", "fixed_ratio") == 2  # no reference length
         assert run_cli(*base, "--api-base", "http://x", "--model", "m",
                        "--top-logprobs", "10") == 2  # cannot cover t-max
+        for length in ("0", "-3"):  # a reference length below 1
+            assert run_cli(*base, "--api-base", "http://x", "--model", "m",
+                           "--policy", "fixed_ratio", "--full-length", length) == 2
+            assert run_cli(*base, "--api-base", "http://x", "--model", "m",
+                           "--full-length", length) == 2
         assert not os.path.exists(out)
 
     def test_unreachable_endpoint_is_runtime_failure(self, prompts, tmp_path):
@@ -565,6 +586,18 @@ class TestAnalyze:
 
     def test_requires_some_input(self, tmp_path):
         assert run_cli("analyze", "--out", str(tmp_path / "nope")) == 2
+
+    @pytest.mark.parametrize("grid,rc", [
+        ("0.5", 2), ("0.1,0.5,0.99", 2), ("0.5,0.994", 2),
+        # the curve places 0.995 on its last point, so the zone has a reference
+        ("0.5,0.995", 0),
+    ])
+    def test_grid_short_of_full_length_is_usage_error(self, workspace, tmp_path, grid, rc):
+        out = tmp_path / "an"
+        assert run_cli("analyze", "--traces", *workspace["traces"][:2],
+                       "--dataset", workspace["gold"], "--grid", grid,
+                       "--out", str(out)) == rc
+        assert out.exists() == (rc == 0)
 
     def test_malformed_records_name_the_line(self, workspace, tmp_path, capsys):
         run_out = tmp_path / "run"

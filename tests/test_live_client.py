@@ -8,6 +8,7 @@ import http.client
 import json
 import threading
 import time
+import tracemalloc
 import weakref
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -17,10 +18,16 @@ import pytest
 from syncthink.client import connect_endpoint
 from syncthink.controller import BatchItem, record_fingerprint, run_batch, run_generation
 from syncthink.errors import CapabilityError, ConfigurationError, SessionError
-from syncthink.policy import BaselineConfig, PolicyConfig, compute_rank
+from syncthink.policy import (
+    BaselineConfig,
+    Distribution,
+    PolicyConfig,
+    compute_rank,
+    shannon_entropy,
+)
 from syncthink.stub import StubServer
 from syncthink.synthetic import SyntheticPhaseSpec, generate_synthetic, token_text
-from syncthink.trace import TraceReader
+from syncthink.trace import StepObservation, TraceFile, TraceHeader, TraceReader
 from test_policy import random_top, scalar_entropy, scalar_rank, scalar_sorted_pairs
 
 WATCHED_TEXT = "</think>"
@@ -381,6 +388,57 @@ class _Tee:
         return getattr(self._raw, name)
 
 
+def assert_served_bytes_match(trace, fail_after):
+    """Serve three request shapes twice each and compare every byte written
+    with parent_stream_events; the first request of a shape encodes every
+    step, the second writes the stored bytes."""
+    shapes = [(True, 2), (True, 513), (False, 513)] * 2
+    with StubServer(trace, fail_after_steps=fail_after) as stub:
+        logs = []
+
+        class Capturing(stub._httpd.RequestHandlerClass):
+            def setup(self):
+                super().setup()
+                logs.append([])
+                self.wfile = _Tee(self.wfile, logs[-1])
+
+        stub._httpd.RequestHandlerClass = Capturing
+        host, port = stub._httpd.server_address[:2]
+        for logprobs, width in shapes:
+            body = json.dumps({
+                "messages": [{"role": "user", "content": "q"}], "stream": True,
+                "logprobs": logprobs, "top_logprobs": width,
+            })
+            conn = http.client.HTTPConnection(host, port, timeout=10)
+            try:
+                conn.request("POST", "/v1/chat/completions", body=body)
+                conn.getresponse().read()
+            except (OSError, http.client.HTTPException):
+                assert fail_after is not None
+            finally:
+                conn.close()
+    assert len(logs) == len(shapes)
+    for (logprobs, width), log in zip(shapes, logs):
+        expected = parent_stream_events(trace, logprobs, width, fail_after)
+        assert log[0].endswith(b"\r\n\r\n")  # the status line and headers
+        writes = [entry for entry in log[1:] if entry is not None]
+        assert writes == expected, (logprobs, width)
+        # one write and one flush per event, so no token waits for another
+        assert log[1 : 1 + 2 * len(writes)] == [x for w in writes for x in (w, None)]
+
+
+# (chosen text, top-K pairs): step 1's chosen token is absent from its
+# top-K, step 2's sits below a width-2 cut, and in step 4 two tokens go
+# on the wire as the chosen text, of which the last one's logprob is served
+TEXT_STEPS = [
+    ("Hello", [("Hello", -0.2), ("Hi", -2.5), (" Hey", -3.0)]),
+    (" world", [(" there", -0.5), (" all", -1.4), ("!", -3.3)]),
+    ("!", [(".", -0.4), (",", -1.9), ("!", -2.2)]),
+    (" Bye", [(" Bye", -0.1), (" so", -3.1), (" and", -4.0)]),
+    ("<w7>", [("<w7>", -0.3), (7, -1.6), ("x", -3.0)]),
+]
+
+
 class TestStubStreamBytes:
     @pytest.fixture(scope="class")
     def wide_trace(self):
@@ -388,43 +446,64 @@ class TestStubStreamBytes:
             SyntheticPhaseSpec(phase_lengths=(4, 6, 12, 6), seed=5), topk_width=513
         )
 
+    @pytest.fixture(scope="class")
+    def text_trace(self):
+        """Text tokens, which go on the wire as recorded, and one id."""
+        steps = []
+        for t, (text, pairs) in enumerate(TEXT_STEPS):
+            topk = Distribution.from_topk_logprobs(pairs)
+            steps.append(StepObservation(
+                t=t, chosen_token=text, chosen_text=text, topk=topk,
+                watched_rank=len(pairs), censored=True, entropy=shannon_entropy(topk),
+                step_wall_time=0.01,
+            ))
+        trace = TraceFile(
+            header=TraceHeader(tokenizer="text", vocab_size=50, watched_token=0,
+                               source="test", seed=0),
+            steps=tuple(steps),
+            probes={len(steps): ("Final answer:", "42")},
+        )
+        trace.validate()
+        return trace
+
     @pytest.mark.parametrize("fail_after", [None, 7], ids=["whole", "fail-after-7"])
     def test_served_bytes_match_per_request_encoding(self, wide_trace, fail_after):
-        # each shape is requested twice: the first request encodes every
-        # step, the second writes the stored bytes
-        shapes = [(True, 2), (True, 513), (False, 513)] * 2
-        with StubServer(wide_trace, fail_after_steps=fail_after) as stub:
-            logs = []
+        assert_served_bytes_match(wide_trace, fail_after)
 
-            class Capturing(stub._httpd.RequestHandlerClass):
-                def setup(self):
-                    super().setup()
-                    logs.append([])
-                    self.wfile = _Tee(self.wfile, logs[-1])
+    @pytest.mark.parametrize("fail_after", [None, 2], ids=["whole", "fail-after-2"])
+    def test_text_tokens_served_bytes_match(self, text_trace, fail_after):
+        assert_served_bytes_match(text_trace, fail_after)
 
-            stub._httpd.RequestHandlerClass = Capturing
-            host, port = stub._httpd.server_address[:2]
-            for logprobs, width in shapes:
-                body = json.dumps({
-                    "messages": [{"role": "user", "content": "q"}], "stream": True,
-                    "logprobs": logprobs, "top_logprobs": width,
-                })
-                conn = http.client.HTTPConnection(host, port, timeout=10)
-                try:
-                    conn.request("POST", "/v1/chat/completions", body=body)
-                    conn.getresponse().read()
-                except (OSError, http.client.HTTPException):
-                    assert fail_after is not None
-                finally:
-                    conn.close()
-        assert len(logs) == len(shapes)
-        for (logprobs, width), log in zip(shapes, logs):
-            expected = parent_stream_events(wide_trace, logprobs, width, fail_after)
-            assert log[0].endswith(b"\r\n\r\n")  # the status line and headers
-            writes = [entry for entry in log[1:] if entry is not None]
-            assert writes == expected, (logprobs, width)
-            # one write and one flush per event, so no token waits for another
-            assert log[1 : 1 + 2 * len(writes)] == [x for w in writes for x in (w, None)]
+    def test_chosen_token_outside_the_served_top_k_has_logprob_zero(self, text_trace):
+        with StubServer(text_trace) as stub:
+            def chosen_logprob(i, width):
+                event = json.loads(stub.step_event(i, True, width).removeprefix(b"data: "))
+                return event["choices"][0]["logprobs"]["content"][0]["logprob"]
+
+            assert [chosen_logprob(i, 2) for i in range(5)] == [-0.2, 0.0, 0.0, -0.1, -1.6]
+            assert [chosen_logprob(i, 0) for i in range(5)] == [-0.2, 0.0, -2.2, -0.1, -1.6]
+
+
+def test_stub_construction_holds_no_copy_of_the_top_k():
+    # the stub encodes each step from the trace on first request; up front
+    # it builds one wire text per distinct token, not a copy of each top-K
+    trace = generate_synthetic(
+        SyntheticPhaseSpec(phase_lengths=(20, 40, 100, 40), seed=3), topk_width=513
+    )
+    with StubServer(trace):
+        pass  # the first construction pays one-off import and class costs
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        stub = StubServer(trace)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    with stub:
+        pass
+    per_step = held / len(trace.steps)
+    assert per_step < 1024, f"{per_step:.0f} B per step"
 
 
 class TestPolicyParity:
