@@ -39,7 +39,7 @@ from .errors import (
     SyncThinkError,
     UsageError,
 )
-from .evaluation import TASK_KINDS, emit_report, load_dataset, score
+from .evaluation import TASK_KINDS, emit_report, load_dataset, parse_answer, score
 from .jsonl import dumps, format_float
 from .phase_analysis import (
     aggregate_macro,
@@ -148,6 +148,12 @@ def _load_samples(args) -> tuple[list, dict]:
     return samples, {s.sample_id: s for s in samples}
 
 
+def _require_trace_entries(traces, by_id: dict) -> None:
+    missing = [s for s in map(_stem, traces) if s not in by_id]
+    if missing:
+        raise UsageError(f"dataset lacks entries for trace ids: {', '.join(missing)}")
+
+
 def _trace_items(traces, by_id: dict, task_kind) -> list[BatchItem]:
     """One replay item per (path, TraceFile); task kind from the flag, the dataset or freeform."""
     return [
@@ -210,9 +216,8 @@ def _validate_run(args) -> dict:
             raise UsageError(f"{given[0]} applies to --source endpoint only;"
                              " a trace carries its own terminator and length")
         _require_files(args.traces, "--traces")
-        missing = [s for s in map(_stem, args.traces) if args.dataset and s not in plan["by_id"]]
-        if missing:
-            raise UsageError(f"dataset lacks entries for trace ids: {', '.join(missing)}")
+        if args.dataset:
+            _require_trace_entries(args.traces, plan["by_id"])
     # resolved for both sources: the manifest records what the environment set
     args.api_base = args.api_base or os.environ.get(API_BASE_ENV, "")
     args.api_key = args.api_key or os.environ.get(API_KEY_ENV, "")
@@ -388,7 +393,6 @@ def _validate_analyze(args) -> dict:
         _require_files(args.traces, "--traces")
     if args.epsilon < 0:
         raise UsageError(f"--epsilon must be >= 0, got {args.epsilon}")
-    _require_positive(args, "parallelism")
     plan = {"grid": _parse_list(args.grid, "--grid"), "samples": None}
     bad = [v for v in plan["grid"] if not 0 < v <= 1]
     if bad:
@@ -401,6 +405,11 @@ def _validate_analyze(args) -> dict:
             raise UsageError("--grid never reaches full length; the truncation"
                              " zone is measured against a ratio at 1.0")
         plan["samples"], plan["by_id"] = _load_samples(args)
+        _require_trace_entries(args.traces, plan["by_id"])
+        traced = [plan["by_id"][_stem(path)] for path in args.traces]
+        if not any(parse_answer(s.gold, s.task_kind) for s in traced):
+            raise UsageError("no traced sample's gold answer normalizes to a"
+                             " non-empty answer; the truncation curve would score nothing")
         plan["bcfg"] = _flag_configs(args)[1]
     return plan
 
@@ -449,7 +458,6 @@ def cmd_analyze(args) -> _Outcome:
                 items,
                 ["fixed_ratio"],
                 baseline_config=dataclasses.replace(plan["bcfg"], ratio=ratio),
-                parallelism=args.parallelism,
             )
             for ratio in plan["grid"]
         }
@@ -611,7 +619,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="truncation ratios for the accuracy curve")
     analyze.add_argument("--epsilon", type=_finite_float, default=0.05,
                          help="accuracy slack defining the safe truncation zone")
-    analyze.add_argument("--parallelism", type=int, default=1)
 
     sal = sub.add_parser("saliency", help="score attention paths between regions")
     sal.add_argument("--attention", required=True)

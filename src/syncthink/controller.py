@@ -1,22 +1,20 @@
 """Generation control: one loop runs every stopping policy.
 
 A source (trace replay or live stream) yields per-step observations.
-At each decision point the natural emission of the watched terminator is
-checked first; otherwise the selected policy decides whether to inject
-the terminator now.  After stopping, the answer phase runs and the
-answer is normalized for scoring.
+At each step the natural emission of the watched terminator is checked
+first, then the policy's step test (bound once per run), then the
+budget; a stream that runs dry counts as an exhausted budget.  After the
+loop the stop is decided once, the answer phase runs and the answer is
+normalized for scoring.  A record keeps only the decision made at its
+stop step; dynamic_threshold rebuilds a syncthink threshold at any step
+from the trajectories and the record's config.  Every record, complete
+or not, is built by _record.
 
 Timing is split three ways and sums exactly to the total: generation
 (recorded or measured step time, probes, answer), metric (policy
 arithmetic), eval (answer normalization).  Record contents other than
 the wall-time fields are deterministic for a given source and config;
 record_fingerprint captures exactly that deterministic part.
-
-Each step's policy check is a plain bool (should_stop for syncthink),
-and a record keeps only the decision made at its stop step, built there
-once.  The rank and entropy of every step stay in its trajectories, and
-dynamic_threshold rebuilds a syncthink threshold at any step from the
-record's config.
 """
 
 from __future__ import annotations
@@ -140,15 +138,11 @@ def run_generation(
     if budget < 1:
         raise ConfigurationError(f"budget must be >= 1, got {budget!r}")
     watched = source.watched_token
-    if policy_config is None:
-        pcfg = PolicyConfig(watched_token=watched)
-    else:
-        if policy_config.watched_token != watched:
-            raise ConfigurationError(
-                f"config watches {policy_config.watched_token!r}"
-                f" but the source watches {watched!r}"
-            )
-        pcfg = policy_config
+    pcfg = policy_config or PolicyConfig(watched_token=watched)
+    if pcfg.watched_token != watched:
+        raise ConfigurationError(
+            f"config watches {pcfg.watched_token!r} but the source watches {watched!r}"
+        )
     bcfg = baseline_config or BaselineConfig()
     if policy == "fixed_ratio" and full_length is None:
         full_length = getattr(source, "reference_length", None)
@@ -158,49 +152,14 @@ def run_generation(
             )
     config = _snapshot_config(policy, pcfg, bcfg, full_length, budget)
 
-    decision: StopDecision | None = None
     ranks: list[tuple[int, int]] = []
     entropies: list[tuple[int, float]] = []
     step_times: list[float] = []
-    probe_answers: list[str] = []
-    metric_seconds = 0.0
-    probe_seconds = 0.0
-    stop_step: int | None = None
-    injected = False
-    reason: StopReason | None = None
+    probe_times: list[float] = []
+    fires = _step_test(policy, source, pcfg, bcfg, full_length, task_kind, probe_times)
+    obs = reason = decision = None
     error = ""
-
-    def finish(complete: bool, answer: tuple[str, int, float], eval_secs: float,
-               normalized: str) -> GenerationRecord:
-        answer_text, answer_tokens, answer_secs = answer
-        reasoning = (stop_step + 1) if stop_step is not None else len(step_times)
-        gen = math.fsum(step_times) + probe_seconds + answer_secs
-        total_time = gen + metric_seconds + eval_secs
-        record = GenerationRecord(
-            sample_id=sample_id,
-            policy=policy,
-            config=config,
-            complete=complete,
-            error=error,
-            stop_step=stop_step,
-            injected=injected,
-            reason=reason,
-            reasoning_tokens=reasoning,
-            answer_tokens=answer_tokens,
-            total_tokens=reasoning + answer_tokens,
-            answer_text=answer_text,
-            normalized_answer=normalized,
-            decision=decision,
-            rank_trajectory=tuple(ranks),
-            entropy_trajectory=tuple(entropies),
-            t_gen=gen,
-            t_metric=metric_seconds,
-            t_eval=eval_secs,
-            t_total=total_time,
-        )
-        record.validate()
-        return record
-
+    metric_seconds = 0.0
     try:
         for obs in source:
             t = obs.t
@@ -211,88 +170,127 @@ def run_generation(
             m0 = time.perf_counter()
             if obs.chosen_token == watched:
                 # the source ended reasoning on its own; policy defers
-                reason, probe_secs = StopReason.NATURAL_TERMINATION, 0.0
-            else:
-                fired, probe_secs = _policy_decision(
-                    policy, t, obs, pcfg, bcfg, full_length, probe_answers, source, task_kind,
-                )
-                if fired:
-                    reason, injected = StopReason.THRESHOLD_FIRED, True
-                elif t + 1 >= budget:
-                    reason = StopReason.BUDGET_EXHAUSTED
-            if reason is not None:
-                stop_step = t
-                decision = _stop_decision(policy, obs, pcfg, reason)
-            metric_seconds += time.perf_counter() - m0 - probe_secs
-            probe_seconds += probe_secs
+                reason = StopReason.NATURAL_TERMINATION
+            elif fires(obs):
+                reason = StopReason.THRESHOLD_FIRED
+            elif t + 1 >= budget:
+                reason = StopReason.BUDGET_EXHAUSTED
+            metric_seconds += time.perf_counter() - m0
             if reason is not None:
                 break
-        else:
-            if step_times:
-                # stream ran dry without stopping
-                m0 = time.perf_counter()
-                reason = StopReason.BUDGET_EXHAUSTED
-                stop_step = len(step_times) - 1
-                decision = _stop_decision(policy, obs, pcfg, reason)
-                metric_seconds += time.perf_counter() - m0
     except SessionError as exc:
         error = f"SessionError: {exc}"
-        return finish(False, ("", 0, 0.0), 0.0, "")
     except (UnsupportedProbeError, PolicyUnavailableError) as exc:
         raise PolicyUnavailableError(
             f"policy {policy!r} needs branch probes the source cannot provide: {exc}"
         ) from exc
-
-    if stop_step is None:
+    if obs is None and not error:
         error = "source yielded no steps"
-        return finish(False, ("", 0, 0.0), 0.0, "")
 
-    answer = ("", 0, 0.0)
-    if reason in (StopReason.THRESHOLD_FIRED, StopReason.NATURAL_TERMINATION):
-        remaining = budget - (stop_step + 1)
-        if remaining > 0:
+    text, tokens, answer_seconds = "", 0, 0.0
+    normalized, eval_seconds = "", 0.0
+    if not error:
+        m0 = time.perf_counter()
+        # a stream that ran dry without stopping has exhausted its budget
+        reason = reason or StopReason.BUDGET_EXHAUSTED
+        decision = _stop_decision(policy, obs, pcfg, reason)
+        metric_seconds += time.perf_counter() - m0
+        remaining = budget - (obs.t + 1)
+        if reason is not StopReason.BUDGET_EXHAUSTED and remaining > 0:
             try:
-                answer = source.answer_after(stop_step, injected)
+                text, tokens, answer_seconds = source.answer_after(
+                    obs.t, reason is StopReason.THRESHOLD_FIRED
+                )
             except SessionError as exc:
                 error = f"SessionError in answer phase: {exc}"
-                return finish(False, ("", 0, 0.0), 0.0, "")
-            if answer[1] > remaining:
-                # budget truncates the answer token count
-                answer = (answer[0], remaining, answer[2])
+            # the budget truncates the answer token count
+            tokens = min(tokens, remaining)
+    if not error:
+        e0 = time.perf_counter()
+        normalized = parse_answer(text, task_kind)
+        eval_seconds = time.perf_counter() - e0
 
-    e0 = time.perf_counter()
-    normalized = parse_answer(answer[0], task_kind)
-    eval_secs = time.perf_counter() - e0
-    return finish(True, answer, eval_secs, normalized)
+    # each probe ran inside a metric window; its time is generation time
+    probe_seconds = math.fsum(probe_times)
+    return _record(
+        sample_id, policy, config, error,
+        ranks=ranks, entropies=entropies, reason=reason, decision=decision,
+        answer=(text, tokens), normalized=normalized,
+        t_gen=math.fsum(step_times) + probe_seconds + answer_seconds,
+        t_metric=metric_seconds - probe_seconds,
+        t_eval=eval_seconds,
+    )
 
 
-def _policy_decision(
-    policy: str,
-    t: int,
-    obs,
-    pcfg: PolicyConfig,
-    bcfg: BaselineConfig,
-    full_length: int | None,
-    probe_answers: list[str],
-    source,
-    task_kind: str,
-) -> tuple[bool, float]:
-    """Whether the policy fires at one step, and the probe generation time."""
+def _step_test(policy: str, source, pcfg: PolicyConfig, bcfg: BaselineConfig,
+               full_length: int | None, task_kind: str,
+               probe_times: list[float]) -> Callable[[object], bool]:
+    """Whether the policy fires at one step.
+
+    The rules and parse_answer are looked up on this module at each call,
+    so a wrapper installed after import (perfbench/tracer.py) sees them.
+    answer_convergence's test owns its probe answers and adds each
+    probe's generation time to probe_times.
+    """
     if policy == "syncthink":
-        return should_stop(t, obs, pcfg), 0.0
+        return lambda obs: should_stop(obs.t, obs, pcfg)
     if policy == "full":
-        return False, 0.0
+        return lambda obs: False
     if policy == "none":
-        return True, 0.0
+        return lambda obs: True
     if policy == "fixed_ratio":
-        return fixed_ratio_stop(t, full_length, bcfg.ratio), 0.0
-    if policy == "answer_convergence":
-        if t > 0 and t % bcfg.segment_len == 0:
-            raw, probe_secs = source.probe_with_time(bcfg.probe_suffix)
-            probe_answers.append(parse_answer(raw, task_kind))
-            return answer_convergence_stop(probe_answers, bcfg.convergence_k), probe_secs
-        return False, 0.0
-    raise ConfigurationError(f"unknown policy {policy!r}")  # pragma: no cover
+        return lambda obs: fixed_ratio_stop(obs.t, full_length, bcfg.ratio)
+    answers: list[str] = []
+
+    def converged(obs) -> bool:
+        if obs.t == 0 or obs.t % bcfg.segment_len:
+            return False
+        raw, seconds = source.probe_with_time(bcfg.probe_suffix)
+        probe_times.append(seconds)
+        answers.append(parse_answer(raw, task_kind))
+        return answer_convergence_stop(answers, bcfg.convergence_k)
+
+    return converged
+
+
+def _record(sample_id: str, policy: str, config: dict, error: str = "", *,
+            ranks: Sequence = (), entropies: Sequence = (),
+            reason: StopReason | None = None, decision: StopDecision | None = None,
+            answer: tuple[str, int] = ("", 0), normalized: str = "",
+            t_gen: float = 0.0, t_metric: float = 0.0, t_eval: float = 0.0) -> GenerationRecord:
+    """The one constructor of a GenerationRecord; the defaults are a run of no steps.
+
+    A run with a reason stopped at its last step, injecting the terminator
+    if the policy fired there; a run without one failed after len(ranks)
+    steps.  A run is complete when it carries no error.
+    """
+    stop_step = ranks[-1][0] if reason is not None else None
+    reasoning = len(ranks) if stop_step is None else stop_step + 1
+    answer_text, answer_tokens = answer
+    record = GenerationRecord(
+        sample_id=sample_id,
+        policy=policy,
+        config=config,
+        complete=not error,
+        error=error,
+        stop_step=stop_step,
+        injected=reason is StopReason.THRESHOLD_FIRED,
+        reason=reason,
+        reasoning_tokens=reasoning,
+        answer_tokens=answer_tokens,
+        total_tokens=reasoning + answer_tokens,
+        answer_text=answer_text,
+        normalized_answer=normalized,
+        decision=decision,
+        rank_trajectory=tuple(ranks),
+        entropy_trajectory=tuple(entropies),
+        t_gen=t_gen,
+        t_metric=t_metric,
+        t_eval=t_eval,
+        t_total=t_gen + t_metric + t_eval,
+    )
+    record.validate()
+    return record
 
 
 def _stop_decision(policy: str, obs, pcfg: PolicyConfig, reason: StopReason) -> StopDecision:
@@ -367,42 +365,17 @@ def run_batch(
         except ConfigurationError:
             raise
         except (SyncThinkError, OSError) as exc:
-            return _failed_record(item.sample_id, policy, budget, exc)
+            return _record(
+                item.sample_id, policy, {"budget": budget}, f"{type(exc).__name__}: {exc}"
+            )
         finally:
             if source is not None:
-                closer = getattr(source, "close", None)
-                if closer is not None:
-                    closer()
+                source.close()
 
     if parallelism == 1:
         return [run_job(job) for job in jobs]
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
         return list(pool.map(run_job, jobs))
-
-
-def _failed_record(sample_id: str, policy: str, budget: int, exc: Exception) -> GenerationRecord:
-    return GenerationRecord(
-        sample_id=sample_id,
-        policy=policy,
-        config={"budget": budget},
-        complete=False,
-        error=f"{type(exc).__name__}: {exc}",
-        stop_step=None,
-        injected=False,
-        reason=None,
-        reasoning_tokens=0,
-        answer_tokens=0,
-        total_tokens=0,
-        answer_text="",
-        normalized_answer="",
-        decision=None,
-        rank_trajectory=(),
-        entropy_trajectory=(),
-        t_gen=0.0,
-        t_metric=0.0,
-        t_eval=0.0,
-        t_total=0.0,
-    )
 
 
 def _optional(convert: Callable) -> Callable:

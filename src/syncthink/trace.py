@@ -306,14 +306,21 @@ class TraceReader:
     def probe_with_time(self, suffix: str) -> tuple[str, float]:
         """Recorded branch answer at the current step, taking no time.
 
-        Raises UnsupportedProbeError when no branch is recorded there.
+        Raises UnsupportedProbeError when no branch is recorded there, or
+        when the branch recorded there asked for another suffix.
         """
         if not self.trace.probes:
             raise UnsupportedProbeError("trace records no probe branches")
         key = 0 if self._current_t is None else self._current_t
         if key not in self.trace.probes:
             raise UnsupportedProbeError(f"no probe branch recorded at step {key}")
-        return self.trace.probes[key][1], 0.0
+        recorded, answer = self.trace.probes[key]
+        if recorded != suffix:
+            raise UnsupportedProbeError(
+                f"probe suffix {suffix!r} differs from the suffix {recorded!r}"
+                f" recorded at step {key}"
+            )
+        return answer, 0.0
 
     def answer_after(self, t: int, injected: bool) -> tuple[str, int, float]:
         """Answer text after stopping at step t, with token count and time.

@@ -298,6 +298,18 @@ class TestRun:
         assert rc == 2
         assert not out.exists()
 
+    def test_probe_suffix_other_than_recorded_fails_each_record(self, workspace, tmp_path):
+        out = tmp_path / "run"
+        rc = run_cli("run", "--policy", "answer_convergence", "--segment-len", "8",
+                     "--probe-suffix", "Something else entirely:",
+                     "--traces", *workspace["traces"][:2], "--out", str(out))
+        assert rc == 0
+        records = read_records(str(out / "records.jsonl"))
+        assert [r.complete for r in records] == [False, False]
+        for record in records:
+            assert "'Something else entirely:'" in record.error
+            assert "'Final answer:'" in record.error
+
     def test_out_collides_with_file(self, workspace, tmp_path):
         blocker = tmp_path / "blocker"
         blocker.write_text("")
@@ -577,12 +589,39 @@ class TestAnalyze:
         assert rows[0] == rows[1]
 
     @pytest.mark.parametrize("with_dataset", [False, True])
-    def test_zero_parallelism_is_usage_error(self, workspace, tmp_path, with_dataset):
+    def test_parallelism_is_not_an_analyze_flag(self, workspace, tmp_path, with_dataset):
+        # replays hold the GIL, so analyze has nothing to run in parallel
         out = tmp_path / "nope"
         dataset = ["--dataset", workspace["gold"]] if with_dataset else []
         assert run_cli("analyze", "--traces", *workspace["traces"], *dataset,
-                       "--parallelism", "0", "--out", str(out)) == 2
+                       "--parallelism", "1", "--out", str(out)) == 2
         assert not out.exists()
+
+    def test_dataset_missing_trace_id_is_usage_error(self, workspace, tmp_path, capsys):
+        partial = tmp_path / "partial.jsonl"
+        partial.write_text(Path(workspace["gold"]).read_text(encoding="utf-8").splitlines()[0]
+                           + "\n", encoding="utf-8")
+        out = tmp_path / "nope"
+        assert run_cli("analyze", "--traces", *workspace["traces"][:2],
+                       "--dataset", str(partial), "--out", str(out)) == 2
+        missing = os.path.splitext(os.path.basename(workspace["traces"][1]))[0]
+        assert f"dataset lacks entries for trace ids: {missing}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("golds,rc", [(["", ""], 2), (["", "42"], 0)])
+    def test_gold_that_scores_nothing_is_usage_error(self, workspace, tmp_path, golds, rc):
+        # an empty gold is excluded from the curve; with no other sample the
+        # full-length point would hold no accuracy
+        dataset = tmp_path / "gold.jsonl"
+        traces = workspace["traces"][:2]
+        dataset.write_text("".join(
+            json.dumps({"id": os.path.splitext(os.path.basename(path))[0], "question": "q",
+                        "gold": gold, "task_kind": "numeric"}) + "\n"
+            for path, gold in zip(traces, golds)), encoding="utf-8")
+        out = tmp_path / "an"
+        assert run_cli("analyze", "--traces", *traces, "--dataset", str(dataset),
+                       "--out", str(out)) == rc
+        assert out.exists() == (rc == 0)
 
     def test_requires_some_input(self, tmp_path):
         assert run_cli("analyze", "--out", str(tmp_path / "nope")) == 2

@@ -436,6 +436,44 @@ class TestStopDecision:
         assert built == []
 
 
+class TestTracedCallSites:
+    """A wrapper installed on the controller's names after import, as
+    perfbench/tracer.py installs its spans, sees every call."""
+
+    def counting(self, monkeypatch, name):
+        calls = []
+        inner = getattr(controller, name)
+
+        def wrapper(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(controller, name, wrapper)
+        return calls
+
+    def test_syncthink_calls_the_rule_once_per_step(self, monkeypatch):
+        calls = self.counting(monkeypatch, "should_stop")
+        record = run_generation(synth_reader(seed=0), "syncthink", task_kind="numeric")
+        assert record.reason is StopReason.THRESHOLD_FIRED
+        assert [args[0] for args in calls] == list(range(record.stop_step + 1))
+
+    def test_answer_convergence_parses_once_per_probe(self, monkeypatch):
+        calls = self.counting(monkeypatch, "parse_answer")
+        reader = synth_reader(seed=0)
+        record = run_generation(
+            reader,
+            "answer_convergence",
+            baseline_config=BaselineConfig(segment_len=16, convergence_k=2),
+            task_kind="numeric",
+        )
+        probed = range(16, record.stop_step + 1, 16)
+        assert len(probed) >= 2
+        # one parse per probe, then one of the final answer
+        assert calls == [(reader.trace.probes[t][1], "numeric") for t in probed] + [
+            (record.answer_text, "numeric")
+        ]
+
+
 class TestRecordIO:
     def run_all_policies(self):
         records = []
@@ -548,6 +586,25 @@ class TestRunBatch:
         assert records[0].complete
         assert not records[1].complete
         assert "TraceIntegrityError" in records[1].error
+
+    def test_unopened_source_record_is_pinned(self):
+        def broken():
+            raise TraceIntegrityError("planted corruption")
+
+        [record] = run_batch([BatchItem(sample_id="bad", open_source=broken)], ["syncthink"],
+                             budget=77)
+        expected = {
+            "sample_id": "bad", "policy": "syncthink", "config": {"budget": 77},
+            "complete": False, "error": "TraceIntegrityError: planted corruption",
+            "stop_step": None, "injected": False, "reason": None,
+            "reasoning_tokens": 0, "answer_tokens": 0, "total_tokens": 0,
+            "answer_text": "", "normalized_answer": "", "decision": None,
+            "rank_trajectory": (), "entropy_trajectory": (),
+            "t_gen": 0.0, "t_metric": 0.0, "t_eval": 0.0, "t_total": 0.0,
+        }
+        obj = record_to_obj(record)
+        assert obj == expected
+        assert list(obj) == list(expected)
 
     def test_missing_file_poisons_only_its_record(self, tmp_path):
         items = self.items(tmp_path, seeds=(0,))

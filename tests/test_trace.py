@@ -498,6 +498,14 @@ class TestReader:
         assert second.t == 1
         assert reader.probe_with_time("Q:") == ("maybe", 0.0)
 
+    def test_probe_for_another_suffix_is_unsupported(self):
+        from syncthink.trace import TraceReader
+
+        reader = TraceReader(make_trace([6, 5, 4], probes={1: ("Q:", "maybe")}))
+        next(reader), next(reader)
+        with pytest.raises(UnsupportedProbeError, match="'A:' differs from the suffix 'Q:'"):
+            reader.probe_with_time("A:")
+
     def test_probe_without_branches(self, tmp_path):
         trace = make_trace([6, 5])
         path = tmp_path / "t.jsonl"
