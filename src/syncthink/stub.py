@@ -5,7 +5,9 @@ LiveSession: a streamed main generation with per-token top-K logprobs,
 and non-streamed branch completions for probes and injected stops.
 Branch requests are matched by the longest step-text prefix of the
 assistant partial, then answered from the trace's recorded probe
-branches (nearest recorded branch at or before the matched step).
+branches (nearest recorded branch at or before the matched step).  A
+probe is answered only when it asks for that branch's recorded suffix,
+as a replay of the trace would be.
 
 Each step's streamed event is encoded once per request shape (logprobs
 on or off, top-K width), when the first request of that shape reaches
@@ -220,7 +222,20 @@ def _make_handler(server: StubServer):
             if not rest.startswith(server.terminator_text):
                 self._error(400, "assistant partial does not continue the trace")
                 return
-            answer = server.trace.answer_at(matched)
+            # an injected stop ends at the terminator; a probe sends the
+            # terminator, a newline and its suffix, which must be the one
+            # recorded at the branch that answers it
+            branch = server.trace.branch_at(matched)
+            suffix, answer = branch or ("", "")
+            probe = rest[len(server.terminator_text):]
+            if probe and branch is None:
+                self._error(400, f"no probe branch recorded at or before step {matched}")
+                return
+            if probe and probe != "\n" + suffix:
+                sent = probe.removeprefix("\n")
+                self._error(400, f"probe suffix {sent!r} differs from the suffix {suffix!r}"
+                                 f" recorded at or before step {matched}")
+                return
             tokens = len(answer.split())
             self._reply(200, {
                 "id": "stub-completion",

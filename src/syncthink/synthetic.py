@@ -29,6 +29,9 @@ from .trace import StepObservation, TraceFile, TraceHeader
 
 DEFAULT_WATCHED_TOKEN = 3
 
+# cells of one (steps x outcomes) matrix block in the temperature solve
+_BLOCK_CELLS = 1 << 16
+
 
 @dataclass(frozen=True)
 class SyntheticPhaseSpec:
@@ -117,12 +120,16 @@ def _plateau_walk(
     return out
 
 
-def _solve_temperatures(targets: np.ndarray, width: int) -> np.ndarray:
-    """Per-step softmax sharpness whose entropy hits each target.
+def _softmax_logprobs(targets: np.ndarray, width: int) -> np.ndarray:
+    """Per-step top-width logprobs of a softmax whose entropy hits each target.
 
     Outcomes are width explicit tokens plus one tail lump with energies
-    0..width; entropy is strictly decreasing in the sharpness, so
-    bisection converges to machine precision.
+    0..width.  Entropy is strictly decreasing in the sharpness, so a
+    64-step bisection solves it to machine precision.  Each row is solved
+    on its own, over blocks of about _BLOCK_CELLS matrix cells (at least
+    one row), so nothing but the result grows with the step count.  A
+    row's sums do not depend on the rows beside it, so the block size
+    changes no bit of the result.
     """
     u = np.arange(width + 1, dtype=float)
 
@@ -133,14 +140,21 @@ def _solve_temperatures(targets: np.ndarray, width: int) -> np.ndarray:
         mean_u = (p * u).sum(axis=1)
         return beta * mean_u + np.log(z)
 
-    lo = np.full(targets.shape, 1e-9)
-    hi = np.full(targets.shape, 80.0)
-    for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        too_flat = entropy_of(mid) > targets
-        lo = np.where(too_flat, mid, lo)
-        hi = np.where(too_flat, hi, mid)
-    return 0.5 * (lo + hi)
+    logprobs = np.empty((len(targets), width))
+    rows = max(1, _BLOCK_CELLS // (width + 1))
+    for start in range(0, len(targets), rows):
+        block = targets[start : start + rows]
+        lo = np.full(block.shape, 1e-9)
+        hi = np.full(block.shape, 80.0)
+        for _ in range(64):
+            mid = 0.5 * (lo + hi)
+            too_flat = entropy_of(mid) > block
+            lo = np.where(too_flat, mid, lo)
+            hi = np.where(too_flat, hi, mid)
+        beta = 0.5 * (lo + hi)
+        log_z = np.log(np.exp(-np.outer(beta, u)).sum(axis=1))
+        logprobs[start : start + rows] = -np.outer(beta, u[:width]) - log_z[:, None]
+    return logprobs
 
 
 def token_text(token: int, watched: int) -> str:
@@ -201,10 +215,7 @@ def generate_synthetic(
 
     wall_times = rng.uniform(0.008, 0.02, total)
 
-    betas = _solve_temperatures(targets, topk_width)
-    u = np.arange(topk_width + 1, dtype=float)
-    log_z = np.log(np.exp(-np.outer(betas, u)).sum(axis=1))
-    logprobs = -np.outer(betas, u[:topk_width]) - log_z[:, None]
+    logprobs = _softmax_logprobs(targets, topk_width)
 
     filler_pool = [i for i in range(topk_width + 1) if i != watched_token][:topk_width]
     max_rank = int(ranks.max())

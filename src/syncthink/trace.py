@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterator
 
-import numpy as np
-
 from . import jsonl
 from .errors import (
     MalformedTraceError,
@@ -62,7 +60,8 @@ class StepObservation:
         # `not a >= b` also fails a NaN logprob
         if not (lps[:-1] >= lps[1:]).all():
             raise TraceIntegrityError(f"step {self.t}: topk not sorted descending")
-        if not np.isfinite(lps).all():
+        # sorted, so the first and last logprobs bound the rest
+        if not (math.isfinite(lps[0]) and math.isfinite(lps[-1])):
             raise TraceIntegrityError(f"step {self.t}: topk logprobs must be finite")
         try:
             distinct = len(set(tokens))
@@ -105,10 +104,15 @@ class TraceFile:
                 watched.append(i)
         _check_end(len(self.steps), watched, self.natural_stop, self.probes)
 
+    def branch_at(self, consumed: int) -> tuple[str, str] | None:
+        """(suffix, answer) of the nearest recorded branch at or before `consumed` tokens."""
+        keys = [k for k in self.probes if k <= consumed]
+        return self.probes[max(keys)] if keys else None
+
     def answer_at(self, consumed: int) -> str:
         """Answer of the nearest recorded branch at or before `consumed` tokens."""
-        keys = [k for k in self.probes if k <= consumed]
-        return self.probes[max(keys)][1] if keys else ""
+        branch = self.branch_at(consumed)
+        return branch[1] if branch else ""
 
 
 def _check_header(h: TraceHeader) -> None:
@@ -220,13 +224,27 @@ def _parse_header(obj: dict, where: str) -> tuple[TraceHeader, dict[int, tuple[s
     return header, probes, natural_stop
 
 
-def _parse_step(obj: dict, where: str) -> StepObservation:
+def _parse_step(obj: dict, where: str, shared: dict[TokenId, TokenId]) -> StepObservation:
+    """One step row as a StepObservation; its int and str tokens come from `shared`.
+
+    json.loads makes a new object for every token it parses, and an int
+    above 256 costs 28 bytes, so at K = 513 unshared ids would be about
+    7 KiB of every step held.  `shared` maps each token to its first copy
+    in the trace.  Only exact ints and strs go through it: a dict takes
+    1, 1.0 and true for one key, and a list token must reach the step
+    check unhashed.
+    """
+    setdefault = shared.setdefault
     try:
         return StepObservation(
             t=int(obj["t"]),
             chosen_token=obj["chosen_token"],
             chosen_text=str(obj["chosen_text"]),
-            topk=Distribution([tok for tok, _ in obj["topk"]], [float(lp) for _, lp in obj["topk"]]),
+            topk=Distribution(
+                [setdefault(tok, tok) if type(tok) is int or type(tok) is str else tok
+                 for tok, _ in obj["topk"]],
+                [float(lp) for _, lp in obj["topk"]],
+            ),
             watched_rank=int(obj["watched_rank"]),
             censored=bool(obj["censored"]),
             entropy=float(obj["entropy"]),
@@ -241,6 +259,7 @@ def read_trace(path: str) -> TraceFile:
     header = None
     steps: list[StepObservation] = []
     watched: list[int] = []
+    shared: dict[TokenId, TokenId] = {}  # one object per distinct token
     where = path  # a step's integrity error names its line, others the file
     try:
         for lineno, obj in jsonl.read_lines(path):
@@ -251,7 +270,7 @@ def read_trace(path: str) -> TraceFile:
                 _check_header(header)
                 continue
             where = f"{path}:{lineno}"
-            step = _parse_step(obj, where)
+            step = _parse_step(obj, where, shared)
             _check_step(step, header, len(steps), lineno)
             if step.chosen_token == header.watched_token:
                 watched.append(step.t)

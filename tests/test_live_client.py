@@ -17,7 +17,12 @@ import pytest
 
 from syncthink.client import connect_endpoint
 from syncthink.controller import BatchItem, record_fingerprint, run_batch, run_generation
-from syncthink.errors import CapabilityError, ConfigurationError, SessionError
+from syncthink.errors import (
+    CapabilityError,
+    ConfigurationError,
+    PolicyUnavailableError,
+    SessionError,
+)
 from syncthink.policy import (
     BaselineConfig,
     Distribution,
@@ -547,6 +552,19 @@ class TestPolicyParity:
             assert seconds > 0.0
         finally:
             session.close()
+
+    def test_probe_for_another_suffix_fails_the_record_as_replay_does(self, factory, trace):
+        # the trace's branches were recorded with "Final answer:"
+        kw = {"baseline_config": BaselineConfig(segment_len=16,
+                                                probe_suffix="Something else entirely:")}
+        live = run_live(factory, "answer_convergence", **kw)
+        with pytest.raises(PolicyUnavailableError) as replay:
+            run_offline(trace, "answer_convergence", **kw)
+        assert not live.complete
+        assert live.error.startswith("SessionError: endpoint returned HTTP 400: ")
+        for error in (live.error, str(replay.value)):
+            assert "'Something else entirely:'" in error
+            assert "'Final answer:'" in error
 
 
 class TestCapabilityGates:

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from syncthink import synthetic
 from syncthink.errors import ConfigurationError
 from syncthink.policy import Distribution, compute_rank, shannon_entropy
 from syncthink.synthetic import SyntheticPhaseSpec, generate_synthetic
@@ -71,6 +72,19 @@ class TestDeterminism:
         ra = [s.watched_rank for s in a.steps]
         rb = [s.watched_rank for s in b.steps]
         assert ra != rb
+
+    @pytest.mark.parametrize("width", [1, 32, 513])
+    def test_block_size_changes_no_bit(self, width, monkeypatch):
+        # blocks of one row, of seven rows (the last one short) and the default
+        rng = np.random.default_rng(width)
+        targets = rng.uniform(0.02, math.log(width + 1) - 0.01, 101)
+        monkeypatch.setattr(synthetic, "_BLOCK_CELLS", 10**9)
+        whole = synthetic._softmax_logprobs(targets, width)
+        assert whole.shape == (101, width)
+        for cells in (1, 7 * (width + 1) + 3, 1 << 16):
+            monkeypatch.setattr(synthetic, "_BLOCK_CELLS", cells)
+            blocked = synthetic._softmax_logprobs(targets, width)
+            assert blocked.tobytes() == whole.tobytes(), cells
 
     def test_round_trip_through_file(self, tmp_path):
         spec = SyntheticPhaseSpec(seed=7)

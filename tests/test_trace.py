@@ -574,3 +574,45 @@ def test_reading_a_long_wide_trace_peaks_at_what_it_holds(long_wide_trace):
     assert len(trace.steps) == LONG_N
     over = peak - held
     assert over < 32 * line, f"{over / 2**10:.0f} KiB above {held / 2**20:.1f} MiB held"
+    # ids 257..513 lie above CPython's small-int cache: a fresh object per
+    # entry would cost 28 bytes each, 15.9 KiB a step in all
+    per_step = held / LONG_N
+    assert per_step < 10 * 2**10, f"{per_step / 2**10:.1f} KiB held per step"
+
+
+class TestSharedTokens:
+    """read_trace holds one object per distinct token of one exact type."""
+
+    def write(self, path, *topks):
+        header = {"tokenizer": "toy", "vocab_size": 4096, "watched_token": 3,
+                  "source": "test", "seed": 0, "natural_stop": None, "probes": {}}
+        rows = [{"t": t, "chosen_token": 10, "chosen_text": "<w10>", "topk": pairs,
+                 "watched_rank": len(pairs), "censored": True, "entropy": 1.0,
+                 "step_wall_time": 0.01} for t, pairs in enumerate(topks)]
+        jsonl.write_lines(str(path), [header, *rows])
+
+    def test_equal_tokens_in_two_steps_are_one_object(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        self.write(path, [[1000, -0.5], ["word", -0.9]], [["word", -0.2], [1000, -0.7]])
+        first, second = (step.topk.tokens for step in read_trace(str(path)).steps)
+        assert first[0] == 1000 and first[0] is second[1]
+        assert first[1] == "word" and first[1] is second[0]
+
+    def test_equal_tokens_of_other_types_keep_their_type(self, tmp_path):
+        # a dict takes 1, 1.0 and true for one key; sharing across types
+        # would write 1.0 and true back as 1
+        src, dst = tmp_path / "src.jsonl", tmp_path / "dst.jsonl"
+        self.write(src, [[1, -0.5], [2, -0.9]], [[1.0, -0.5], [2, -0.9]],
+                   [[True, -0.5], [2, -0.9]])
+        trace = read_trace(str(src))
+        assert [type(step.topk.tokens[0]) for step in trace.steps] == [int, float, bool]
+        write_trace(trace, str(dst))
+        assert dst.read_bytes() == src.read_bytes()
+
+    @pytest.mark.parametrize("token,kind", [([1], "list"), ({"id": 1}, "dict")])
+    def test_unhashable_token_names_its_line(self, tmp_path, token, kind):
+        path = tmp_path / "t.jsonl"
+        self.write(path, [[10, -0.5]], [[10, -0.5]], [[10, -0.5], [token, -0.9]])
+        with pytest.raises(TraceIntegrityError) as err:
+            read_trace(str(path))
+        assert str(err.value) == f"{path}:4: step 2: topk token of unhashable type: '{kind}'"
