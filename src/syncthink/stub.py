@@ -11,12 +11,15 @@ as a replay of the trace would be.
 
 Each step's streamed event is encoded once per request shape (logprobs
 on or off, top-K width), when the first request of that shape reaches
-the step, and later requests of that shape write the stored bytes.
-Building and encoding an event costs about as much CPU as the client
-spends decoding it, so re-encoding on every request would make the stub
-pace the client it serves.  The event is built straight from the trace's
-step; the stub keeps no copy of the top-K, only one wire text per
-distinct token.
+the step, and later requests of that shape write the stored bytes.  A
+logprobs event is spliced as text: each distinct token's entry head
+(`{"token":...,"logprob":`) is built once at construction, and one
+json.dumps of the step's logprobs gives every float's text; the bytes
+are those json.dumps writes for the event's dicts.  A first encode of a
+K = 513 event costs about 0.8x the client's whole ingest of it (1.15x
+its json.loads alone), and most of it is the float reprs, so the stored
+bytes still keep a re-encode per request from pacing the client.  The
+stub keeps no copy of the top-K, only one entry head per distinct token.
 
 Test knobs: serve_logprobs=False strips logprobs from the stream;
 fail_after_steps resets the connection mid-stream to exercise the
@@ -32,7 +35,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from .synthetic import token_text
-from .trace import TraceFile
+from .trace import StepObservation, TraceFile
 
 
 def _wire_token(token, watched) -> str:
@@ -54,6 +57,16 @@ def _chunk(delta: dict, logprobs=None, finish=None) -> dict:
     }
 
 
+# what _sse(_chunk(delta)) writes before the delta
+_CHUNK_HEAD = ('data: {"id":"stub-chunk","object":"chat.completion.chunk",'
+               '"choices":[{"index":0,"delta":')
+
+
+def _entry_head(token_json: str) -> str:
+    """A logprobs entry up to its logprob's text, as _sse writes it."""
+    return '{"token":' + token_json + ',"logprob":'
+
+
 class StubServer:
     """One trace behind an HTTP endpoint; start() before use."""
 
@@ -69,9 +82,11 @@ class StubServer:
         self.fail_after_steps = fail_after_steps
         watched = trace.header.watched_token
         self.terminator_text = _wire_token(watched, watched)
-        # each distinct token's wire text: K + 1 entries for a synthetic trace
+        # each distinct token's top-K entry up to its logprob, as JSON text:
+        # K + 1 entries for a synthetic trace
         distinct = {tok for step in trace.steps for tok in step.topk.tokens}
-        self._wire_texts = {tok: _wire_token(tok, watched) for tok in distinct}
+        self._entries = {tok: _entry_head(json.dumps(_wire_token(tok, watched)))
+                         for tok in distinct}
         # (logprobs, width) -> each step's event bytes, None until first served
         self._events: dict[tuple[bool, int], list[bytes | None]] = {}
         self._httpd = ThreadingHTTPServer(("127.0.0.1", 0), _make_handler(self))
@@ -89,26 +104,40 @@ class StubServer:
         Concurrent requests may both encode a step; they store equal bytes.
         """
         steps = self.trace.steps
-        events = self._events.setdefault((logprobs, width), [None] * len(steps))
+        events = self._events.get((logprobs, width))
+        if events is None:  # not setdefault, which would build the list every step
+            events = self._events.setdefault((logprobs, width), [None] * len(steps))
         event = events[i]
         if event is None:
             step = steps[i]
-            text = step.chosen_text
-            top_logprobs = None
             if logprobs:
-                cut = slice(width or None)
-                tokens = list(map(self._wire_texts.__getitem__, step.topk.tokens[cut]))
-                lps = step.topk.logprobs[cut].tolist()
-                # the chosen text's last entry, the one dict(zip(tokens, lps))
-                # would keep, found by a scan in C rather than a K-entry dict
-                rev = tokens[::-1]
-                chosen = lps[~rev.index(text)] if text in rev else 0.0
-                top = [{"token": tok, "logprob": lp} for tok, lp in zip(tokens, lps)]
-                top_logprobs = {
-                    "content": [{"token": text, "logprob": chosen, "top_logprobs": top}]
-                }
-            event = events[i] = _sse(_chunk({"content": text}, top_logprobs))
+                event = self._logprobs_event(step, width)
+            else:
+                event = _sse(_chunk({"content": step.chosen_text}))
+            events[i] = event
         return event
+
+    def _logprobs_event(self, step: StepObservation, width: int) -> bytes:
+        """The bytes _sse(_chunk(...)) writes for step's text and its top-K
+        cut to width, spliced from each token's entry head and the text of
+        each logprob."""
+        cut = slice(width or None)
+        entries = list(map(self._entries.__getitem__, step.topk.tokens[cut]))
+        # one C-level encode writes every float as json.dumps would inside
+        # the event; no float's text holds a comma
+        lps = json.dumps(step.topk.logprobs[cut].tolist(), separators=(",", ":"))
+        values = lps[1:-1].split(",")
+        text = json.dumps(step.chosen_text)
+        # the chosen text's last entry, the one dict(zip(tokens, lps)) would
+        # keep: equal wire texts have equal entry heads
+        rev = entries[::-1]
+        chosen = _entry_head(text)
+        chosen_lp = values[~rev.index(chosen)] if chosen in rev else "0.0"
+        top = ",".join([entry + value + "}" for entry, value in zip(entries, values)])
+        return (
+            _CHUNK_HEAD + '{"content":' + text + '},"finish_reason":null,"logprobs":'
+            '{"content":[' + chosen + chosen_lp + ',"top_logprobs":[' + top + "]}]}}]}\n\n"
+        ).encode("ascii")
 
     def match_prefix(self, partial: str) -> tuple[int, str]:
         """Longest run of step texts prefixing the partial, plus the rest."""
@@ -141,6 +170,37 @@ class StubServer:
         self.stop()
 
 
+def _read_request(raw: bytes) -> tuple[dict, str | None, int]:
+    """A chat completions request body, the content of its last assistant
+    message (None if it has none) and its top-K width (0 for full).
+
+    Raises ValueError naming the field at fault.
+    """
+    try:
+        body = json.loads(raw or b"{}")
+    except ValueError:
+        raise ValueError("malformed JSON body") from None
+    if not isinstance(body, dict):
+        raise ValueError("request body must be a JSON object")
+    messages = body.get("messages")
+    if messages is None:
+        messages = []
+    elif not isinstance(messages, list) or not all(isinstance(m, dict) for m in messages):
+        raise ValueError("messages must be a list of objects")
+    width = body.get("top_logprobs")
+    if width is None:
+        width = 0
+    elif type(width) is not int or width < 0:
+        raise ValueError(f"top_logprobs must be a non-negative integer, got {json.dumps(width)}")
+    assistant = next((m for m in reversed(messages) if m.get("role") == "assistant"), None)
+    if assistant is None:
+        return body, None, width
+    partial = assistant.get("content") or ""
+    if not isinstance(partial, str):
+        raise ValueError("assistant message content must be a string")
+    return body, partial, width
+
+
 def _make_handler(server: StubServer):
     class Handler(BaseHTTPRequestHandler):
         def log_message(self, fmt, *args):
@@ -157,20 +217,20 @@ def _make_handler(server: StubServer):
             if not self.path.endswith("/chat/completions"):
                 self._error(404, "unknown path")
                 return
-            length = int(self.headers.get("Content-Length", 0))
-            try:
-                body = json.loads(self.rfile.read(length) or b"{}")
-            except ValueError:
-                self._error(400, "malformed JSON body")
+            length = self.headers.get("Content-Length", "0")
+            if not (length.isascii() and length.isdigit()):
+                self._error(400, f"Content-Length must be a non-negative integer,"
+                                 f" got {length!r}")
                 return
-            messages = body.get("messages") or []
-            assistant = next(
-                (m for m in reversed(messages) if m.get("role") == "assistant"), None
-            )
-            if assistant is None:
-                self._main_stream(body)
+            try:
+                body, partial, width = _read_request(self.rfile.read(int(length)))
+            except ValueError as exc:
+                self._error(400, str(exc))
+                return
+            if partial is None:
+                self._main_stream(body, width)
             else:
-                self._branch(body, assistant.get("content") or "")
+                self._branch(partial)
 
         def _error(self, code: int, message: str):
             self._reply(code, {"error": {"message": message}})
@@ -195,12 +255,11 @@ def _make_handler(server: StubServer):
             )
             self.connection.close()
 
-        def _main_stream(self, body: dict):
+        def _main_stream(self, body: dict, width: int):
             if not body.get("stream"):
                 self._error(400, "stub serves the main generation as a stream")
                 return
             want_logprobs = bool(body.get("logprobs")) and server.serve_logprobs
-            width = int(body.get("top_logprobs") or 0)
             self.send_response(200)
             self.send_header("Content-Type", "text/event-stream")
             self.end_headers()
@@ -217,7 +276,7 @@ def _make_handler(server: StubServer):
             self._send(_sse(_chunk({}, finish="stop")))
             self._send(b"data: [DONE]\n\n")
 
-        def _branch(self, body: dict, partial: str):
+        def _branch(self, partial: str):
             matched, rest = server.match_prefix(partial)
             if not rest.startswith(server.terminator_text):
                 self._error(400, "assistant partial does not continue the trace")

@@ -393,11 +393,13 @@ class _Tee:
         return getattr(self._raw, name)
 
 
-def assert_served_bytes_match(trace, fail_after):
-    """Serve three request shapes twice each and compare every byte written
-    with parent_stream_events; the first request of a shape encodes every
-    step, the second writes the stored bytes."""
-    shapes = [(True, 2), (True, 513), (False, 513)] * 2
+def assert_served_bytes_match(trace, fail_after, widths=(2, 513), plain_widths=(513,)):
+    """Serve each request shape twice (logprobs on at each of widths, off at
+    each of plain_widths) and compare every byte written with
+    parent_stream_events; the first request of a shape encodes every step,
+    the second writes the stored bytes."""
+    shapes = [(True, w) for w in widths] + [(False, w) for w in plain_widths]
+    shapes *= 2
     with StubServer(trace, fail_after_steps=fail_after) as stub:
         logs = []
 
@@ -444,6 +446,38 @@ TEXT_STEPS = [
 ]
 
 
+# (chosen text, top-K pairs): texts that JSON must escape (a quote, a
+# backslash, control characters, non-ASCII, an astral emoji, a lone
+# surrogate) and logprobs whose shortest reprs are unusual; step 1's
+# chosen text sits below a width-2 cut
+ESCAPED_STEPS = [
+    ('say "hi"', [('say "hi"', -0.0), ("back\\slash", -800.0), ("new\nline", -1e16)]),
+    ("caf\u00e9", [("\t\x07\x1f", -1e-05), ("\U0001F600", -12.5), ("caf\u00e9", -1e22)]),
+    ("\ud800", [("\ud800", -5e-324), (7, -745.0), ("\x00", -1e300)]),
+    ("\U0001F600", [("\u2028", -2.675e-08), ("\U0001F600", -123456789.125), ("\x7f", -7.5e18)]),
+]
+
+
+def text_step_trace(rows):
+    """A validated trace of text tokens, whose watched id 0 is in no top-K."""
+    steps = []
+    for t, (text, pairs) in enumerate(rows):
+        topk = Distribution.from_topk_logprobs(pairs)
+        steps.append(StepObservation(
+            t=t, chosen_token=text, chosen_text=text, topk=topk,
+            watched_rank=len(pairs), censored=True, entropy=shannon_entropy(topk),
+            step_wall_time=0.01,
+        ))
+    trace = TraceFile(
+        header=TraceHeader(tokenizer="text", vocab_size=50, watched_token=0,
+                           source="test", seed=0),
+        steps=tuple(steps),
+        probes={len(steps): ("Final answer:", "42")},
+    )
+    trace.validate()
+    return trace
+
+
 class TestStubStreamBytes:
     @pytest.fixture(scope="class")
     def wide_trace(self):
@@ -454,22 +488,7 @@ class TestStubStreamBytes:
     @pytest.fixture(scope="class")
     def text_trace(self):
         """Text tokens, which go on the wire as recorded, and one id."""
-        steps = []
-        for t, (text, pairs) in enumerate(TEXT_STEPS):
-            topk = Distribution.from_topk_logprobs(pairs)
-            steps.append(StepObservation(
-                t=t, chosen_token=text, chosen_text=text, topk=topk,
-                watched_rank=len(pairs), censored=True, entropy=shannon_entropy(topk),
-                step_wall_time=0.01,
-            ))
-        trace = TraceFile(
-            header=TraceHeader(tokenizer="text", vocab_size=50, watched_token=0,
-                               source="test", seed=0),
-            steps=tuple(steps),
-            probes={len(steps): ("Final answer:", "42")},
-        )
-        trace.validate()
-        return trace
+        return text_step_trace(TEXT_STEPS)
 
     @pytest.mark.parametrize("fail_after", [None, 7], ids=["whole", "fail-after-7"])
     def test_served_bytes_match_per_request_encoding(self, wide_trace, fail_after):
@@ -478,6 +497,12 @@ class TestStubStreamBytes:
     @pytest.mark.parametrize("fail_after", [None, 2], ids=["whole", "fail-after-2"])
     def test_text_tokens_served_bytes_match(self, text_trace, fail_after):
         assert_served_bytes_match(text_trace, fail_after)
+
+    def test_escaped_texts_and_odd_floats_served_bytes_match(self):
+        trace = text_step_trace(ESCAPED_STEPS)
+        k = len(ESCAPED_STEPS[0][1])
+        widths = (0, 2, k, k + 5)
+        assert_served_bytes_match(trace, None, widths=widths, plain_widths=widths)
 
     def test_chosen_token_outside_the_served_top_k_has_logprob_zero(self, text_trace):
         with StubServer(text_trace) as stub:
@@ -509,6 +534,69 @@ def test_stub_construction_holds_no_copy_of_the_top_k():
         pass
     per_step = held / len(trace.steps)
     assert per_step < 1024, f"{per_step:.0f} B per step"
+
+
+def post(stub, body: bytes, length: str | None = None) -> tuple[int, bytes]:
+    """Status and payload of one POST to the stub, sent with length as its
+    Content-Length (the body's length by default)."""
+    host, port = stub._httpd.server_address[:2]
+    conn = http.client.HTTPConnection(host, port, timeout=10)
+    try:
+        conn.putrequest("POST", "/v1/chat/completions")
+        conn.putheader("Content-Length", str(len(body)) if length is None else length)
+        conn.endheaders(body)
+        response = conn.getresponse()
+        return response.status, response.read()
+    finally:
+        conn.close()
+
+
+def stream_request(**fields) -> bytes:
+    body = {"messages": [{"role": "user", "content": "q"}], "stream": True, "logprobs": True}
+    return json.dumps({**body, **fields}).encode("utf-8")
+
+
+class TestStubRequests:
+    def assert_rejected(self, status, payload, field):
+        assert status == 400
+        assert field in json.loads(payload)["error"]["message"]
+
+    @pytest.mark.parametrize("width", [-3, 2.7, True, False, "abc", [1], {"n": 1}])
+    def test_top_logprobs_must_be_a_non_negative_integer(self, stub, width):
+        self.assert_rejected(*post(stub, stream_request(top_logprobs=width)), "top_logprobs")
+
+    @pytest.mark.parametrize("body", [b"[]", b'"q"', b"3", b"null"])
+    def test_body_must_be_an_object(self, stub, body):
+        self.assert_rejected(*post(stub, body), "request body")
+
+    @pytest.mark.parametrize(
+        "messages", ["q", "", 0, {"role": "user"}, [1], [{"role": "user"}, "q"]]
+    )
+    def test_messages_must_be_a_list_of_objects(self, stub, messages):
+        self.assert_rejected(*post(stub, stream_request(messages=messages)), "messages")
+
+    def test_assistant_content_must_be_a_string(self, stub):
+        messages = [{"role": "user", "content": "q"}, {"role": "assistant", "content": 5}]
+        self.assert_rejected(*post(stub, stream_request(messages=messages)), "content")
+
+    @pytest.mark.parametrize("length", ["abc", "-5", "1.5", "1_0", ""])
+    def test_content_length_must_be_a_non_negative_integer(self, stub, length):
+        self.assert_rejected(*post(stub, b"{}", length), "Content-Length")
+
+    def test_malformed_json_body(self, stub):
+        self.assert_rejected(*post(stub, b"{"), "malformed JSON body")
+
+    @pytest.mark.parametrize(
+        "fields,served",
+        [({}, WIDTH), ({"top_logprobs": None}, WIDTH), ({"top_logprobs": 0}, WIDTH),
+         ({"top_logprobs": 2}, 2), ({"top_logprobs": WIDTH + 5}, WIDTH)],
+        ids=["missing", "null", "zero", "two", "above-K"],
+    )
+    def test_width_served(self, stub, fields, served):
+        status, payload = post(stub, stream_request(**fields))
+        assert status == 200
+        step = json.loads(payload.split(b"\n\n")[1].removeprefix(b"data: "))
+        assert len(step["choices"][0]["logprobs"]["content"][0]["top_logprobs"]) == served
 
 
 class TestPolicyParity:
