@@ -19,7 +19,9 @@ float64 logprob array.  It is sorted descending only when one vectorised
 check finds it is not already (a stable argsort, so ties keep server
 order), and rank and entropy are computed from those arrays.  An event
 of the wrong shape (a missing field, a non-numeric logprob, a payload
-that is not an object) ends the session with SessionError.
+that is not an object) or a top-K that is no distribution (a duplicate
+token, a NaN logprob) ends the session with SessionError naming the
+step, so the record keeps the steps before it.
 
 HTTP is the standard library's: urllib honours HTTP(S)_PROXY/NO_PROXY and
 verifies HTTPS against the system trust store.  The event stream is read
@@ -39,7 +41,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from .errors import CapabilityError, ConfigurationError, SessionError
+from .errors import CapabilityError, ConfigurationError, MalformedDistributionError, SessionError
 from .policy import Distribution, compute_rank, shannon_entropy
 from .trace import StepObservation
 
@@ -119,8 +121,9 @@ class EndpointFactory:
 _TOKEN = itemgetter("token")
 _LOGPROB = itemgetter("logprob")
 # what a malformed event raises while its fields are read: a missing key
-# or index, a value of the wrong type, or bytes that are not JSON
-_MALFORMED = (LookupError, TypeError, AttributeError, ValueError)
+# or index, a value of the wrong type, bytes that are not JSON, or a count
+# of 1e400, which json reads as inf
+_MALFORMED = (LookupError, TypeError, AttributeError, ValueError, OverflowError)
 
 
 class LiveSession:
@@ -198,18 +201,18 @@ class LiveSession:
             raise StopIteration
         try:
             step = self._next_token()
-        except (OSError, HTTPException, *_MALFORMED) as exc:
+            if step is not None:
+                return self._observe(*step)
+        except (OSError, HTTPException, MalformedDistributionError, *_MALFORMED) as exc:
             raise SessionError(
                 f"stream failed at step {self._t + 1}: {type(exc).__name__}: {exc}"
             ) from exc
-        if step is None:
-            if not self._saw_done:
-                raise SessionError(
-                    f"stream ended without completion sentinel at step {self._t + 1}"
-                )
-            self._exhausted = True
-            raise StopIteration
-        return self._observe(*step)
+        if not self._saw_done:
+            raise SessionError(
+                f"stream ended without completion sentinel at step {self._t + 1}"
+            )
+        self._exhausted = True
+        raise StopIteration
 
     def _next_token(self) -> tuple[str, object, list, np.ndarray] | None:
         """Next streamed token as (text, token, top-K tokens, top-K logprobs).

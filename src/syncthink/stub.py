@@ -3,11 +3,13 @@
 Speaks just enough of the OpenAI-compatible chat completions dialect for
 LiveSession: a streamed main generation with per-token top-K logprobs,
 and non-streamed branch completions for probes and injected stops.
-Branch requests are matched by the longest step-text prefix of the
-assistant partial, then answered from the trace's recorded probe
-branches (nearest recorded branch at or before the matched step).  A
-probe is answered only when it asks for that branch's recorded suffix,
-as a replay of the trace would be.
+Every answer comes from TraceFile.probe_at or answer_at, the rules replay
+calls, so a live run over the stub makes the record a replay makes.  A
+branch request is matched by the longest run of step texts prefixing its
+partial: a probe (after step t, the terminator, a newline and the suffix)
+reads probe_at(t, suffix), an injected stop (the terminator in place of
+step t) answer_at(t).  The natural answer streams one word per event with
+its whitespace; a trace with no natural stop streams none.
 
 Each step's streamed event is encoded once per request shape (logprobs
 on or off, top-K width), when the first request of that shape reaches
@@ -29,11 +31,13 @@ client's failure path.
 from __future__ import annotations
 
 import json
+import re
 import socket
 import struct
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+from .errors import UnsupportedProbeError
 from .synthetic import token_text
 from .trace import StepObservation, TraceFile
 
@@ -56,6 +60,9 @@ def _chunk(delta: dict, logprobs=None, finish=None) -> dict:
         "choices": [choice],
     }
 
+
+# a word with the whitespace before it and, the last one, after it
+_WORD = re.compile(r"\s*\S+(?:\s+\Z)?")
 
 # what _sse(_chunk(delta)) writes before the delta
 _CHUNK_HEAD = ('data: {"id":"stub-chunk","object":"chat.completion.chunk",'
@@ -269,31 +276,25 @@ def _make_handler(server: StubServer):
                     self._reset_connection()
                     return
                 self._send(server.step_event(i, want_logprobs, width))
-            answer = server.trace.answer_at(len(server.trace.steps))
-            for i, word in enumerate(answer.split()):
-                piece = word if i == 0 else " " + word
-                self._send(_sse(_chunk({"content": piece})))
+            stop = server.trace.natural_stop
+            if stop is not None:  # a trace that never stops has no answer
+                for piece in _WORD.findall(server.trace.answer_at(stop + 1)):
+                    self._send(_sse(_chunk({"content": piece})))
             self._send(_sse(_chunk({}, finish="stop")))
             self._send(b"data: [DONE]\n\n")
 
         def _branch(self, partial: str):
             matched, rest = server.match_prefix(partial)
-            if not rest.startswith(server.terminator_text):
+            terminator, newline, suffix = rest.partition("\n")
+            if terminator != server.terminator_text:
                 self._error(400, "assistant partial does not continue the trace")
                 return
-            # an injected stop ends at the terminator; a probe sends the
-            # terminator, a newline and its suffix, which must be the one
-            # recorded at the branch that answers it
-            branch = server.trace.branch_at(matched)
-            suffix, answer = branch or ("", "")
-            probe = rest[len(server.terminator_text):]
-            if probe and branch is None:
-                self._error(400, f"no probe branch recorded at or before step {matched}")
-                return
-            if probe and probe != "\n" + suffix:
-                sent = probe.removeprefix("\n")
-                self._error(400, f"probe suffix {sent!r} differs from the suffix {suffix!r}"
-                                 f" recorded at or before step {matched}")
+            # a probe's partial holds its decision step's own token
+            try:
+                answer = (server.trace.probe_at(matched - 1, suffix) if newline
+                          else server.trace.answer_at(matched))
+            except UnsupportedProbeError as exc:
+                self._error(400, str(exc))
                 return
             tokens = len(answer.split())
             self._reply(200, {

@@ -7,10 +7,11 @@ Every following line is one decoding step, its top-K as [token, logprob]
 pairs held in memory as one policy.Distribution.  Floats are written in
 their shortest round-trip form, so a parse/serialize cycle is byte-stable.
 
-Branch answers are keyed by the number of already-consumed tokens, so the
-same table serves probe forks (key t at decision point t), injected
-answers (key t: the terminator replaces step t's token) and the natural
-answer (key t+1: the terminator was step t's own token).
+Replay and StubServer read branch answers only through two rules.  A
+probe at decision step t reads key t, whose suffix must match; its live
+partial holds t + 1 tokens.  An answer reads the nearest key at or
+before the tokens kept: t for an injected stop at step t, t + 1 for a
+natural stop there.
 """
 
 from __future__ import annotations
@@ -104,15 +105,25 @@ class TraceFile:
                 watched.append(i)
         _check_end(len(self.steps), watched, self.natural_stop, self.probes)
 
-    def branch_at(self, consumed: int) -> tuple[str, str] | None:
-        """(suffix, answer) of the nearest recorded branch at or before `consumed` tokens."""
-        keys = [k for k in self.probes if k <= consumed]
-        return self.probes[max(keys)] if keys else None
+    def probe_at(self, t: int, suffix: str) -> str:
+        """Answer of the branch recorded at decision step t for suffix;
+        UnsupportedProbeError if none is, or it asked for another suffix."""
+        if not self.probes:
+            raise UnsupportedProbeError("trace records no probe branches")
+        if t not in self.probes:
+            raise UnsupportedProbeError(f"no probe branch recorded at step {t}")
+        recorded, answer = self.probes[t]
+        if recorded != suffix:
+            raise UnsupportedProbeError(
+                f"probe suffix {suffix!r} differs from the suffix {recorded!r}"
+                f" recorded at step {t}"
+            )
+        return answer
 
     def answer_at(self, consumed: int) -> str:
         """Answer of the nearest recorded branch at or before `consumed` tokens."""
-        branch = self.branch_at(consumed)
-        return branch[1] if branch else ""
+        keys = [k for k in self.probes if k <= consumed]
+        return self.probes[max(keys)][1] if keys else ""
 
 
 def _check_header(h: TraceHeader) -> None:
@@ -214,14 +225,21 @@ def _parse_header(obj: dict, where: str) -> tuple[TraceHeader, dict[int, tuple[s
             seed=int(obj["seed"]),
         )
         probes = {
-            int(key): (str(value[0]), str(value[1]))
-            for key, value in (obj.get("probes") or {}).items()
+            int(key): _parse_branch(value) for key, value in (obj.get("probes") or {}).items()
         }
         raw_stop = obj.get("natural_stop")
         natural_stop = None if raw_stop is None else int(raw_stop)
-    except (ValueError, IndexError, TypeError, AttributeError) as exc:
+    # OverflowError: an integer field holding 1e400, which json reads as inf
+    except (ValueError, TypeError, AttributeError, OverflowError) as exc:
         raise MalformedTraceError(f"{where}: bad header: {exc}") from exc
     return header, probes, natural_stop
+
+
+def _parse_branch(value) -> tuple[str, str]:
+    """A header probe value, a [suffix, answer] pair, as a tuple of texts."""
+    if not (isinstance(value, list) and len(value) == 2):
+        raise ValueError(f"probe branch must be a [suffix, answer] pair, got {value!r}")
+    return str(value[0]), str(value[1])
 
 
 def _parse_step(obj: dict, where: str, shared: dict[TokenId, TokenId]) -> StepObservation:
@@ -250,7 +268,7 @@ def _parse_step(obj: dict, where: str, shared: dict[TokenId, TokenId]) -> StepOb
             entropy=float(obj["entropy"]),
             step_wall_time=float(obj["step_wall_time"]),
         )
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise MalformedTraceError(f"{where}: bad step record: {exc}") from exc
 
 
@@ -302,7 +320,6 @@ class TraceReader:
         self.trace = trace
         self.watched_token: TokenId = trace.header.watched_token
         self._pos = 0
-        self._current_t: int | None = None
 
     @property
     def reference_length(self) -> int:
@@ -319,27 +336,11 @@ class TraceReader:
             raise StopIteration
         step = self.trace.steps[self._pos]
         self._pos += 1
-        self._current_t = step.t
         return step
 
     def probe_with_time(self, suffix: str) -> tuple[str, float]:
-        """Recorded branch answer at the current step, taking no time.
-
-        Raises UnsupportedProbeError when no branch is recorded there, or
-        when the branch recorded there asked for another suffix.
-        """
-        if not self.trace.probes:
-            raise UnsupportedProbeError("trace records no probe branches")
-        key = 0 if self._current_t is None else self._current_t
-        if key not in self.trace.probes:
-            raise UnsupportedProbeError(f"no probe branch recorded at step {key}")
-        recorded, answer = self.trace.probes[key]
-        if recorded != suffix:
-            raise UnsupportedProbeError(
-                f"probe suffix {suffix!r} differs from the suffix {recorded!r}"
-                f" recorded at step {key}"
-            )
-        return answer, 0.0
+        """Recorded probe answer at the last step read, taking no time."""
+        return self.trace.probe_at(self._pos - 1, suffix), 0.0
 
     def answer_after(self, t: int, injected: bool) -> tuple[str, int, float]:
         """Answer text after stopping at step t, with token count and time.

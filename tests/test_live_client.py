@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import gc
 import http.client
 import json
+import math
 import threading
 import time
 import tracemalloc
@@ -27,6 +29,7 @@ from syncthink.policy import (
     BaselineConfig,
     Distribution,
     PolicyConfig,
+    StopReason,
     compute_rank,
     shannon_entropy,
 )
@@ -72,20 +75,20 @@ def offline_config():
     return PolicyConfig(watched_token=3, pacing_cap=CAP)
 
 
-def run_live(factory, policy, **kw):
+def run_live(factory, policy, task_kind="numeric", **kw):
     session = open_session(factory)
     try:
         return run_generation(
-            session, policy, policy_config=live_config(), task_kind="numeric", **kw
+            session, policy, policy_config=live_config(), task_kind=task_kind, **kw
         )
     finally:
         session.close()
 
 
-def run_offline(trace, policy, **kw):
+def run_offline(trace, policy, task_kind="numeric", **kw):
     return run_generation(
         TraceReader(trace), policy, policy_config=offline_config(),
-        task_kind="numeric", **kw,
+        task_kind=task_kind, **kw,
     )
 
 
@@ -341,7 +344,8 @@ class TestDecisionLatency:
 
 def parent_stream_events(trace, logprobs, width, fail_after=None) -> list[bytes]:
     """The main stream's SSE events, each built and encoded from scratch
-    as StubServer did on every request before it kept encoded steps."""
+    as StubServer did on every request before it kept encoded steps; a
+    trace with no natural stop streams no answer."""
     watched = trace.header.watched_token
 
     def sse(delta, lp=None, finish=None):
@@ -368,9 +372,10 @@ def parent_stream_events(trace, logprobs, width, fail_after=None) -> list[bytes]
                 "top_logprobs": [{"token": tok, "logprob": value} for tok, value in top],
             }]}
         events.append(sse({"content": text}, lp))
-    answer = trace.probes[max(k for k in trace.probes if k <= len(trace.steps))][1]
-    for i, word in enumerate(answer.split()):
-        events.append(sse({"content": word if i == 0 else " " + word}))
+    if trace.natural_stop is not None:
+        answer = trace.probes[max(k for k in trace.probes if k <= len(trace.steps))][1]
+        for i, word in enumerate(answer.split()):
+            events.append(sse({"content": word if i == 0 else " " + word}))
     return events + [sse({}, finish="stop"), b"data: [DONE]\n\n"]
 
 
@@ -641,6 +646,54 @@ class TestPolicyParity:
         finally:
             session.close()
 
+    @pytest.mark.parametrize(
+        "build,policy,task_kind,kw,expected",
+        [
+            # a probe at decision step 64 reads key 64, a draft; key 65
+            # holds the committed answer, so a fork one key late stopped at 72
+            (lambda: generate_synthetic(SyntheticPhaseSpec(phase_lengths=(20, 40, 5, 40),
+                                                           seed=7), topk_width=WIDTH),
+             "answer_convergence", "numeric",
+             {"baseline_config": BaselineConfig(segment_len=8)}, {"stop_step": 80}),
+            # no natural stop: the stream runs dry with no answer event
+            (lambda: without_natural_stop(make_trace(), 250), "full", "numeric", {},
+             {"stop_step": 249, "reason": StopReason.BUDGET_EXHAUSTED, "answer_text": ""}),
+            # the natural answer keeps its whitespace and line break
+            (lambda: with_final_answer(make_trace(), "Working:  7 * 6\nSo it is 42"),
+             "full", "freeform", {},
+             {"answer_text": "Working:  7 * 6\nSo it is 42", "answer_tokens": 8,
+              "normalized_answer": "so it is 42"}),
+            (lambda: with_final_answer(make_trace(), "\t So it is\r\n 42 \n"),
+             "full", "freeform", {},
+             {"answer_text": "\t So it is\r\n 42 \n", "answer_tokens": 4}),
+        ],
+        ids=["probe-key-is-the-decision-step", "no-natural-stop", "answer-whitespace",
+             "answer-edge-whitespace"],
+    )
+    def test_live_matches_replay_through_the_trace_rules(
+        self, build, policy, task_kind, kw, expected
+    ):
+        live, replay = served_and_replayed(build(), policy, task_kind, **kw)
+        assert {f: getattr(live, f) for f in PARITY_FIELDS} == {
+            f: getattr(replay, f) for f in PARITY_FIELDS
+        }
+        assert live.complete
+        assert {f: getattr(live, f) for f in expected} == expected
+
+    def test_unrecorded_probe_step_fails_the_record_as_replay_does(self):
+        # branches at every fifth step; answer_convergence probes at 64
+        trace = generate_synthetic(SyntheticPhaseSpec(seed=7), topk_width=WIDTH, probe_every=5)
+        kw = {"baseline_config": BaselineConfig(segment_len=64)}
+        with StubServer(trace) as stub:
+            live = run_live(connect_endpoint(stub.base_url, "m", top_logprobs=WIDTH),
+                            "answer_convergence", **kw)
+        with pytest.raises(PolicyUnavailableError) as replay:
+            run_offline(trace, "answer_convergence", **kw)
+        assert not live.complete
+        assert live.error.startswith("SessionError: endpoint returned HTTP 400: ")
+        for error in (live.error, str(replay.value)):
+            assert "no probe branch recorded at step 64" in error
+
     def test_probe_for_another_suffix_fails_the_record_as_replay_does(self, factory, trace):
         # the trace's branches were recorded with "Final answer:"
         kw = {"baseline_config": BaselineConfig(segment_len=16,
@@ -653,6 +706,30 @@ class TestPolicyParity:
         for error in (live.error, str(replay.value)):
             assert "'Something else entirely:'" in error
             assert "'Final answer:'" in error
+
+
+# the record fields a live run over the stub must share with a replay
+PARITY_FIELDS = ("complete", "stop_step", "reason", "injected", "reasoning_tokens",
+                 "answer_tokens", "total_tokens", "answer_text", "normalized_answer")
+
+
+def served_and_replayed(trace, policy, task_kind, **kw):
+    """Records of one live run over a StubServer of trace and of one replay of it."""
+    with StubServer(trace) as stub:
+        factory = connect_endpoint(stub.base_url, "m", top_logprobs=WIDTH)
+        live = run_live(factory, policy, task_kind, **kw)
+    return live, run_offline(trace, policy, task_kind, **kw)
+
+
+def without_natural_stop(trace, n):
+    """The first n steps of trace, none of which emits the terminator."""
+    return TraceFile(header=trace.header, steps=trace.steps[:n],
+                     probes={k: v for k, v in trace.probes.items() if k <= n})
+
+
+def with_final_answer(trace, answer):
+    final = len(trace.steps)
+    return dataclasses.replace(trace, probes={**trace.probes, final: ("Final answer:", answer)})
 
 
 class TestCapabilityGates:
@@ -744,11 +821,18 @@ class TestFailureHandling:
                 [], {"choices": [{"message": {"content": 7}}]},
                 "none", "branch completion is malformed: TypeError",
             ),
+            (
+                # json writes 1e400 as Infinity, which the client reads as inf
+                [], {"choices": [{"message": {"content": "7"}}],
+                     "usage": {"completion_tokens": 1e400}},
+                "none", "branch completion is malformed: OverflowError",
+            ),
         ],
         ids=[
             "logprob-missing", "event-is-a-list", "logprob-null", "logprob-text",
             "content-not-text", "completion-tokens-null", "completion-tokens-text",
             "completion-tokens-negative", "completion-content-not-text",
+            "completion-tokens-1e400",
         ],
     )
     def test_malformed_event_fails_only_its_sample(
@@ -767,6 +851,30 @@ class TestFailureHandling:
             bad, good = run_batch(items, [policy], policy_config=live_config())
         assert not bad.complete
         assert "SessionError" in bad.error and error in bad.error, bad.error
+        assert good.complete
+
+    @pytest.mark.parametrize(
+        "top",
+        [[{"token": "d", "logprob": -0.1}, {"token": "d", "logprob": -2.5}],
+         [{"token": "d", "logprob": -0.1}, {"token": "e", "logprob": math.nan}]],
+        ids=["duplicate-token", "nan-logprob"],
+    )
+    def test_malformed_top_k_keeps_the_steps_before_it(self, factory, top):
+        events = [sse_event("a"), sse_event("b"), sse_event("c"), sse_event("d", top),
+                  sse_event("e")]
+        handler = type("Handler", (ScriptedHandler,), {"events": events, "completion": None})
+        with serving(handler) as url:
+            scripted = connect_endpoint(url, "m", top_logprobs=2)
+            items = [
+                BatchItem("bad", lambda: scripted.open_session(
+                    "q", watched_token=WATCHED_TEXT, pacing_cap=1)),
+                BatchItem("good", lambda: open_session(factory)),
+            ]
+            bad, good = run_batch(items, ["full"], policy_config=live_config())
+        assert not bad.complete
+        assert bad.error.startswith(
+            "SessionError: stream failed at step 3: MalformedDistributionError: "), bad.error
+        assert [t for t, _ in bad.rank_trajectory] == [0, 1, 2]
         assert good.complete
 
     def test_http_error_is_session_error(self):

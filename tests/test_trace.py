@@ -177,6 +177,30 @@ class TestIntegrity:
             with pytest.raises(MalformedTraceError, match="h.jsonl:1:"):
                 read_trace(str(path))
 
+    @pytest.mark.parametrize(
+        "line,field",
+        [(1, "vocab_size"), (1, "watched_token"), (1, "seed"), (1, "natural_stop"),
+         (4, "t"), (4, "watched_rank")],
+    )
+    def test_integer_field_of_1e400_names_its_line(self, tmp_path, line, field):
+        # json reads 1e400 as inf, and int(inf) raises OverflowError
+        path = tmp_path / "t.jsonl"
+        write_trace(make_trace([9, 7, 5, 2, 0], natural=True), str(path))
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[line - 1] = re.sub(rf'"{field}":\d+', f'"{field}":1e400', lines[line - 1])
+        path.write_text("".join(lines), encoding="utf-8")
+        with pytest.raises(MalformedTraceError, match="^" + re.escape(f"{path}:{line}: ")):
+            read_trace(str(path))
+
+    @pytest.mark.parametrize("value", ['{"a":1}', '["s","x","y"]', '"sx"'])
+    def test_probe_branch_must_be_a_pair(self, tmp_path, value):
+        path = tmp_path / "t.jsonl"
+        write_trace(make_trace([9, 7, 5], probes={3: ("s", "x")}), str(path))
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text.replace('"3":["s","x"]', f'"3":{value}'), encoding="utf-8")
+        with pytest.raises(MalformedTraceError, match="^" + re.escape(f"{path}:1: bad header")):
+            read_trace(str(path))
+
     def test_header_error_names_its_line(self, tmp_path):
         path = tmp_path / "h.jsonl"
         path.write_text('\n\n{"tokenizer":"x","vocab_size":10}\n')
