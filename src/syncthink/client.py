@@ -121,9 +121,10 @@ class EndpointFactory:
 _TOKEN = itemgetter("token")
 _LOGPROB = itemgetter("logprob")
 # what a malformed event raises while its fields are read: a missing key
-# or index, a value of the wrong type, bytes that are not JSON, or a count
-# of 1e400, which json reads as inf
-_MALFORMED = (LookupError, TypeError, AttributeError, ValueError, OverflowError)
+# or index, a value of the wrong type, bytes that are not JSON or nest too
+# deep to parse, or a count of 1e400, which json reads as inf
+_MALFORMED = (LookupError, TypeError, AttributeError, ValueError, OverflowError,
+              RecursionError)
 
 
 class LiveSession:
@@ -307,7 +308,7 @@ class LiveSession:
         with self._post(self._messages(assistant), stream=False, logprobs=False) as resp:
             try:
                 data = json.loads(resp.read())
-            except (OSError, HTTPException, ValueError) as exc:
+            except (OSError, HTTPException, ValueError, RecursionError) as exc:
                 raise SessionError(f"branch completion failed: {exc}") from exc
         try:
             text = data["choices"][0]["message"]["content"] or ""

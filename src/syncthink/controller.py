@@ -5,10 +5,11 @@ At each step the natural emission of the watched terminator is checked
 first, then the policy's step test (bound once per run), then the
 budget; a stream that runs dry counts as an exhausted budget.  After the
 loop the stop is decided once, the answer phase runs and the answer is
-normalized for scoring.  A record keeps only the decision made at its
-stop step; dynamic_threshold rebuilds a syncthink threshold at any step
-from the trajectories and the record's config.  Every record, complete
-or not, is built by _record.
+normalized for scoring.  A record stores each fact once: the rank and
+entropy at its stop are the last entries of its trajectories, and
+dynamic_threshold rebuilds a syncthink threshold at any step from them
+and the record's config.  Every record, complete or not, is built by
+_record, and read_records rebuilds each line through it.
 
 Timing is split three ways and sums exactly to the total: generation
 (recorded or measured step time, probes, answer), metric (policy
@@ -40,10 +41,8 @@ from .policy import (
     POLICIES,
     BaselineConfig,
     PolicyConfig,
-    StopDecision,
     StopReason,
     answer_convergence_stop,
-    dynamic_threshold,
     fixed_ratio_stop,
     should_stop,
 )
@@ -68,25 +67,12 @@ class GenerationRecord:
     total_tokens: int
     answer_text: str
     normalized_answer: str
-    decision: StopDecision | None
     rank_trajectory: tuple[tuple[int, int], ...]
     entropy_trajectory: tuple[tuple[int, float], ...]
     t_gen: float
     t_metric: float
     t_eval: float
     t_total: float
-
-    def validate(self) -> None:
-        if self.policy not in POLICIES:
-            raise ConfigurationError(f"unknown policy {self.policy!r}")
-        if self.total_tokens != self.reasoning_tokens + self.answer_tokens:
-            raise ConfigurationError("token counts do not add up")
-        if self.injected and self.reason is not StopReason.THRESHOLD_FIRED:
-            raise ConfigurationError("injected runs must end by a policy firing")
-        if self.reason is StopReason.NATURAL_TERMINATION and self.injected:
-            raise ConfigurationError("natural termination cannot be injected")
-        if abs(self.t_total - (self.t_gen + self.t_metric + self.t_eval)) > 1e-9:
-            raise ConfigurationError("timing breakdown does not sum to the total")
 
 
 def _snapshot_config(
@@ -157,7 +143,7 @@ def run_generation(
     step_times: list[float] = []
     probe_times: list[float] = []
     fires = _step_test(policy, source, pcfg, bcfg, full_length, task_kind, probe_times)
-    obs = reason = decision = None
+    obs = reason = None
     error = ""
     metric_seconds = 0.0
     try:
@@ -190,11 +176,8 @@ def run_generation(
     text, tokens, answer_seconds = "", 0, 0.0
     normalized, eval_seconds = "", 0.0
     if not error:
-        m0 = time.perf_counter()
         # a stream that ran dry without stopping has exhausted its budget
         reason = reason or StopReason.BUDGET_EXHAUSTED
-        decision = _stop_decision(policy, obs, pcfg, reason)
-        metric_seconds += time.perf_counter() - m0
         remaining = budget - (obs.t + 1)
         if reason is not StopReason.BUDGET_EXHAUSTED and remaining > 0:
             try:
@@ -214,7 +197,7 @@ def run_generation(
     probe_seconds = math.fsum(probe_times)
     return _record(
         sample_id, policy, config, error,
-        ranks=ranks, entropies=entropies, reason=reason, decision=decision,
+        ranks=ranks, entropies=entropies, reason=reason,
         answer=(text, tokens), normalized=normalized,
         t_gen=math.fsum(step_times) + probe_seconds + answer_seconds,
         t_metric=metric_seconds - probe_seconds,
@@ -255,7 +238,7 @@ def _step_test(policy: str, source, pcfg: PolicyConfig, bcfg: BaselineConfig,
 
 def _record(sample_id: str, policy: str, config: dict, error: str = "", *,
             ranks: Sequence = (), entropies: Sequence = (),
-            reason: StopReason | None = None, decision: StopDecision | None = None,
+            reason: StopReason | None = None,
             answer: tuple[str, int] = ("", 0), normalized: str = "",
             t_gen: float = 0.0, t_metric: float = 0.0, t_eval: float = 0.0) -> GenerationRecord:
     """The one constructor of a GenerationRecord; the defaults are a run of no steps.
@@ -267,7 +250,7 @@ def _record(sample_id: str, policy: str, config: dict, error: str = "", *,
     stop_step = ranks[-1][0] if reason is not None else None
     reasoning = len(ranks) if stop_step is None else stop_step + 1
     answer_text, answer_tokens = answer
-    record = GenerationRecord(
+    return GenerationRecord(
         sample_id=sample_id,
         policy=policy,
         config=config,
@@ -281,37 +264,12 @@ def _record(sample_id: str, policy: str, config: dict, error: str = "", *,
         total_tokens=reasoning + answer_tokens,
         answer_text=answer_text,
         normalized_answer=normalized,
-        decision=decision,
         rank_trajectory=tuple(ranks),
         entropy_trajectory=tuple(entropies),
         t_gen=t_gen,
         t_metric=t_metric,
         t_eval=t_eval,
         t_total=t_gen + t_metric + t_eval,
-    )
-    record.validate()
-    return record
-
-
-def _stop_decision(policy: str, obs, pcfg: PolicyConfig, reason: StopReason) -> StopDecision:
-    """The decision a record keeps, made at its stop step obs.
-
-    syncthink's threshold is dynamic_threshold at that step; a baseline's
-    is the rank when it fired and 0 otherwise.  A budget stop is a step
-    at which nothing fired.
-    """
-    rank = obs.watched_rank
-    if policy == "syncthink":
-        threshold = dynamic_threshold(obs.t, obs.entropy, pcfg)
-    else:
-        threshold = rank if reason is StopReason.THRESHOLD_FIRED else 0
-    stop = reason is not StopReason.BUDGET_EXHAUSTED
-    return StopDecision(
-        stop=stop,
-        threshold=threshold,
-        rank=rank,
-        entropy=obs.entropy,
-        reason=reason if stop else StopReason.NOT_TRIGGERED,
     )
 
 
@@ -378,55 +336,82 @@ def run_batch(
         return list(pool.map(run_job, jobs))
 
 
-def _optional(convert: Callable) -> Callable:
-    return lambda value: None if value is None else convert(value)
-
-
 def _pairs(value: list) -> tuple:
     return tuple((t, x) for t, x in value)
 
 
-# JSON form of the fields that are not JSON values as they stand; every
-# other field is written and read as it is
-_TO_OBJ = {
-    "reason": _optional(lambda reason: reason.value),
-    "decision": _optional(lambda d: {**vars(d), "reason": d.reason.value}),
-}
-_FROM_OBJ = {
-    "reason": _optional(StopReason),
-    "decision": _optional(lambda d: StopDecision(**{**d, "reason": StopReason(d["reason"])})),
-    "rank_trajectory": _pairs,
-    "entropy_trajectory": _pairs,
-}
 _RECORD_FIELDS = tuple(f.name for f in dataclasses.fields(GenerationRecord))
+# the JSON type of each field _record takes as it is given
+_PRIMARY_TYPES = {
+    "sample_id": str, "config": dict, "error": str, "answer_text": str,
+    "answer_tokens": int, "normalized_answer": str,
+    "t_gen": float, "t_metric": float, "t_eval": float,
+}
+# the fields _record derives from the others
+_DERIVED = ("complete", "stop_step", "injected", "reasoning_tokens", "total_tokens", "t_total")
 
 
 def record_to_obj(record: GenerationRecord) -> dict:
     """JSON object of a record, keys in field order; trajectories stay tuples."""
     obj = {name: getattr(record, name) for name in _RECORD_FIELDS}
-    for name, convert in _TO_OBJ.items():
-        obj[name] = convert(obj[name])
+    if record.reason is not None:
+        obj["reason"] = record.reason.value
     return obj
 
 
 def record_from_obj(obj: dict) -> GenerationRecord:
-    values = {name: obj[name] for name in _RECORD_FIELDS}
-    for name, convert in _FROM_OBJ.items():
-        values[name] = convert(values[name])
-    return GenerationRecord(**values)
+    """Rebuild a record through _record from its primary fields.
+
+    Raises TypeError or ValueError when a field has the wrong JSON type,
+    or when a stored derived field differs from the one rebuilt.  Keys
+    that are not fields, such as those of earlier record formats, are
+    ignored.
+    """
+    if obj["policy"] not in POLICIES:
+        raise ValueError(f"unknown policy {obj['policy']!r}")
+    for name, kind in _PRIMARY_TYPES.items():
+        if type(obj[name]) is not kind:
+            raise TypeError(f"{name} must be a JSON {kind.__name__}, got {obj[name]!r}")
+    if obj["answer_tokens"] < 0:
+        raise ValueError(f"answer_tokens must be >= 0, got {obj['answer_tokens']!r}")
+    if not all(math.isfinite(obj[name]) for name in ("t_gen", "t_metric", "t_eval")):
+        raise ValueError("times must be finite")
+    ranks, entropies = _pairs(obj["rank_trajectory"]), _pairs(obj["entropy_trajectory"])
+    _check_trajectories(ranks, entropies)
+    record = _record(
+        obj["sample_id"], obj["policy"], obj["config"], obj["error"],
+        ranks=ranks, entropies=entropies,
+        reason=None if obj["reason"] is None else StopReason(obj["reason"]),
+        answer=(obj["answer_text"], obj["answer_tokens"]),
+        normalized=obj["normalized_answer"],
+        t_gen=obj["t_gen"], t_metric=obj["t_metric"], t_eval=obj["t_eval"],
+    )
+    for name in _DERIVED:
+        stored, rebuilt = obj[name], getattr(record, name)
+        if type(stored) is not type(rebuilt) or stored != rebuilt:
+            raise ValueError(f"{name} is {stored!r} but the other fields give {rebuilt!r}")
+    return record
 
 
 def write_records(path: str, records: Iterable[GenerationRecord]) -> None:
     jsonl.write_lines(path, (record_to_obj(r) for r in records))
 
 
-def _check_trajectories(record: GenerationRecord) -> None:
-    # json.loads accepts NaN and Infinity, so a file can hold what the
-    # controller never writes
-    if not all(isinstance(rank, int) and rank >= 0 for _, rank in record.rank_trajectory):
-        raise ValueError("ranks must be finite and >= 0")
-    if not all(math.isfinite(h) and h >= 0 for _, h in record.entropy_trajectory):
-        raise ValueError("entropies must be finite and >= 0")
+def _check_trajectories(ranks: tuple, entropies: tuple) -> None:
+    """Entry i of each trajectory is [i, value]: an int rank, a float entropy.
+
+    json.loads accepts NaN and Infinity, so a file can hold what the
+    controller never writes.
+    """
+    if len(ranks) != len(entropies):
+        raise ValueError("rank and entropy trajectories differ in length")
+    for i, ((t, rank), (u, h)) in enumerate(zip(ranks, entropies)):
+        if not (type(t) is int and type(u) is int and t == u == i):
+            raise ValueError(f"trajectory entry {i} is not step {i}")
+        if not (type(rank) is int and rank >= 0):
+            raise ValueError("ranks must be finite and >= 0")
+        if not (type(h) is float and math.isfinite(h) and h >= 0):
+            raise ValueError("entropies must be finite and >= 0")
 
 
 def read_records(path: str) -> list[GenerationRecord]:
@@ -435,12 +420,9 @@ def read_records(path: str) -> list[GenerationRecord]:
     try:
         for lineno, obj in jsonl.read_lines(path):
             try:
-                record = record_from_obj(obj)
-                record.validate()
-                _check_trajectories(record)
-            except (KeyError, TypeError, ValueError, ConfigurationError) as exc:
+                records.append(record_from_obj(obj))
+            except (LookupError, TypeError, ValueError) as exc:
                 raise MalformedRecordError(f"{path}:{lineno}: bad record: {exc!r}") from exc
-            records.append(record)
     except ValueError as exc:  # not JSON; the message names path:line
         raise MalformedRecordError(str(exc)) from exc
     return records

@@ -68,7 +68,7 @@ def load_dataset(path: str, dataset: str | None = None) -> tuple[list[Sample], l
                 continue
             try:
                 obj = json.loads(line)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 errors.append((lineno, f"invalid JSON: {exc}"))
                 continue
             if not isinstance(obj, dict):

@@ -34,13 +34,14 @@ def write_lines(path: str, objects: Iterable[Any]) -> None:
 def read_lines(path: str) -> Iterator[tuple[int, Any]]:
     """Yield (1-based line number, parsed object), skipping blank lines.
 
-    A line that is not UTF-8 JSON raises ValueError naming path:line.
+    A line that is not UTF-8 JSON, or nests too deep for json.loads to
+    parse (RecursionError), raises ValueError naming path:line.
     """
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
             if line.strip():
                 try:
                     obj = json.loads(line)
-                except ValueError as exc:
+                except (ValueError, RecursionError) as exc:
                     raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
                 yield lineno, obj

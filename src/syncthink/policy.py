@@ -8,9 +8,7 @@ fires at step t when that rank is at or below
 so the bar rises as reasoning progresses and drops when the model is
 uncertain.  should_stop is that rule and returns a bool.  Baselines
 share the same decision-point shape: stop after a fixed fraction of a
-reference length, or once branch-probed answers stabilize.  A
-StopDecision records the one decision a run keeps, the one at its stop
-step.
+reference length, or once branch-probed answers stabilize.
 
 The per-step signals are computed over numpy arrays: a Distribution holds
 one token list and one float64 logprob array, and nothing derived from
@@ -46,7 +44,6 @@ class StopReason(str, Enum):
     THRESHOLD_FIRED = "threshold_fired"
     NATURAL_TERMINATION = "natural_termination"
     BUDGET_EXHAUSTED = "budget_exhausted"
-    NOT_TRIGGERED = "not_triggered"
 
 
 @dataclass(frozen=True)
@@ -124,32 +121,6 @@ class Distribution:
     def from_topk_logprobs(cls, pairs: Sequence[tuple[TokenId, float]]) -> "Distribution":
         """Build from (token, logprob) pairs; unseen mass becomes the tail."""
         return cls(*_columns(pairs))
-
-
-@dataclass(frozen=True)
-class StopDecision:
-    """Outcome of the decision point at a run's stop step.
-
-    stop=True with reason THRESHOLD_FIRED guarantees rank <= threshold;
-    stop=False always carries reason NOT_TRIGGERED.
-    """
-
-    stop: bool
-    threshold: int
-    rank: int
-    entropy: float
-    reason: StopReason
-
-    def __post_init__(self) -> None:
-        if self.stop and self.reason is StopReason.NOT_TRIGGERED:
-            raise ConfigurationError("stop=True requires a firing reason")
-        if not self.stop and self.reason is not StopReason.NOT_TRIGGERED:
-            raise ConfigurationError("stop=False requires reason=not_triggered")
-        if self.stop and self.reason is StopReason.THRESHOLD_FIRED:
-            if self.rank > self.threshold:
-                raise ConfigurationError(
-                    f"threshold_fired with rank {self.rank} > threshold {self.threshold}"
-                )
 
 
 Scores = Union[Distribution, Sequence[float], Sequence[tuple[TokenId, float]]]
@@ -256,8 +227,7 @@ def should_stop(t: int, observation, config: PolicyConfig) -> bool:
     min_steps and steps off the check_interval grid never fire.  Censored
     ranks participate unchanged: a rank censored at K can still only fire
     if K itself is at or below the threshold.  The rule runs on every
-    decoded step, so it builds nothing; the controller builds one
-    StopDecision per run, at its stop step.
+    decoded step, so it builds nothing.
     """
     if t < config.min_steps or t % config.check_interval:
         return False

@@ -185,7 +185,7 @@ def _read_request(raw: bytes) -> tuple[dict, str | None, int]:
     """
     try:
         body = json.loads(raw or b"{}")
-    except ValueError:
+    except (ValueError, RecursionError):
         raise ValueError("malformed JSON body") from None
     if not isinstance(body, dict):
         raise ValueError("request body must be a JSON object")

@@ -676,6 +676,44 @@ class TestAnalyze:
         assert rc == 2
 
 
+# a line nested this deep makes json.loads raise RecursionError, not ValueError
+DEEP = "[" * 100_000
+
+
+class TestDeeplyNestedLines:
+    def test_trace_step_line(self, workspace, tmp_path, capsys):
+        lines = Path(workspace["traces"][0]).read_text(encoding="utf-8").splitlines()
+        path = tmp_path / "deep.jsonl"
+        path.write_text("\n".join([*lines[:2], DEEP, *lines[3:]]) + "\n", encoding="utf-8")
+        rc = run_cli("run", "--traces", str(path), "--policy", "full",
+                     "--out", str(tmp_path / "out"))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:3: invalid JSON: "), err
+
+    def test_records_line(self, workspace, tmp_path, capsys):
+        run_out = tmp_path / "run"
+        assert run_cli("run", "--policy", "full",
+                       "--traces", workspace["traces"][0], "--out", str(run_out)) == 0
+        good = (run_out / "records.jsonl").read_text(encoding="utf-8")
+        path = tmp_path / "deep.jsonl"
+        path.write_text(good + DEEP + "\n", encoding="utf-8")
+        rc = run_cli("analyze", "--records", str(path), "--out", str(tmp_path / "an"))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:2: invalid JSON: "), err
+
+    def test_dataset_line(self, workspace, tmp_path, capsys):
+        gold = Path(workspace["gold"]).read_text(encoding="utf-8")
+        path = tmp_path / "gold.jsonl"
+        path.write_text(gold + DEEP + "\n", encoding="utf-8")
+        rc = run_cli("run", "--policy", "full", "--traces", *workspace["traces"],
+                     "--dataset", str(path), "--out", str(tmp_path / "out"))
+        assert rc == 0
+        err = capsys.readouterr().err
+        assert f"warning: {path}:11: invalid JSON: " in err, err
+
+
 class TestSaliency:
     @pytest.fixture()
     def tensor_files(self, tmp_path):

@@ -8,7 +8,7 @@ import math
 
 import pytest
 
-from syncthink import controller, policy as policy_module
+from syncthink import controller
 from syncthink.controller import (
     BatchItem,
     GenerationRecord,
@@ -32,7 +32,6 @@ from syncthink.policy import (
     BaselineConfig,
     Distribution,
     PolicyConfig,
-    StopDecision,
     StopReason,
     dynamic_threshold,
 )
@@ -125,14 +124,13 @@ class TestRunGeneration:
     def test_syncthink_decision_trail_is_consistent(self):
         reader = synth_reader(seed=1)
         record = run_generation(reader, "syncthink", task_kind="numeric")
-        last = record.decision
-        assert last.stop and last.rank <= last.threshold
-        assert last.reason is StopReason.THRESHOLD_FIRED
-        assert (record.stop_step, last.rank) == record.rank_trajectory[-1]
-        assert (record.stop_step, last.entropy) == record.entropy_trajectory[-1]
-        # the config rebuilds every earlier threshold: none of them fired
+        assert record.reason is StopReason.THRESHOLD_FIRED
+        # the rank and entropy at the stop are the trajectories' last entries
+        (t, rank), (u, entropy) = record.rank_trajectory[-1], record.entropy_trajectory[-1]
+        assert t == u == record.stop_step
+        # the config rebuilds every threshold: the stop step's fired, no earlier one did
         pcfg = PolicyConfig(**{k: v for k, v in record.config.items() if k != "budget"})
-        assert last.threshold == dynamic_threshold(record.stop_step, last.entropy, pcfg)
+        assert rank <= dynamic_threshold(record.stop_step, entropy, pcfg)
         for (t, rank), (_, entropy) in zip(
             record.rank_trajectory[:-1], record.entropy_trajectory[:-1]
         ):
@@ -298,24 +296,8 @@ class TestRunGeneration:
         # time are measured live and may differ
         assert a.t_gen == b.t_gen
 
-    def test_baseline_threshold_convention(self):
-        record = run_generation(
-            synth_reader(seed=0),
-            "fixed_ratio",
-            baseline_config=BaselineConfig(ratio=0.3),
-            task_kind="numeric",
-        )
-        decision = record.decision
-        assert decision.stop
-        assert decision.threshold == decision.rank
-        budget_hit = run_generation(
-            synth_reader(seed=0), "full", budget=50, task_kind="numeric"
-        ).decision
-        assert not budget_hit.stop
-        assert budget_hit.threshold == 0
 
-
-# every way a run can end; the decision a record keeps depends on which
+# every way a run can end; a record explains each from its own fields
 STOP_KINDS = (
     "threshold_fired",
     "natural_termination",
@@ -370,70 +352,39 @@ def stop_case(policy, kind):
     return FakeSource(steps, **source_kw), budget, stop, reason
 
 
-def rebuilt_decision(policy, record):
-    """The decision at the record's stop step, from its trajectories."""
-    if record.stop_step is None:
-        return None
-    (t, rank), (_, entropy) = record.rank_trajectory[-1], record.entropy_trajectory[-1]
-    fired = record.reason is StopReason.THRESHOLD_FIRED
-    if policy == "syncthink":
-        threshold = dynamic_threshold(t, entropy, STOP_PCFG)
-    else:
-        threshold = rank if fired else 0
-    stop = record.reason is not StopReason.BUDGET_EXHAUSTED
-    return StopDecision(
-        stop=stop,
-        threshold=threshold,
-        rank=rank,
-        entropy=entropy,
-        reason=record.reason if stop else StopReason.NOT_TRIGGERED,
-    )
+def stop_threshold(record):
+    """The syncthink threshold at the record's stop, from the record alone."""
+    pcfg = PolicyConfig(**{k: v for k, v in record.config.items() if k != "budget"})
+    return dynamic_threshold(record.stop_step, record.entropy_trajectory[-1][1], pcfg)
 
 
 class TestStopDecision:
     @pytest.mark.parametrize("policy,kind", STOP_CASES)
-    def test_kept_decision_is_the_stop_steps(self, policy, kind):
+    def test_record_explains_its_stop(self, policy, kind):
         source, budget, stop, reason = stop_case(policy, kind)
         record = run_generation(source, policy, budget=budget, **STOP_RUN)
         assert (record.stop_step, record.reason) == (stop, reason)
         assert record.complete == (kind not in ("session_error", "answer_error"))
-        assert record.decision == rebuilt_decision(policy, record)
+        assert record.injected == (reason is StopReason.THRESHOLD_FIRED)
         if stop is not None:
-            assert record.rank_trajectory[-1][0] == stop
-        if policy == "syncthink" and kind == "threshold_fired":
-            # the rank sits exactly at the bar, and that fires
-            assert record.decision.stop
-            assert record.decision.reason is StopReason.THRESHOLD_FIRED
-            assert record.decision.threshold == STOP_BAR == record.decision.rank
-        if policy == "syncthink" and kind == "budget_exhausted":
-            # a rank above the bar holds; the budget stops the run
-            assert not record.decision.stop
-            assert record.decision.reason is StopReason.NOT_TRIGGERED
-            assert record.decision.rank > record.decision.threshold
+            assert record.rank_trajectory[-1][0] == record.entropy_trajectory[-1][0] == stop
+        if policy == "syncthink" and stop is not None:
+            rank = record.rank_trajectory[-1][1]
+            if reason is StopReason.THRESHOLD_FIRED:
+                # the rank sits exactly at the bar, and that fires
+                assert stop_threshold(record) == STOP_BAR == rank
+            if reason is StopReason.BUDGET_EXHAUSTED:
+                # a rank above the bar holds; the budget stops the run
+                assert rank > stop_threshold(record)
 
     @pytest.mark.parametrize("policy,kind", STOP_CASES)
-    def test_one_decision_built_per_stopped_record(self, policy, kind, monkeypatch):
-        built = []
-
-        def counting(*args, **kwargs):
-            built.append(StopDecision(*args, **kwargs))
-            return built[-1]
-
-        # the rule and the controller both resolve the name at call time
-        monkeypatch.setattr(controller, "StopDecision", counting)
-        monkeypatch.setattr(policy_module, "StopDecision", counting)
-        source, budget, stop, _ = stop_case(policy, kind)
+    def test_record_reads_back(self, policy, kind, tmp_path):
+        source, budget, _, _ = stop_case(policy, kind)
         record = run_generation(source, policy, budget=budget, **STOP_RUN)
-        assert len(built) == (0 if stop is None else 1)
-        assert built == ([] if stop is None else [record.decision])
-
-    def test_no_decision_built_without_steps(self, monkeypatch):
-        built = []
-        monkeypatch.setattr(controller, "StopDecision", lambda **kw: built.append(kw))
-        for policy in POLICIES:
-            record = run_generation(FakeSource([]), policy, **STOP_RUN)
-            assert record.decision is None
-        assert built == []
+        path = str(tmp_path / "records.jsonl")
+        write_records(path, [record])
+        [back] = read_records(path)
+        assert record_fingerprint(back) == record_fingerprint(record)
 
 
 class TestTracedCallSites:
@@ -497,15 +448,6 @@ class TestRecordIO:
         path = str(tmp_path / "records.jsonl")
         write_records(path, records)
         assert read_records(path) == records
-        # one decision per record, the one made at its stop step
-        with open(path, encoding="utf-8") as fh:
-            lines = [json.loads(line) for line in fh]
-        for obj, record in zip(lines, records):
-            assert "decisions" not in obj
-            if record.stop_step is None:
-                assert obj["decision"] is None
-            else:
-                assert obj["decision"]["rank"] == record.rank_trajectory[-1][1]
 
     @pytest.mark.parametrize(
         "field,value,message",
@@ -528,6 +470,44 @@ class TestRecordIO:
         path.write_text(good + "\n" + json.dumps(obj) + "\n", encoding="utf-8")
         with pytest.raises(MalformedRecordError, match=f"bad.jsonl:2: .*{message} must be finite"):
             read_records(str(path))
+
+    @pytest.mark.parametrize(
+        "mutate,message",
+        [
+            (lambda obj: obj.update(stop_step=7), "stop_step is 7 but"),
+            (lambda obj: obj.update(reasoning_tokens=273, total_tokens=obj["total_tokens"] + 5),
+             "reasoning_tokens is 273 but"),
+            (lambda obj: obj.update(complete={"a": 1}), "complete is {'a': 1} but"),
+            (lambda obj: obj.update(stop_step=[1]), "stop_step is [1] but"),
+            (lambda obj: obj["rank_trajectory"][5].__setitem__(1, True), "ranks must be"),
+            (lambda obj: obj["rank_trajectory"][5].__setitem__(0, None),
+             "trajectory entry 5 is not step 5"),
+        ],
+        ids=["stop-step-7", "tokens-plus-5", "complete-object", "stop-step-list",
+             "rank-true", "step-index-null"],
+    )
+    def test_self_contradicting_record_names_the_line(self, tmp_path, mutate, message):
+        record = run_generation(synth_reader(seed=0), "syncthink", task_kind="numeric")
+        assert (record.stop_step, record.reasoning_tokens) == (267, 268)
+        good = json.dumps(record_to_obj(record))
+        obj = json.loads(good)
+        mutate(obj)
+        path = tmp_path / "bad.jsonl"
+        path.write_text(good + "\n" + json.dumps(obj) + "\n", encoding="utf-8")
+        with pytest.raises(MalformedRecordError) as info:
+            read_records(str(path))
+        assert str(info.value).startswith(f"{path}:2: bad record: ")
+        assert message in str(info.value)
+
+    def test_line_with_a_stored_decision_still_reads(self, tmp_path):
+        # earlier versions stored the decision at the stop step; it is ignored
+        record = run_generation(synth_reader(seed=0), "syncthink", task_kind="numeric")
+        obj = record_to_obj(record)
+        obj = {**obj, "decision": {"stop": True, "threshold": 13, "rank": 13,
+                                   "entropy": 0.25, "reason": "threshold_fired"}}
+        path = tmp_path / "old.jsonl"
+        path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+        assert read_records(str(path)) == [record]
 
     def test_obj_round_trip_preserves_incomplete(self):
         source = FakeSource([plain_step(t) for t in range(4)], fail_after=2)
@@ -598,7 +578,7 @@ class TestRunBatch:
             "complete": False, "error": "TraceIntegrityError: planted corruption",
             "stop_step": None, "injected": False, "reason": None,
             "reasoning_tokens": 0, "answer_tokens": 0, "total_tokens": 0,
-            "answer_text": "", "normalized_answer": "", "decision": None,
+            "answer_text": "", "normalized_answer": "",
             "rank_trajectory": (), "entropy_trajectory": (),
             "t_gen": 0.0, "t_metric": 0.0, "t_eval": 0.0, "t_total": 0.0,
         }

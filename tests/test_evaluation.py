@@ -133,7 +133,6 @@ def make_record(
         total_tokens=reasoning_tokens + (answer_tokens if complete else 0),
         answer_text=normalized_answer,
         normalized_answer=normalized_answer,
-        decision=None,
         rank_trajectory=(),
         entropy_trajectory=(),
         t_gen=t_total,

@@ -1,5 +1,6 @@
-"""The package's modules import each other without a cycle, and every
-name the benchmark tracer wraps exists."""
+"""The package's modules import each other without a cycle, every name
+the benchmark tracer wraps exists, and every name README imports from the
+package resolves."""
 
 from __future__ import annotations
 
@@ -15,7 +16,9 @@ import syncthink
 
 PACKAGE = "syncthink"
 SOURCE = pathlib.Path(syncthink.__file__).parent
-TRACER = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
+README = ROOT / "README.md"
 
 
 def module_name(path: pathlib.Path) -> str:
@@ -79,3 +82,23 @@ def tracer_targets() -> list[tuple[str, str, str]]:
 def test_tracer_target_resolves(module, path):
     # a renamed function would otherwise break only the traced benchmark run
     functools.reduce(getattr, path.split("."), importlib.import_module(module))
+
+
+def readme_imports() -> list[str]:
+    """Every name a `from syncthink import ...` line of README.md imports."""
+    names = []
+    for line in README.read_text(encoding="utf-8").splitlines():
+        if line.lstrip().startswith(f"from {PACKAGE} import "):
+            [node] = ast.parse(line.strip()).body
+            names += [alias.name for alias in node.names]
+    return names
+
+
+def test_readme_imports_resolve():
+    names = readme_imports()
+    assert names, "README imports nothing from the package"
+    assert [name for name in names if not hasattr(syncthink, name)] == []
+
+
+def test_exports_resolve():
+    assert [name for name in syncthink.__all__ if not hasattr(syncthink, name)] == []

@@ -239,7 +239,8 @@ class FiringHoldingHandler(BaseHTTPRequestHandler):
 
 
 class ScriptedHandler(BaseHTTPRequestHandler):
-    """Streams `events` and answers branch requests with `completion`."""
+    """Streams `events` and answers branch requests with `completion`,
+    JSON-encoded unless it is bytes already."""
 
     protocol_version = "HTTP/1.0"
     events: list[bytes]
@@ -255,7 +256,8 @@ class ScriptedHandler(BaseHTTPRequestHandler):
         else:
             self.send_header("Content-Type", "application/json")
             self.end_headers()
-            self.wfile.write(json.dumps(self.completion).encode())
+            body = self.completion
+            self.wfile.write(body if isinstance(body, bytes) else json.dumps(body).encode())
 
     def log_message(self, fmt, *args):
         pass
@@ -591,6 +593,10 @@ class TestStubRequests:
     def test_malformed_json_body(self, stub):
         self.assert_rejected(*post(stub, b"{"), "malformed JSON body")
 
+    def test_json_body_nested_too_deep(self, stub):
+        # json.loads raises RecursionError, not ValueError, on this body
+        self.assert_rejected(*post(stub, b"[" * 5000), "malformed JSON body")
+
     @pytest.mark.parametrize(
         "fields,served",
         [({}, WIDTH), ({"top_logprobs": None}, WIDTH), ({"top_logprobs": 0}, WIDTH),
@@ -827,12 +833,16 @@ class TestFailureHandling:
                      "usage": {"completion_tokens": 1e400}},
                 "none", "branch completion is malformed: OverflowError",
             ),
+            # nested too deep for json.loads, which raises RecursionError
+            ([b"data: " + b"[" * 100_000 + b"\n\n"], None, "full",
+             "stream failed at step 1: RecursionError"),
+            ([], b"[" * 100_000, "none", "branch completion failed: maximum recursion depth"),
         ],
         ids=[
             "logprob-missing", "event-is-a-list", "logprob-null", "logprob-text",
             "content-not-text", "completion-tokens-null", "completion-tokens-text",
             "completion-tokens-negative", "completion-content-not-text",
-            "completion-tokens-1e400",
+            "completion-tokens-1e400", "event-nested-too-deep", "completion-nested-too-deep",
         ],
     )
     def test_malformed_event_fails_only_its_sample(

@@ -17,8 +17,6 @@ from syncthink.policy import (
     BaselineConfig,
     Distribution,
     PolicyConfig,
-    StopDecision,
-    StopReason,
     answer_convergence_stop,
     compute_rank,
     dynamic_threshold,
@@ -327,8 +325,8 @@ class _Obs:
 
 
 class TestShouldStop:
-    # the decision a record keeps at its stop step, with its threshold and
-    # reason, is checked in test_controller.py::TestStopDecision
+    # how a record explains its stop from its trajectories and config is
+    # checked in test_controller.py::TestStopDecision
 
     def test_fires_when_rank_at_threshold(self):
         cfg = PolicyConfig(watched_token=3, entropy_weight=0.8, min_steps=0)
@@ -357,23 +355,6 @@ class TestShouldStop:
         cfg = PolicyConfig(min_steps=0, entropy_weight=0.0, pacing_cap=512)
         assert should_stop(64, _Obs(65, 0.0), cfg) is False
         assert should_stop(65, _Obs(65, 0.0), cfg) is True
-
-    def test_decision_invariant_enforced(self):
-        with pytest.raises(ConfigurationError):
-            StopDecision(
-                stop=True, threshold=2, rank=5, entropy=0.0,
-                reason=StopReason.THRESHOLD_FIRED,
-            )
-        with pytest.raises(ConfigurationError):
-            StopDecision(
-                stop=True, threshold=0, rank=0, entropy=0.0,
-                reason=StopReason.NOT_TRIGGERED,
-            )
-        with pytest.raises(ConfigurationError):
-            StopDecision(
-                stop=False, threshold=0, rank=0, entropy=0.0,
-                reason=StopReason.THRESHOLD_FIRED,
-            )
 
 
 class TestConfigValidation:
