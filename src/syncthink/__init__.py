@@ -11,22 +11,25 @@ The package exports the names README's examples import; everything else
 is imported from its module (syncthink.policy, syncthink.controller, ...).
 """
 
-from .client import connect_endpoint
-from .controller import run_generation
-from .policy import PolicyConfig
-from .stub import StubServer
-from .synthetic import SyntheticPhaseSpec, generate_synthetic
-from .trace import open_trace
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "PolicyConfig",
-    "StubServer",
-    "SyntheticPhaseSpec",
-    "connect_endpoint",
-    "generate_synthetic",
-    "open_trace",
-    "run_generation",
-    "__version__",
-]
+# each exported name -> the module that defines it, imported on first access,
+# so that importing one submodule (the stub process imports syncthink.stub)
+# loads no other
+_EXPORTS = {
+    "PolicyConfig": "policy", "StubServer": "stub", "SyntheticPhaseSpec": "synthetic",
+    "connect_endpoint": "client", "generate_synthetic": "synthetic",
+    "open_trace": "trace", "run_generation": "controller",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value
+    return value

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import re
 from dataclasses import dataclass, replace
 
@@ -51,6 +52,20 @@ class Sample:
             raise ConfigurationError("sample_id must be non-empty")
 
 
+_DATASET_FIELDS = ("id", "question", "gold", "task_kind")
+
+
+def _field_text(key: str, value) -> str:
+    """A dataset field as text: a string, or an int or finite float written
+    by str(); null, a bool, a list, an object or 1e400 raise ValueError."""
+    if isinstance(value, str):
+        return value
+    if type(value) is int or (type(value) is float and math.isfinite(value)):
+        return str(value)
+    shown = {list: "a list", dict: "an object"}.get(type(value)) or json.dumps(value)
+    raise ValueError(f"field {key!r} must be a string or a finite number, got {shown}")
+
+
 def load_dataset(path: str, dataset: str | None = None) -> tuple[list[Sample], list[tuple[int, str]]]:
     """Read samples from JSONL; malformed lines, non-UTF-8 ones too, are reported.
 
@@ -78,16 +93,22 @@ def load_dataset(path: str, dataset: str | None = None) -> tuple[list[Sample], l
             if missing:
                 errors.append((lineno, f"missing fields: {', '.join(missing)}"))
                 continue
-            sample_id = str(obj["id"])
+            try:
+                fields = {key: _field_text(key, obj[key]) for key in _DATASET_FIELDS
+                          if key in obj}
+            except ValueError as exc:
+                errors.append((lineno, str(exc)))
+                continue
+            sample_id = fields["id"]
             if sample_id in seen:
                 errors.append((lineno, f"duplicate id {sample_id!r}"))
                 continue
             try:
                 sample = Sample(
                     sample_id=sample_id,
-                    question=str(obj["question"]),
-                    gold=str(obj["gold"]),
-                    task_kind=str(obj.get("task_kind", "freeform")),
+                    question=fields["question"],
+                    gold=fields["gold"],
+                    task_kind=fields.get("task_kind", "freeform"),
                     dataset=dataset,
                 )
             except ConfigurationError as exc:

@@ -24,6 +24,15 @@ def dumps(obj: Any) -> str:
     return json.dumps(obj, ensure_ascii=False, separators=(",", ":"), allow_nan=False)
 
 
+def float_texts(values: list[float]) -> list[str]:
+    """Each float's text as dumps writes it, from one C-level encode of the list.
+
+    No float's text holds a comma, so the list's text splits into them.
+    NaN and infinities raise ValueError.
+    """
+    return dumps(values)[1:-1].split(",") if values else []
+
+
 def write_lines(path: str, objects: Iterable[Any]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for obj in objects:

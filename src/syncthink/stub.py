@@ -15,9 +15,12 @@ Each step's streamed event is encoded once per request shape (logprobs
 on or off, top-K width), when the first request of that shape reaches
 the step, and later requests of that shape write the stored bytes.  A
 logprobs event is spliced as text: each distinct token's entry head
-(`{"token":...,"logprob":`) is built once at construction, and one
-json.dumps of the step's logprobs gives every float's text; the bytes
-are those json.dumps writes for the event's dicts.  A first encode of a
+(`{"token":...,"logprob":`) is built once at construction, and
+jsonl.float_texts, which trace.write_trace also splices with, gives every
+float's text from one encode of the step's logprobs; the bytes are those
+json.dumps writes for the event's dicts (a non-finite logprob, which a
+validated trace cannot hold, raises ValueError instead of going out as
+NaN or Infinity).  A first encode of a
 K = 513 event costs about 0.8x the client's whole ingest of it (1.15x
 its json.loads alone), and most of it is the float reprs, so the stored
 bytes still keep a re-encode per request from pacing the client.  The
@@ -37,6 +40,7 @@ import struct
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+from . import jsonl
 from .errors import UnsupportedProbeError
 from .synthetic import token_text
 from .trace import StepObservation, TraceFile
@@ -130,10 +134,7 @@ class StubServer:
         each logprob."""
         cut = slice(width or None)
         entries = list(map(self._entries.__getitem__, step.topk.tokens[cut]))
-        # one C-level encode writes every float as json.dumps would inside
-        # the event; no float's text holds a comma
-        lps = json.dumps(step.topk.logprobs[cut].tolist(), separators=(",", ":"))
-        values = lps[1:-1].split(",")
+        values = jsonl.float_texts(step.topk.logprobs[cut].tolist())
         text = json.dumps(step.chosen_text)
         # the chosen text's last entry, the one dict(zip(tokens, lps)) would
         # keep: equal wire texts have equal entry heads

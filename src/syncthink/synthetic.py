@@ -31,6 +31,11 @@ DEFAULT_WATCHED_TOKEN = 3
 
 # cells of one (steps x outcomes) matrix block in the temperature solve
 _BLOCK_CELLS = 1 << 16
+# sharpness values of the shared starting table, which also bracket the
+# root, and the Newton steps after it: from this table 5 steps already
+# meet the 1e-13 oracle of tests/test_synthetic.py, the sixth is margin
+_GRID_BETAS = np.geomspace(1e-9, 80.0, 64)
+_NEWTON_STEPS = 6
 
 
 @dataclass(frozen=True)
@@ -124,36 +129,51 @@ def _softmax_logprobs(targets: np.ndarray, width: int) -> np.ndarray:
     """Per-step top-width logprobs of a softmax whose entropy hits each target.
 
     Outcomes are width explicit tokens plus one tail lump with energies
-    0..width.  Entropy is strictly decreasing in the sharpness, so a
-    64-step bisection solves it to machine precision.  Each row is solved
-    on its own, over blocks of about _BLOCK_CELLS matrix cells (at least
-    one row), so nothing but the result grows with the step count.  A
-    row's sums do not depend on the rows beside it, so the block size
-    changes no bit of the result.
+    u = 0..width, so a row with sharpness beta has entropy
+    H(beta) = beta * E[u] + log Z, strictly decreasing with
+    H'(beta) = -beta * Var(u).  Each row starts from one shared table of
+    H over _GRID_BETAS, interpolated in log beta, which also brackets the
+    root; then _NEWTON_STEPS safeguarded Newton steps, each one pass over
+    the row (a step that leaves the bracket bisects it instead), and one
+    last pass writes the logprobs.  Against an exact (mpmath) softmax
+    every logprob is within 1e-13 relative and |H - target| <= 1e-13 at
+    widths 1 to 513.
+
+    Rows are solved over blocks of about _BLOCK_CELLS matrix cells (at
+    least one row), so nothing but the result grows with the step count.
+    Every operation is elementwise or a reduction along one row, so the
+    block size changes no bit of the result.
     """
     u = np.arange(width + 1, dtype=float)
 
-    def entropy_of(beta: np.ndarray) -> np.ndarray:
-        w = np.exp(-np.outer(beta, u))
+    def entropy_and_slope(beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        w = np.exp(-beta[:, None] * u)
         z = w.sum(axis=1)
-        p = w / z[:, None]
-        mean_u = (p * u).sum(axis=1)
-        return beta * mean_u + np.log(z)
+        wu = w * u
+        mean_u = wu.sum(axis=1) / z
+        var_u = (wu * u).sum(axis=1) / z - mean_u * mean_u
+        return beta * mean_u + np.log(z), -beta * var_u
 
+    grid_h = entropy_and_slope(_GRID_BETAS)[0]  # decreasing
+    log_grid = np.log(_GRID_BETAS)
     logprobs = np.empty((len(targets), width))
     rows = max(1, _BLOCK_CELLS // (width + 1))
     for start in range(0, len(targets), rows):
         block = targets[start : start + rows]
-        lo = np.full(block.shape, 1e-9)
-        hi = np.full(block.shape, 80.0)
-        for _ in range(64):
-            mid = 0.5 * (lo + hi)
-            too_flat = entropy_of(mid) > block
-            lo = np.where(too_flat, mid, lo)
-            hi = np.where(too_flat, hi, mid)
-        beta = 0.5 * (lo + hi)
-        log_z = np.log(np.exp(-np.outer(beta, u)).sum(axis=1))
-        logprobs[start : start + rows] = -np.outer(beta, u[:width]) - log_z[:, None]
+        j = np.clip(np.searchsorted(-grid_h, -block), 1, len(_GRID_BETAS) - 1)
+        lo, hi = _GRID_BETAS[j - 1], _GRID_BETAS[j]
+        frac = (grid_h[j - 1] - block) / (grid_h[j - 1] - grid_h[j])
+        beta = np.exp(log_grid[j - 1] + frac * (log_grid[j] - log_grid[j - 1]))
+        for _ in range(_NEWTON_STEPS):
+            h, slope = entropy_and_slope(beta)
+            too_flat = h > block
+            lo = np.where(too_flat, beta, lo)
+            hi = np.where(too_flat, hi, beta)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = beta - (h - block) / slope
+            beta = np.where((lo <= step) & (step <= hi), step, 0.5 * (lo + hi))
+        log_z = np.log(np.exp(-beta[:, None] * u).sum(axis=1))
+        logprobs[start : start + rows] = -beta[:, None] * u[:width] - log_z[:, None]
     return logprobs
 
 
@@ -221,13 +241,18 @@ def generate_synthetic(
     max_rank = int(ranks.max())
     vocab_size = max(max_rank + 2, topk_width + 2, watched_token + 2)
 
+    # a step's ids depend only on min(rank, topk_width): one list per class
+    ids_by_rank: dict[int, list[int]] = {}
     steps: list[StepObservation] = []
     for t in range(total):
         rank = int(ranks[t])
-        if rank < topk_width:
-            ids = filler_pool[:rank] + [watched_token] + filler_pool[rank : topk_width - 1]
-        else:
-            ids = filler_pool[:topk_width]
+        ids = ids_by_rank.get(min(rank, topk_width))
+        if ids is None:
+            if rank < topk_width:
+                ids = filler_pool[:rank] + [watched_token] + filler_pool[rank : topk_width - 1]
+            else:
+                ids = filler_pool[:topk_width]
+            ids_by_rank[min(rank, topk_width)] = ids
         topk = Distribution(ids, logprobs[t])
         entropy = shannon_entropy(topk)
         chosen = ids[0]

@@ -6,6 +6,9 @@ metadata: the natural stop step, if any, and recorded branch answers.
 Every following line is one decoding step, its top-K as [token, logprob]
 pairs held in memory as one policy.Distribution.  Floats are written in
 their shortest round-trip form, so a parse/serialize cycle is byte-stable.
+write_trace splices each step line from one encode of its other fields,
+a cached text per distinct token and the float texts of one encode of
+the logprob row; the bytes are those jsonl.dumps writes for the row.
 
 Replay and StubServer read branch answers only through two rules.  A
 probe at decision step t reads key t, whose suffix must match; its live
@@ -18,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import Iterator
 
 from . import jsonl
@@ -197,19 +199,47 @@ def _check_end(n_steps: int, watched: list[int], natural_stop: int | None, probe
             raise TraceIntegrityError(f"probe key {key} out of range")
 
 
-def _step_row(step: StepObservation) -> dict:
-    pairs = zip(step.topk.tokens, step.topk.logprobs.tolist())
-    return {**vars(step), "topk": [[tok, lp] for tok, lp in pairs]}
+def _pair_heads(tokens, heads: dict[TokenId, str]) -> list[str]:
+    """Each top-K pair's `],[token,` text.  Exact int and str tokens share one
+    cached text in `heads`; a step holding any other type encodes its own,
+    since a dict takes 1, 1.0 and true for one key."""
+    if not set(map(type, tokens)) <= {int, str}:
+        return ["],[" + jsonl.dumps(tok) + "," for tok in tokens]
+    for tok in set(tokens).difference(heads):
+        heads[tok] = "],[" + jsonl.dumps(tok) + ","
+    return list(map(heads.__getitem__, tokens))
+
+
+def _step_line(step: StepObservation, heads: dict[TokenId, str]) -> str:
+    """The text jsonl.dumps writes for the step with topk as [token, logprob]
+    pairs, spliced from one encode of the other fields, each pair's head
+    and the float texts of the logprob row.  The fields after topk are
+    numbers and a bool, so the last `"topk":0` is the key itself."""
+    head, _, tail = jsonl.dumps({**vars(step), "topk": 0}).rpartition('"topk":0')
+    values = jsonl.float_texts(step.topk.logprobs.tolist())
+    pairs = _pair_heads(step.topk.tokens, heads)
+    # each head before its float text, as many pairs as zip would make
+    n = min(len(pairs), len(values))
+    pieces = [""] * (2 * n)
+    pieces[::2], pieces[1::2] = pairs[:n], values[:n]
+    if n:
+        pieces[0] = pieces[0][2:]  # the first pair drops its head's "],"
+        pieces.append("]")  # and the last pair closes
+    return head + '"topk":[' + "".join(pieces) + "]" + tail
 
 
 def write_trace(trace: TraceFile, path: str) -> None:
+    """Write the header line, then one line per step (see _step_line)."""
     header = {
         **vars(trace.header),
         "natural_stop": trace.natural_stop,
         "probes": {str(k): trace.probes[k] for k in sorted(trace.probes)},
     }
-    # one row at a time, so only one step's [token, logprob] lists exist
-    jsonl.write_lines(path, chain([header], map(_step_row, trace.steps)))
+    heads: dict[TokenId, str] = {}  # one `],[token,` text per distinct token
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(jsonl.dumps(header) + "\n")
+        for step in trace.steps:
+            fh.write(_step_line(step, heads) + "\n")
 
 
 def _parse_header(obj: dict, where: str) -> tuple[TraceHeader, dict[int, tuple[str, str]], int | None]:

@@ -98,6 +98,26 @@ class TestLoadDataset:
         assert [lineno for lineno, _ in errors] == [2, 3, 4, 5, 6]
         assert "duplicate id" in errors[3][1]
 
+    def test_fields_that_are_not_text_or_numbers_are_refused(self, tmp_path):
+        # str() once made these id 'None', question "['q']" and gold 'inf'
+        path = self.write(tmp_path, [
+            '{"id": null, "question": ["q"], "gold": null}',
+            '{"id": "a", "question": "q", "gold": 1e400}',
+            '{"id": "b", "question": {"q": 1}, "gold": "4"}',
+            '{"id": true, "question": "q", "gold": "4"}',
+            '{"id": "c", "question": "q", "gold": "4", "task_kind": null}',
+            '{"id": 7, "question": "q", "gold": 4.5, "task_kind": "numeric"}',
+        ])
+        samples, errors = load_dataset(path)
+        assert [(s.sample_id, s.gold) for s in samples] == [("7", "4.5")]
+        assert errors == [
+            (1, "field 'id' must be a string or a finite number, got null"),
+            (2, "field 'gold' must be a string or a finite number, got Infinity"),
+            (3, "field 'question' must be a string or a finite number, got an object"),
+            (4, "field 'id' must be a string or a finite number, got true"),
+            (5, "field 'task_kind' must be a string or a finite number, got null"),
+        ]
+
     def test_line_that_is_not_utf8_is_reported_not_fatal(self, tmp_path):
         path = tmp_path / "demo.jsonl"
         good = json.dumps({"id": "ok", "question": "café?", "gold": "é"}, ensure_ascii=False)

@@ -1,11 +1,13 @@
-"""Seeded single-field mutations of trace and records lines.
+"""Seeded single-field mutations of trace, records and dataset lines.
 
 Each case changes one value of one line, at any depth (a header field, a
 probe branch, a top-K entry, a trajectory pair), to null, a bool, 1e400,
 a list, an object or a string, or deletes one key.  A reader either
 accepts the mutated file or raises its documented error naming the file
 and line.  Run through the CLI, a file the reader refuses makes the
-command exit 1 or 2 with an error line and no traceback.
+command exit 1 or 2 with an error line and no traceback.  The dataset
+reader reports a bad line instead of raising, and loads only strings and
+numbers as a sample's text.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import pytest
 
 from syncthink.cli import main
 from syncthink.controller import read_records, run_generation, write_records
+from syncthink.evaluation import TASK_KINDS, load_dataset
 from syncthink.errors import MalformedRecordError, MalformedTraceError, TraceIntegrityError
 from syncthink.policy import POLICIES, BaselineConfig
 from syncthink.synthetic import SyntheticPhaseSpec, generate_synthetic
@@ -147,3 +150,28 @@ def test_records_lines(tmp_path, capsys):
     for path in refused:
         assert_cli_fails_cleanly(["analyze", "--records", path,
                                   "--out", str(tmp_path / "out")], capsys)
+
+
+def test_dataset_lines(tmp_path):
+    lines = [json.dumps({"id": f"q{i}", "question": "2+2?", "gold": "4",
+                         "task_kind": "numeric"}) for i in range(3)]
+    faults = []
+    for i, (mutant, what) in enumerate(mutants(lines, 1603)):
+        path = tmp_path / f"case{i}.jsonl"
+        path.write_text("\n".join(mutant) + "\n", encoding="utf-8")
+        try:
+            samples, errors = load_dataset(str(path))
+        except Exception as exc:  # noqa: BLE001 - the reader reports, never raises
+            faults.append(f"{what}: {type(exc).__name__}: {exc}")
+            continue
+        [lineno] = [n for n, (a, b) in enumerate(zip(lines, mutant), 1) if a != b]
+        obj = json.loads(mutant[lineno - 1])
+        valid = (all(key in obj for key in ("id", "question", "gold"))
+                 and all(type(obj[key]) is str for key in ("id", "question", "gold",
+                                                           "task_kind") if key in obj)
+                 and obj.get("task_kind", "freeform") in TASK_KINDS)
+        if [n for n, _ in errors] != ([] if valid else [lineno]):
+            faults.append(f"{what}: errors {errors}")
+        elif len(samples) != (3 if valid else 2):
+            faults.append(f"{what}: loaded {samples}")
+    assert not faults, f"{len(faults)} of {CASES} cases fail, first: {faults[:3]}"

@@ -1,6 +1,6 @@
 """The package's modules import each other without a cycle, every name
-the benchmark tracer wraps exists, and every name README imports from the
-package resolves."""
+the benchmark tracer wraps exists, every name README imports from the
+package resolves, and the modules each entry point loads are pinned."""
 
 from __future__ import annotations
 
@@ -8,7 +8,10 @@ import ast
 import functools
 import graphlib
 import importlib
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -102,3 +105,29 @@ def test_readme_imports_resolve():
 
 def test_exports_resolve():
     assert [name for name in syncthink.__all__ if not hasattr(syncthink, name)] == []
+
+
+# what `import <entry point>` loads of the package, in a fresh interpreter;
+# a change that moves command or stub start-up says so by changing these
+STARTUP_MODULES = {
+    "syncthink.cli": [
+        "syncthink", "syncthink.cli", "syncthink.client", "syncthink.controller",
+        "syncthink.errors", "syncthink.evaluation", "syncthink.jsonl",
+        "syncthink.phase_analysis", "syncthink.policy", "syncthink.saliency",
+        "syncthink.synthetic", "syncthink.trace",
+    ],
+    "syncthink.stub": [
+        "syncthink", "syncthink.errors", "syncthink.jsonl", "syncthink.policy",
+        "syncthink.stub", "syncthink.synthetic", "syncthink.trace",
+    ],
+}
+
+
+@pytest.mark.parametrize("entry", sorted(STARTUP_MODULES))
+def test_entry_point_loads_only_its_modules(entry):
+    code = (f"import sys, {entry}; print(' '.join(sorted(m for m in sys.modules"
+            f" if m == {PACKAGE!r} or m.startswith({PACKAGE + '.'!r}))))")
+    env = {**os.environ, "PYTHONPATH": str(SOURCE.parent)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.split() == STARTUP_MODULES[entry]

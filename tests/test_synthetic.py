@@ -179,3 +179,72 @@ class TestValidation:
     def test_bad_width(self):
         with pytest.raises(ConfigurationError):
             generate_synthetic(SyntheticPhaseSpec(), topk_width=0)
+
+
+def exact_softmax(target, width):
+    """The logprobs of the softmax over energies 0..width whose entropy is
+    exactly target, solved in mpmath from closed-form geometric sums."""
+    import mpmath as mp
+
+    n = width + 1
+
+    def log_z_and_mean(beta):
+        x = mp.exp(-beta)
+        log_z = mp.log((1 - x**n) / (1 - x))
+        return log_z, x / (1 - x) - n * x**n / (1 - x**n)
+
+    def excess(beta):
+        log_z, mean = log_z_and_mean(beta)
+        return beta * mean + log_z - target
+
+    with mp.workdps(40):
+        target = mp.mpf(target)
+        lo, hi = mp.mpf("1e-6"), mp.mpf(80)
+        for _ in range(200):  # bisection on log beta: the entropy falls as beta grows
+            mid = mp.sqrt(lo * hi)
+            lo, hi = (mid, hi) if excess(mid) > 0 else (lo, mid)
+        beta = mp.sqrt(lo * hi)
+        log_z = log_z_and_mean(beta)[0]
+        return [float(-beta * i - log_z) for i in range(width)]
+
+
+class TestSolve:
+    @pytest.mark.parametrize("width", [1, 2, 32, 513])
+    def test_matches_the_exact_softmax(self, width):
+        rng = np.random.default_rng(100 + width)
+        h_max = math.log(width + 1) - 0.01
+        # both clip edges of generate_synthetic, then random targets
+        targets = np.concatenate([[0.02, h_max], rng.uniform(0.02, h_max, 6)])
+        rows = synthetic._softmax_logprobs(targets, width)
+        for target, row in zip(targets, rows):
+            exact = np.array(exact_softmax(float(target), width))
+            err = np.abs(row - exact) / np.maximum(1.0, np.abs(exact))
+            assert err.max() <= 1e-13, (target, err.max())
+            entropy = shannon_entropy(Distribution(list(range(width)), row))
+            assert abs(entropy - target) <= 1e-13, target
+
+    @pytest.mark.parametrize("width", [1, 513])
+    def test_at_most_twelve_passes_over_a_row(self, width, monkeypatch):
+        rows = 50
+        shape = (rows, width + 1)
+        passes = []
+        exp = np.exp
+
+        def counting_exp(x, *args, **kwargs):
+            if np.shape(x) == shape:
+                passes.append(1)
+            return exp(x, *args, **kwargs)
+
+        targets = np.linspace(0.02, math.log(width + 1) - 0.01, rows)
+        monkeypatch.setattr(synthetic.np, "exp", counting_exp)
+        synthetic._softmax_logprobs(targets, width)
+        assert 0 < len(passes) <= 12
+
+
+def test_steps_of_one_rank_class_share_one_token_list():
+    width = 16
+    trace = generate_synthetic(SyntheticPhaseSpec(seed=6), topk_width=width)
+    lists = {id(step.topk.tokens) for step in trace.steps}
+    classes = {min(step.watched_rank, width) for step in trace.steps}
+    assert len(lists) == len(classes)
+    assert all(type(step.topk.tokens) is list for step in trace.steps)

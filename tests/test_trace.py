@@ -640,3 +640,67 @@ class TestSharedTokens:
         with pytest.raises(TraceIntegrityError) as err:
             read_trace(str(path))
         assert str(err.value) == f"{path}:4: step 2: topk token of unhashable type: '{kind}'"
+
+
+def reference_line(step):
+    """A step line as jsonl.dumps writes the step with topk as [token, logprob] pairs."""
+    pairs = zip(step.topk.tokens, step.topk.logprobs.tolist())
+    return jsonl.dumps({**vars(step), "topk": [[tok, lp] for tok, lp in pairs]})
+
+
+def free_step(t, pairs, *, chosen=10, text="<w10>"):
+    """A step as written, unchecked: write_trace does not validate."""
+    return StepObservation(t=t, chosen_token=chosen, chosen_text=text, topk=topk(*pairs),
+                           watched_rank=len(pairs), censored=True, entropy=0.5,
+                           step_wall_time=0.01)
+
+
+AWKWARD_TEXTS = ['say "hi"', "back\\slash", "a,b", "],[", '"topk":0', "é日本", "\x00\n\t\x1f\x7f"]
+
+
+class TestStepLines:
+    """write_trace splices each step line; every byte is the reference encode's."""
+
+    def write(self, tmp_path, steps):
+        trace = TraceFile(header=TraceHeader("toy", 64, 3, "test", 0), steps=tuple(steps))
+        path = tmp_path / "t.jsonl"
+        write_trace(trace, str(path))
+        return path.read_text(encoding="utf-8").split("\n")[1:-1]
+
+    def test_corpus_is_byte_identical(self, tmp_path):
+        steps = [
+            free_step(0, [(text, -0.5 - i) for i, text in enumerate(AWKWARD_TEXTS)]),
+            free_step(1, [(text, -0.25) for text in reversed(AWKWARD_TEXTS)],
+                      chosen='"topk":0', text='x"topk":0,"y'),
+            free_step(2, [(1, -0.5), (2, -0.75), (1000, -1.0), (-7, -2.0), (10**20, -3.0)]),
+            # 1, 1.0 and true are one dict key; each keeps its own text
+            free_step(3, [(True, -0.5), (1, -0.75), ("1", -1.0)]),
+            free_step(4, [(1.0, -0.5), (1, -0.75)]),
+            free_step(5, [(1, -0.5), (2, -0.75)]),
+            free_step(6, [(7, -0.0)]),
+            free_step(7, []),
+            free_step(8, [(4, -0.0), (5, -5e-324), (6, -1e16)]),
+            free_step(9, [(4, 5e-324), (5, -1e-05), (6, -2.0000000000000004)]),
+        ]
+        lines = self.write(tmp_path, steps)
+        assert lines == [reference_line(step) for step in steps]
+        assert '"topk":[]' in lines[7]
+        assert '[true,-0.5],[1,-0.75],["1",-1.0]' in lines[3]
+        assert "[1.0,-0.5],[1,-0.75]" in lines[4]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_logprob_raises(self, tmp_path, bad):
+        with pytest.raises(ValueError):
+            self.write(tmp_path, [free_step(0, [(1, -0.5), (2, bad)])])
+
+    def test_synthetic_trace_reads_back_and_writes_the_same_bytes(self, tmp_path):
+        from syncthink.synthetic import SyntheticPhaseSpec, generate_synthetic
+
+        trace = generate_synthetic(SyntheticPhaseSpec(phase_lengths=(4, 4, 8, 4), seed=3),
+                                   topk_width=33)
+        p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        write_trace(trace, str(p1))
+        lines = p1.read_text(encoding="utf-8").split("\n")[1:-1]
+        assert lines == [reference_line(step) for step in trace.steps]
+        write_trace(read_trace(str(p1)), str(p2))
+        assert p2.read_bytes() == p1.read_bytes()
