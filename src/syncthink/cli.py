@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from . import __version__
-from .client import connect_endpoint
+from .client import EndpointFactory
 from .controller import (
     POLICIES,
     BatchItem,
@@ -235,11 +235,15 @@ def _validate_run(args) -> dict:
                 "fixed_ratio against an endpoint needs --full-length;"
                 " there is no recorded run to take the reference from"
             )
-        if args.top_logprobs < args.pacing_cap + 1:
-            raise UsageError(
-                f"--top-logprobs {args.top_logprobs} cannot cover"
-                f" --t-max {args.pacing_cap} + 1"
+        try:
+            plan["factory"] = EndpointFactory(
+                args.api_base, args.model, api_key=args.api_key,
+                top_logprobs=args.top_logprobs, max_new_tokens=args.budget,
+                timeout=args.timeout,
             )
+            plan["factory"].check_cover(args.pacing_cap)
+        except SyncThinkError as exc:
+            raise UsageError(str(exc)) from exc
     plan["inputs"] = _inputs(args)
     return plan
 
@@ -256,14 +260,10 @@ def _build_items(args, plan) -> None:
         return
 
     watched = args.watched_token or "</think>"
-    factory = connect_endpoint(
-        args.api_base, args.model, api_key=args.api_key, top_logprobs=args.top_logprobs,
-        max_new_tokens=args.budget, timeout=args.timeout,
-    )
     plan["items"] = [
         BatchItem(
             sample_id=sample.sample_id,
-            open_source=(lambda q=sample.question: factory.open_session(
+            open_source=(lambda q=sample.question: plan["factory"].open_session(
                 q, watched_token=watched, pacing_cap=args.pacing_cap)),
             task_kind=args.task_kind or sample.task_kind,
             full_length=args.full_length,

@@ -26,7 +26,10 @@ step, so the record keeps the steps before it.
 HTTP is the standard library's: urllib honours HTTP(S)_PROXY/NO_PROXY and
 verifies HTTPS against the system trust store.  The event stream is read
 line by line, so each token reaches the controller as soon as its line
-ends, on close-delimited and chunked responses alike.
+ends, on close-delimited and chunked responses alike.  One method reads
+it, for the reasoning steps and for a natural stop's answer alike, and
+the session holds the response, not a generator over it, so nothing
+refers back to the session and it is freed by reference count.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import json
 import time
 import urllib.error
 import urllib.request
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from http.client import HTTPException
 from operator import itemgetter
 
@@ -47,15 +50,19 @@ from .trace import StepObservation
 
 
 @dataclass(frozen=True)
-class EndpointConfig:
+class EndpointFactory:
+    """One endpoint's settings, checked when made; opens live sessions and
+    is safe to share across threads.  Making one sends no traffic."""
+
     base_url: str
     model: str
-    api_key: str = ""
+    api_key: str = field(default="", repr=False)  # a credential stays out of logs
     top_logprobs: int = 513
     max_new_tokens: int = 8192
     timeout: float = 120.0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "base_url", self.base_url.rstrip("/"))
         if not self.base_url:
             raise ConfigurationError("base_url must be non-empty")
         if not self.model:
@@ -71,51 +78,28 @@ class EndpointConfig:
         if self.timeout <= 0:
             raise ConfigurationError(f"timeout must be > 0, got {self.timeout!r}")
 
-
-def connect_endpoint(
-    base_url: str,
-    model: str,
-    *,
-    api_key: str = "",
-    top_logprobs: int = 513,
-    max_new_tokens: int = 8192,
-    timeout: float = 120.0,
-) -> "EndpointFactory":
-    """Build a session factory for one endpoint; no network traffic yet."""
-    return EndpointFactory(
-        EndpointConfig(
-            base_url=base_url.rstrip("/"),
-            model=model,
-            api_key=api_key,
-            top_logprobs=top_logprobs,
-            max_new_tokens=max_new_tokens,
-            timeout=timeout,
-        )
-    )
-
-
-class EndpointFactory:
-    """Opens live sessions; safe to share across threads."""
-
-    def __init__(self, config: EndpointConfig):
-        self.config = config
+    def check_cover(self, pacing_cap: int) -> None:
+        """Refuse a pacing cap whose censored ranks top_logprobs cannot prove
+        above every reachable threshold: K must cover pacing_cap + 1."""
+        if pacing_cap < 0:
+            raise ConfigurationError(f"pacing_cap must be >= 0, got {pacing_cap!r}")
+        if self.top_logprobs < pacing_cap + 1:
+            raise CapabilityError(
+                f"top_logprobs={self.top_logprobs} cannot cover"
+                f" pacing cap {pacing_cap} + 1; censored ranks would be unsound"
+            )
 
     def open_session(
         self, prompt: str, *, watched_token: str, pacing_cap: int = 512
     ) -> "LiveSession":
-        """Start one streamed generation watching for watched_token.
+        """Start one streamed generation watching for watched_token, once
+        check_cover accepts the pacing cap."""
+        self.check_cover(pacing_cap)
+        return LiveSession(self, prompt, watched_token, pacing_cap)
 
-        Refuses to open when the configured top_logprobs cannot prove a
-        censored rank is above any reachable threshold.
-        """
-        if pacing_cap < 0:
-            raise ConfigurationError(f"pacing_cap must be >= 0, got {pacing_cap!r}")
-        if self.config.top_logprobs < pacing_cap + 1:
-            raise CapabilityError(
-                f"top_logprobs={self.config.top_logprobs} cannot cover"
-                f" pacing cap {pacing_cap} + 1; censored ranks would be unsound"
-            )
-        return LiveSession(self.config, prompt, watched_token, pacing_cap)
+
+# README's entry point: the factory, built from the endpoint's settings
+connect_endpoint = EndpointFactory
 
 
 _TOKEN = itemgetter("token")
@@ -135,18 +119,17 @@ class LiveSession:
     completion without disturbing the main stream.
     """
 
-    def __init__(self, config: EndpointConfig, prompt: str, watched_token: str, pacing_cap: int):
-        self._config = config
+    def __init__(self, endpoint: EndpointFactory, prompt: str, watched_token: str,
+                 pacing_cap: int):
+        self._endpoint = endpoint
         self._prompt = prompt
         self.watched_token = watched_token
         self._pacing_cap = pacing_cap
         self._texts: list[str] = []
         self._t = -1
         self._natural = False
-        self._exhausted = False
         self._saw_done = False
-        self._resp = self._post(self._messages(), stream=True, logprobs=True)
-        self._events = self._event_iter(self._resp)
+        self._resp = self._post(self._messages(), stream=True)
         self._mark = time.perf_counter()
 
     def _messages(self, assistant: str | None = None) -> list[dict]:
@@ -155,73 +138,53 @@ class LiveSession:
             messages.append({"role": "assistant", "content": assistant})
         return messages
 
-    def _post(self, messages: list[dict], *, stream: bool, logprobs: bool):
+    def _post(self, messages: list[dict], *, stream: bool):
+        """POST a completion request; only the stream asks for logprobs."""
+        endpoint = self._endpoint
         body = {
-            "model": self._config.model,
+            "model": endpoint.model,
             "messages": messages,
             "stream": stream,
             "temperature": 0,
-            "max_tokens": self._config.max_new_tokens,
+            "max_tokens": endpoint.max_new_tokens,
         }
-        if logprobs:
+        if stream:
             body["logprobs"] = True
-            body["top_logprobs"] = self._config.top_logprobs
+            body["top_logprobs"] = endpoint.top_logprobs
         headers = {"Content-Type": "application/json"}
-        if self._config.api_key:
-            headers["Authorization"] = f"Bearer {self._config.api_key}"
+        if endpoint.api_key:
+            headers["Authorization"] = f"Bearer {endpoint.api_key}"
         request = urllib.request.Request(
-            f"{self._config.base_url}/v1/chat/completions",
+            f"{endpoint.base_url}/v1/chat/completions",
             data=json.dumps(body).encode("utf-8"),
             headers=headers,
             method="POST",
         )
         try:
-            return urllib.request.urlopen(request, timeout=self._config.timeout)
+            return urllib.request.urlopen(request, timeout=endpoint.timeout)
         except urllib.error.HTTPError as exc:
             with exc:
                 detail = exc.read(200).decode("utf-8", "replace")
             raise SessionError(f"endpoint returned HTTP {exc.code}: {detail}") from exc
         except (OSError, HTTPException) as exc:
-            raise SessionError(f"request to {self._config.base_url} failed: {exc}") from exc
+            raise SessionError(f"request to {endpoint.base_url} failed: {exc}") from exc
 
-    def _event_iter(self, resp):
-        for line in resp:
+    def _next_text(self) -> tuple[str, dict] | None:
+        """The next event that streams text, as its text and its choice.
+
+        None at the end of the stream; _saw_done tells whether [DONE]
+        ended it, and nothing is read past [DONE].
+        """
+        if self._saw_done:
+            return None
+        for line in self._resp:
             if not line.startswith(b"data:"):
                 continue
             payload = line[5:].strip()
             if payload == b"[DONE]":
                 self._saw_done = True
-                return
-            yield json.loads(payload)
-
-    def __iter__(self):
-        return self
-
-    def __next__(self) -> StepObservation:
-        if self._natural or self._exhausted:
-            raise StopIteration
-        try:
-            step = self._next_token()
-            if step is not None:
-                return self._observe(*step)
-        except (OSError, HTTPException, MalformedDistributionError, *_MALFORMED) as exc:
-            raise SessionError(
-                f"stream failed at step {self._t + 1}: {type(exc).__name__}: {exc}"
-            ) from exc
-        if not self._saw_done:
-            raise SessionError(
-                f"stream ended without completion sentinel at step {self._t + 1}"
-            )
-        self._exhausted = True
-        raise StopIteration
-
-    def _next_token(self) -> tuple[str, object, list, np.ndarray] | None:
-        """Next streamed token as (text, token, top-K tokens, top-K logprobs).
-
-        The top-K columns come in server order; None means the stream ended.
-        """
-        for event in self._events:
-            choices = event.get("choices") or []
+                return None
+            choices = json.loads(payload).get("choices") or []
             if not choices:
                 continue
             choice = choices[0]
@@ -230,30 +193,50 @@ class LiveSession:
                 continue
             if not isinstance(content, str):
                 raise TypeError(f"delta content is {type(content).__name__}, not text")
-            entries = (choice.get("logprobs") or {}).get("content") or []
-            if not entries:
-                raise CapabilityError(
-                    "endpoint streams tokens without logprobs.content;"
-                    " per-token logprobs are required"
-                )
-            entry = entries[0]
-            top = entry.get("top_logprobs") or []
-            if not top:
-                raise CapabilityError(
-                    "endpoint omits top_logprobs on streamed tokens;"
-                    " per-token top-K logprobs are required"
-                )
-            logprobs = np.array(list(map(_LOGPROB, top)))
-            if logprobs.dtype.kind not in "fiu" or logprobs.ndim != 1:
-                raise TypeError("top_logprobs entries need a number as logprob")
-            tokens = list(map(_TOKEN, top))
-            token = entry.get("token", content)
-            return content, token, tokens, logprobs.astype(np.float64, copy=False)
+            return content, choice
         return None
 
-    def _observe(
-        self, content: str, token, tokens: list, logprobs: np.ndarray
-    ) -> StepObservation:
+    def __iter__(self):
+        return self
+
+    def __next__(self) -> StepObservation:
+        if self._natural:
+            raise StopIteration
+        try:
+            event = self._next_text()
+            if event is not None:
+                return self._step(*event)
+        except (OSError, HTTPException, MalformedDistributionError, *_MALFORMED) as exc:
+            raise SessionError(
+                f"stream failed at step {self._t + 1}: {type(exc).__name__}: {exc}"
+            ) from exc
+        if not self._saw_done:
+            raise SessionError(
+                f"stream ended without completion sentinel at step {self._t + 1}"
+            )
+        raise StopIteration
+
+    def _step(self, content: str, choice: dict) -> StepObservation:
+        """The observation of one streamed token from its text and choice."""
+        entries = (choice.get("logprobs") or {}).get("content") or []
+        if not entries:
+            raise CapabilityError(
+                "endpoint streams tokens without logprobs.content;"
+                " per-token logprobs are required"
+            )
+        entry = entries[0]
+        top = entry.get("top_logprobs") or []
+        if not top:
+            raise CapabilityError(
+                "endpoint omits top_logprobs on streamed tokens;"
+                " per-token top-K logprobs are required"
+            )
+        logprobs = np.array(list(map(_LOGPROB, top)))
+        if logprobs.dtype.kind not in "fiu" or logprobs.ndim != 1:
+            raise TypeError("top_logprobs entries need a number as logprob")
+        tokens = list(map(_TOKEN, top))
+        token = entry.get("token", content)
+        logprobs = logprobs.astype(np.float64, copy=False)
         now = time.perf_counter()
         wall = now - self._mark
         self._mark = now
@@ -272,7 +255,9 @@ class LiveSession:
             )
         entropy = shannon_entropy(dist)
         self._t += 1
-        observation = StepObservation(
+        self._texts.append(content)
+        self._natural = token == self.watched_token
+        return StepObservation(
             t=self._t,
             chosen_token=token,
             chosen_text=content,
@@ -282,30 +267,20 @@ class LiveSession:
             entropy=entropy,
             step_wall_time=wall,
         )
-        self._texts.append(content)
-        if token == self.watched_token:
-            self._natural = True
-        return observation
 
     def _drain_answer(self) -> tuple[str, int]:
         parts: list[str] = []
         try:
-            for event in self._events:
-                choices = event.get("choices") or []
-                if not choices:
-                    continue
-                content = (choices[0].get("delta") or {}).get("content")
-                if content:
-                    parts.append(content)
-            answer = "".join(parts)
+            while (event := self._next_text()) is not None:
+                parts.append(event[0])
         except (OSError, HTTPException, *_MALFORMED) as exc:
             raise SessionError(f"answer stream failed: {type(exc).__name__}: {exc}") from exc
         if not self._saw_done:
             raise SessionError("answer stream ended without completion sentinel")
-        return answer, len(parts)
+        return "".join(parts), len(parts)
 
     def _completion(self, assistant: str) -> tuple[str, int]:
-        with self._post(self._messages(assistant), stream=False, logprobs=False) as resp:
+        with self._post(self._messages(assistant), stream=False) as resp:
             try:
                 data = json.loads(resp.read())
             except (OSError, HTTPException, ValueError, RecursionError) as exc:
@@ -347,7 +322,4 @@ class LiveSession:
         return text, tokens, time.perf_counter() - start
 
     def close(self) -> None:
-        # the event generator's frame refers back to this session; closing
-        # it breaks that cycle so the session is freed by reference count
-        self._events.close()
         self._resp.close()

@@ -104,14 +104,20 @@ class Distribution:
     tokens lists the explicitly known tokens and logprobs (float64) their
     log-probabilities, in the order given.  Nothing else is stored: the
     probabilities and the tail (the mass of every token not listed,
-    max(0, 1 - sum(exp(logprobs)))) are derived when read.
+    max(0, 1 - sum(exp(logprobs)))) are derived when read.  Logprobs that
+    are not one per token, in one dimension, raise MalformedDistributionError.
     """
 
     tokens: Sequence[TokenId]
     logprobs: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "logprobs", np.ascontiguousarray(self.logprobs, np.float64))
+        logprobs = np.ascontiguousarray(self.logprobs, np.float64)
+        if logprobs.ndim != 1 or len(logprobs) != len(self.tokens):
+            raise MalformedDistributionError(
+                f"{len(self.tokens)} tokens need one logprob each, got shape {logprobs.shape}"
+            )
+        object.__setattr__(self, "logprobs", logprobs)
 
     @property
     def tail_mass(self) -> float:

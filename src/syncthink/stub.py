@@ -20,83 +20,64 @@ jsonl.float_texts, which trace.write_trace also splices with, gives every
 float's text from one encode of the step's logprobs; the bytes are those
 json.dumps writes for the event's dicts (a non-finite logprob, which a
 validated trace cannot hold, raises ValueError instead of going out as
-NaN or Infinity).  A first encode of a
+NaN or Infinity).  Every chunk the stub streams is written by _event
+from one fixed head, its delta, finish reason and logprobs as JSON text.
+A first encode of a
 K = 513 event costs about 0.8x the client's whole ingest of it (1.15x
 its json.loads alone), and most of it is the float reprs, so the stored
 bytes still keep a re-encode per request from pacing the client.  The
 stub keeps no copy of the top-K, only one entry head per distinct token.
-
-Test knobs: serve_logprobs=False strips logprobs from the stream;
-fail_after_steps resets the connection mid-stream to exercise the
-client's failure path.
 """
 
 from __future__ import annotations
 
 import json
 import re
-import socket
-import struct
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from . import jsonl
 from .errors import UnsupportedProbeError
-from .synthetic import token_text
-from .trace import StepObservation, TraceFile
-
-
-def _wire_token(token, watched) -> str:
-    return token if isinstance(token, str) else token_text(token, watched)
-
-
-def _sse(obj) -> bytes:
-    return b"data: " + json.dumps(obj, separators=(",", ":")).encode("utf-8") + b"\n\n"
-
-
-def _chunk(delta: dict, logprobs=None, finish=None) -> dict:
-    choice = {"index": 0, "delta": delta, "finish_reason": finish}
-    if logprobs is not None:
-        choice["logprobs"] = logprobs
-    return {
-        "id": "stub-chunk",
-        "object": "chat.completion.chunk",
-        "choices": [choice],
-    }
-
+from .trace import StepObservation, TraceFile, token_text
 
 # a word with the whitespace before it and, the last one, after it
 _WORD = re.compile(r"\s*\S+(?:\s+\Z)?")
 
-# what _sse(_chunk(delta)) writes before the delta
+# every chunk's bytes before its delta
 _CHUNK_HEAD = ('data: {"id":"stub-chunk","object":"chat.completion.chunk",'
                '"choices":[{"index":0,"delta":')
 
 
+def _event(delta: str, finish: str = "null", logprobs_text: str = "") -> bytes:
+    """One SSE chunk from the JSON texts of its delta, finish reason and,
+    unless empty, logprobs: the bytes json.dumps writes, compact, for
+    {"id", "object", "choices": [{"index", "delta", "finish_reason",
+    "logprobs"}]}."""
+    tail = ',"logprobs":' + logprobs_text if logprobs_text else ""
+    return (_CHUNK_HEAD + delta + ',"finish_reason":' + finish + tail + "}]}\n\n").encode("ascii")
+
+
+def _content(text: str) -> str:
+    """A delta that streams text, as JSON text."""
+    return '{"content":' + json.dumps(text) + "}"
+
+
 def _entry_head(token_json: str) -> str:
-    """A logprobs entry up to its logprob's text, as _sse writes it."""
+    """A logprobs entry up to its logprob's text, as json.dumps writes it."""
     return '{"token":' + token_json + ',"logprob":'
 
 
 class StubServer:
     """One trace behind an HTTP endpoint; start() before use."""
 
-    def __init__(
-        self,
-        trace: TraceFile,
-        *,
-        serve_logprobs: bool = True,
-        fail_after_steps: int | None = None,
-    ):
+    def __init__(self, trace: TraceFile):
         self.trace = trace
-        self.serve_logprobs = serve_logprobs
-        self.fail_after_steps = fail_after_steps
         watched = trace.header.watched_token
-        self.terminator_text = _wire_token(watched, watched)
+        self.terminator_text = token_text(watched, watched)
         # each distinct token's top-K entry up to its logprob, as JSON text:
         # K + 1 entries for a synthetic trace
         distinct = {tok for step in trace.steps for tok in step.topk.tokens}
-        self._entries = {tok: _entry_head(json.dumps(_wire_token(tok, watched)))
+        self._entries = {tok: _entry_head(json.dumps(token_text(tok, watched)))
                          for tok in distinct}
         # (logprobs, width) -> each step's event bytes, None until first served
         self._events: dict[tuple[bool, int], list[bytes | None]] = {}
@@ -124,28 +105,24 @@ class StubServer:
             if logprobs:
                 event = self._logprobs_event(step, width)
             else:
-                event = _sse(_chunk({"content": step.chosen_text}))
+                event = _event(_content(step.chosen_text))
             events[i] = event
         return event
 
     def _logprobs_event(self, step: StepObservation, width: int) -> bytes:
-        """The bytes _sse(_chunk(...)) writes for step's text and its top-K
-        cut to width, spliced from each token's entry head and the text of
-        each logprob."""
+        """The event of step's text and its top-K cut to width, its logprobs
+        spliced from each token's entry head and the text of each logprob."""
         cut = slice(width or None)
         entries = list(map(self._entries.__getitem__, step.topk.tokens[cut]))
         values = jsonl.float_texts(step.topk.logprobs[cut].tolist())
-        text = json.dumps(step.chosen_text)
         # the chosen text's last entry, the one dict(zip(tokens, lps)) would
         # keep: equal wire texts have equal entry heads
         rev = entries[::-1]
-        chosen = _entry_head(text)
+        chosen = _entry_head(json.dumps(step.chosen_text))
         chosen_lp = values[~rev.index(chosen)] if chosen in rev else "0.0"
         top = ",".join([entry + value + "}" for entry, value in zip(entries, values)])
-        return (
-            _CHUNK_HEAD + '{"content":' + text + '},"finish_reason":null,"logprobs":'
-            '{"content":[' + chosen + chosen_lp + ',"top_logprobs":[' + top + "]}]}}]}\n\n"
-        ).encode("ascii")
+        return _event(_content(step.chosen_text), "null",
+                      '{"content":[' + chosen + chosen_lp + ',"top_logprobs":[' + top + "]}]}")
 
     def match_prefix(self, partial: str) -> tuple[int, str]:
         """Longest run of step texts prefixing the partial, plus the rest."""
@@ -255,33 +232,22 @@ def _make_handler(server: StubServer):
             self.wfile.write(event)
             self.wfile.flush()
 
-        def _reset_connection(self):
-            # RST instead of FIN so the client sees a network failure,
-            # not a clean end of body
-            self.connection.setsockopt(
-                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
-            )
-            self.connection.close()
-
         def _main_stream(self, body: dict, width: int):
             if not body.get("stream"):
                 self._error(400, "stub serves the main generation as a stream")
                 return
-            want_logprobs = bool(body.get("logprobs")) and server.serve_logprobs
+            want_logprobs = bool(body.get("logprobs"))
             self.send_response(200)
             self.send_header("Content-Type", "text/event-stream")
             self.end_headers()
-            self._send(_sse(_chunk({"role": "assistant"})))
+            self._send(_event('{"role":"assistant"}'))
             for i in range(len(server.trace.steps)):
-                if server.fail_after_steps is not None and i >= server.fail_after_steps:
-                    self._reset_connection()
-                    return
                 self._send(server.step_event(i, want_logprobs, width))
             stop = server.trace.natural_stop
             if stop is not None:  # a trace that never stops has no answer
                 for piece in _WORD.findall(server.trace.answer_at(stop + 1)):
-                    self._send(_sse(_chunk({"content": piece})))
-            self._send(_sse(_chunk({}, finish="stop")))
+                    self._send(_event(_content(piece)))
+            self._send(_event("{}", '"stop"'))
             self._send(b"data: [DONE]\n\n")
 
         def _branch(self, partial: str):

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .policy import Distribution, shannon_entropy
-from .trace import StepObservation, TraceFile, TraceHeader
+from .trace import StepObservation, TraceFile, TraceHeader, token_text
 
 DEFAULT_WATCHED_TOKEN = 3
 
@@ -175,11 +175,6 @@ def _softmax_logprobs(targets: np.ndarray, width: int) -> np.ndarray:
         log_z = np.log(np.exp(-beta[:, None] * u).sum(axis=1))
         logprobs[start : start + rows] = -beta[:, None] * u[:width] - log_z[:, None]
     return logprobs
-
-
-def token_text(token: int, watched: int) -> str:
-    """Surface form used on the wire for a synthetic token id."""
-    return "</think>" if token == watched else f"<w{token}>"
 
 
 def generate_synthetic(

@@ -210,6 +210,14 @@ def _pair_heads(tokens, heads: dict[TokenId, str]) -> list[str]:
     return list(map(heads.__getitem__, tokens))
 
 
+def token_text(token: TokenId, watched: TokenId) -> str:
+    """A token's text on the wire: a text token as it is; an id as
+    "</think>" if it is the watched id, else "<w{id}>"."""
+    if isinstance(token, str):
+        return token
+    return "</think>" if token == watched else f"<w{token}>"
+
+
 def _step_line(step: StepObservation, heads: dict[TokenId, str]) -> str:
     """The text jsonl.dumps writes for the step with topk as [token, logprob]
     pairs, spliced from one encode of the other fields, each pair's head
@@ -217,12 +225,10 @@ def _step_line(step: StepObservation, heads: dict[TokenId, str]) -> str:
     numbers and a bool, so the last `"topk":0` is the key itself."""
     head, _, tail = jsonl.dumps({**vars(step), "topk": 0}).rpartition('"topk":0')
     values = jsonl.float_texts(step.topk.logprobs.tolist())
-    pairs = _pair_heads(step.topk.tokens, heads)
-    # each head before its float text, as many pairs as zip would make
-    n = min(len(pairs), len(values))
-    pieces = [""] * (2 * n)
-    pieces[::2], pieces[1::2] = pairs[:n], values[:n]
-    if n:
+    # each pair's head before its float text
+    pieces = [""] * (2 * len(values))
+    pieces[::2], pieces[1::2] = _pair_heads(step.topk.tokens, heads), values
+    if pieces:
         pieces[0] = pieces[0][2:]  # the first pair drops its head's "],"
         pieces.append("]")  # and the last pair closes
     return head + '"topk":[' + "".join(pieces) + "]" + tail

@@ -422,6 +422,15 @@ class TestRunEndpoint:
                            "--full-length", length) == 2
         assert not os.path.exists(out)
 
+    @pytest.mark.parametrize("timeout", ["0", "-1"])
+    def test_timeout_not_above_zero_is_usage_error(self, prompts, tmp_path, capsys, timeout):
+        out = tmp_path / "nope"
+        assert run_cli("run", "--source", "endpoint", "--api-base", "http://x",
+                       "--model", "m", "--dataset", prompts, "--timeout", timeout,
+                       "--out", str(out)) == 2
+        assert "usage error: timeout must be > 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unreachable_endpoint_is_runtime_failure(self, prompts, tmp_path):
         out = tmp_path / "dead"
         rc = run_cli("run", "--source", "endpoint", "--api-base",

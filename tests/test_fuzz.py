@@ -1,4 +1,5 @@
-"""Seeded single-field mutations of trace, records and dataset lines.
+"""Seeded single-field mutations of trace, records and dataset lines, and
+of a live session's stream events and branch completions.
 
 Each case changes one value of one line, at any depth (a header field, a
 probe branch, a top-K entry, a trajectory pair), to null, a bool, 1e400,
@@ -7,7 +8,9 @@ accepts the mutated file or raises its documented error naming the file
 and line.  Run through the CLI, a file the reader refuses makes the
 command exit 1 or 2 with an error line and no traceback.  The dataset
 reader reports a bad line instead of raising, and loads only strings and
-numbers as a sample's text.
+numbers as a sample's text.  A live session served a mutated event or
+completion fails only its own record, with SessionError or
+CapabilityError.
 """
 
 from __future__ import annotations
@@ -20,14 +23,17 @@ import re
 import pytest
 
 from syncthink.cli import main
-from syncthink.controller import read_records, run_generation, write_records
+from syncthink.client import connect_endpoint
+from syncthink.controller import BatchItem, read_records, run_batch, run_generation, write_records
 from syncthink.evaluation import TASK_KINDS, load_dataset
 from syncthink.errors import MalformedRecordError, MalformedTraceError, TraceIntegrityError
-from syncthink.policy import POLICIES, BaselineConfig
+from syncthink.policy import POLICIES, BaselineConfig, PolicyConfig
 from syncthink.synthetic import SyntheticPhaseSpec, generate_synthetic
 from syncthink.trace import TraceReader, read_trace, write_trace
+from test_live_client import WATCHED_TEXT, ScriptedHandler, serving
 
 CASES = 1500  # per target
+LIVE_CASES = 400  # each case runs one live session per policy
 CLI_CASES = 12  # per target, a seeded sample of the refused cases
 DELETE = object()
 # math.inf goes on the wire as the literal 1e400, which json reads as inf
@@ -54,11 +60,11 @@ def paths(obj, prefix=()):
         yield from paths(value, prefix + (key,))
 
 
-def mutants(lines: list[str], seed: int):
-    """CASES files, each lines with one value of one line changed, and what changed."""
+def mutants(lines: list[str], seed: int, cases: int = CASES):
+    """`cases` files, each lines with one value of one line changed, and what changed."""
     rng = random.Random(seed)
     objects = [json.loads(line) for line in lines]
-    for _ in range(CASES):
+    for _ in range(cases):
         index = rng.randrange(len(lines))
         path = rng.choice(list(paths(objects[index])))
         obj = json.loads(lines[index])
@@ -175,3 +181,71 @@ def test_dataset_lines(tmp_path):
         elif len(samples) != (3 if valid else 2):
             faults.append(f"{what}: loaded {samples}")
     assert not faults, f"{len(faults)} of {CASES} cases fail, first: {faults[:3]}"
+
+
+def chunk(delta: dict, top=None, finish=None) -> dict:
+    """A streamed chunk as StubServer writes it; top, if given, is the
+    streamed token's top-K as (token, logprob) pairs."""
+    choice = {"index": 0, "delta": delta, "finish_reason": finish}
+    if top is not None:
+        choice["logprobs"] = {"content": [{
+            "token": delta["content"], "logprob": dict(top)[delta["content"]],
+            "top_logprobs": [{"token": tok, "logprob": lp} for tok, lp in top],
+        }]}
+    return {"id": "stub-chunk", "object": "chat.completion.chunk", "choices": [choice]}
+
+
+def live_lines() -> list[str]:
+    """Six stream events, then one branch completion, as JSON lines.
+
+    With pacing cap 1, the watched token's rank 1 at the first step holds
+    and its rank 0 at the second fires syncthink, which injects the stop
+    and asks for the completion; full reads on to the third step, which
+    emits the watched token, and the streamed answer after it.
+    """
+    events = [
+        chunk({"role": "assistant"}),
+        chunk({"content": "a"}, [("a", -0.1), (WATCHED_TEXT, -2.5)]),
+        chunk({"content": "b"}, [(WATCHED_TEXT, -0.1), ("b", -2.5)]),
+        chunk({"content": WATCHED_TEXT}, [(WATCHED_TEXT, -0.1), ("c", -2.5)]),
+        chunk({"content": "42"}),
+        chunk({}, finish="stop"),
+    ]
+    completion = {
+        "id": "stub-completion", "object": "chat.completion",
+        "choices": [{"index": 0, "message": {"role": "assistant", "content": "42"},
+                     "finish_reason": "stop"}],
+        "usage": {"prompt_tokens": 3, "completion_tokens": 1, "total_tokens": 4},
+    }
+    return [json.dumps(obj, separators=(",", ":")) for obj in [*events, completion]]
+
+
+def test_stream_events_and_branch_completions():
+    lines = live_lines()
+    handler = type("Handler", (ScriptedHandler,), {"events": [], "completion": b""})
+    policies = ["full", "syncthink", "answer_convergence"]
+    kw = {"policy_config": PolicyConfig(watched_token=WATCHED_TEXT, min_steps=0, pacing_cap=1),
+          "baseline_config": BaselineConfig(segment_len=1, convergence_k=2)}
+
+    def serve(case: list[str]) -> list:
+        """The records of one session per policy over the case's stream and completion."""
+        handler.events = [b"data: " + line.encode() + b"\n\n" for line in case[:-1]]
+        handler.completion = case[-1].encode()
+        return run_batch([item], policies, **kw)
+
+    faults = []
+    with serving(handler) as url:
+        factory = connect_endpoint(url, "m", top_logprobs=2, timeout=10.0)
+        item = BatchItem("s", lambda: factory.open_session(
+            "q", watched_token=WATCHED_TEXT, pacing_cap=1), task_kind="numeric")
+        assert all(record.complete for record in serve(lines))
+        for mutant, what in mutants(lines, 1604, LIVE_CASES):
+            try:
+                records = serve(mutant)
+            except Exception as exc:  # noqa: BLE001 - a fault ends the whole batch
+                faults.append(f"{what}: {type(exc).__name__}: {exc}")
+                continue
+            faults += [f"{what}: {record.policy}: {record.error}" for record in records
+                       if not (record.complete or record.error.startswith(
+                           ("SessionError", "CapabilityError")))]
+    assert not faults, f"{len(faults)} faults in {LIVE_CASES} cases, first: {faults[:3]}"

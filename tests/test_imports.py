@@ -118,7 +118,7 @@ STARTUP_MODULES = {
     ],
     "syncthink.stub": [
         "syncthink", "syncthink.errors", "syncthink.jsonl", "syncthink.policy",
-        "syncthink.stub", "syncthink.synthetic", "syncthink.trace",
+        "syncthink.stub", "syncthink.trace",
     ],
 }
 

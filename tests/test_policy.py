@@ -255,6 +255,23 @@ class TestShannonEntropy:
         assert abs(shannon_entropy(dist) - expected) < 1e-12
 
 
+class TestDistributionColumns:
+    @pytest.mark.parametrize(
+        "tokens,logprobs",
+        [
+            # a trace step holding this failed validate with a bare
+            # IndexError, and write_trace wrote 2 of its 3 pairs
+            ([1, 2, 0], [-0.1, -0.2]),
+            ([1, 2], [-0.1, -0.2, -0.3]),
+            ([1], [[-0.1, -0.2]]),
+        ],
+        ids=["fewer-logprobs", "more-logprobs", "two-dimensional"],
+    )
+    def test_columns_that_do_not_match_are_refused(self, tokens, logprobs):
+        with pytest.raises(MalformedDistributionError, match="one logprob each"):
+            Distribution(tokens, np.array(logprobs))
+
+
 class TestVectorisedMatchesScalarOracle:
     @pytest.mark.parametrize("k", [1, 2, 32, 513])
     def test_rank_and_entropy(self, k):
