@@ -29,6 +29,7 @@ from typing import Callable, Iterable, Sequence
 
 from . import jsonl
 from .errors import (
+    CapabilityError,
     ConfigurationError,
     MalformedRecordError,
     PolicyUnavailableError,
@@ -116,8 +117,9 @@ def run_generation(
 
     The source yields StepObservation values and provides watched_token,
     probe_with_time(suffix) and answer_after(t, injected).  Mid-stream
-    failures produce an incomplete record carrying the partial
-    trajectories instead of raising.
+    failures (SessionError, or a CapabilityError such as a token streamed
+    without logprobs) produce an incomplete record carrying the partial
+    trajectories instead of raising; error names the class.
     """
     if policy not in POLICIES:
         raise ConfigurationError(f"unknown policy {policy!r}; expected one of {POLICIES}")
@@ -164,8 +166,8 @@ def run_generation(
             metric_seconds += time.perf_counter() - m0
             if reason is not None:
                 break
-    except SessionError as exc:
-        error = f"SessionError: {exc}"
+    except (SessionError, CapabilityError) as exc:
+        error = f"{type(exc).__name__}: {exc}"
     except (UnsupportedProbeError, PolicyUnavailableError) as exc:
         raise PolicyUnavailableError(
             f"policy {policy!r} needs branch probes the source cannot provide: {exc}"

@@ -40,17 +40,26 @@ def write_lines(path: str, objects: Iterable[Any]) -> None:
             fh.write("\n")
 
 
-def read_lines(path: str) -> Iterator[tuple[int, Any]]:
-    """Yield (1-based line number, parsed object), skipping blank lines.
+def scan_lines(path: str) -> Iterator[tuple[int, int, bytes, Any]]:
+    """Yield (1-based line number, byte offset, raw line, parsed object),
+    skipping blank lines.
 
     A line that is not UTF-8 JSON, or nests too deep for json.loads to
     parse (RecursionError), raises ValueError naming path:line.
     """
+    offset = 0
     with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
+            start, offset = offset, offset + len(line)
             if line.strip():
                 try:
                     obj = json.loads(line)
                 except (ValueError, RecursionError) as exc:
                     raise ValueError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-                yield lineno, obj
+                yield lineno, start, line, obj
+
+
+def read_lines(path: str) -> Iterator[tuple[int, Any]]:
+    """Yield (1-based line number, parsed object) of each line scan_lines yields."""
+    for lineno, _, _, obj in scan_lines(path):
+        yield lineno, obj

@@ -8,40 +8,47 @@ calls, so a live run over the stub makes the record a replay makes.  A
 branch request is matched by the longest run of step texts prefixing its
 partial: a probe (after step t, the terminator, a newline and the suffix)
 reads probe_at(t, suffix), an injected stop (the terminator in place of
-step t) answer_at(t).  The natural answer streams one word per event with
-its whitespace; a trace with no natural stop streams none.
+step t) answer_at(t).  The natural answer streams in the pieces
+trace.answer_pieces cuts it into, one per event, so it keeps its
+whitespace and a replay counts the tokens a live run counts; a trace
+with no natural stop streams none.
+
+A read trace holds no top-K, so the stub loads its rows itself: a
+loader thread, started when the stub is made, takes every step's top-K
+from TraceFile.iter_topk in step order (a trace built in memory hands
+over the top-K it holds, so the stub copies none) and builds each
+distinct token's entry head (`{"token":...,"logprob":`) as it first
+meets the token.  A request that reaches a row not loaded yet waits for
+it.  A row whose line changed since the trace was read stops the loader;
+a stream that reaches it ends without [DONE], so the session raises
+SessionError and the changed row is never served.
 
 Each step's streamed event is encoded once per request shape (logprobs
 on or off, top-K width), when the first request of that shape reaches
 the step, and later requests of that shape write the stored bytes.  A
-logprobs event is spliced as text: each distinct token's entry head
-(`{"token":...,"logprob":`) is built once at construction, and
-jsonl.float_texts, which trace.write_trace also splices with, gives every
-float's text from one encode of the step's logprobs; the bytes are those
-json.dumps writes for the event's dicts (a non-finite logprob, which a
-validated trace cannot hold, raises ValueError instead of going out as
-NaN or Infinity).  Every chunk the stub streams is written by _event
-from one fixed head, its delta, finish reason and logprobs as JSON text.
-A first encode of a
-K = 513 event costs about 0.8x the client's whole ingest of it (1.15x
-its json.loads alone), and most of it is the float reprs, so the stored
-bytes still keep a re-encode per request from pacing the client.  The
-stub keeps no copy of the top-K, only one entry head per distinct token.
+logprobs event is spliced as text from the entry heads and
+jsonl.float_texts, which trace.write_trace also splices with and which
+gives every float's text from one encode of the step's logprobs; the
+bytes are those json.dumps writes for the event's dicts (a non-finite
+logprob, which a validated trace cannot hold, raises ValueError instead
+of going out as NaN or Infinity).  Every chunk the stub streams is
+written by _event from one fixed head, its delta, finish reason and
+logprobs as JSON text.  A first encode of a K = 513 event costs about
+0.8x the client's whole ingest of it (1.15x its json.loads alone), and
+most of it is the float reprs, so the stored bytes still keep a
+re-encode per request from pacing the client.
 """
 
 from __future__ import annotations
 
 import json
-import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from . import jsonl
-from .errors import UnsupportedProbeError
-from .trace import StepObservation, TraceFile, token_text
-
-# a word with the whitespace before it and, the last one, after it
-_WORD = re.compile(r"\s*\S+(?:\s+\Z)?")
+from .errors import SyncThinkError, UnsupportedProbeError
+from .policy import Distribution
+from .trace import TraceFile, answer_pieces, token_text
 
 # every chunk's bytes before its delta
 _CHUNK_HEAD = ('data: {"id":"stub-chunk","object":"chat.completion.chunk",'
@@ -74,11 +81,15 @@ class StubServer:
         self.trace = trace
         watched = trace.header.watched_token
         self.terminator_text = token_text(watched, watched)
-        # each distinct token's top-K entry up to its logprob, as JSON text:
-        # K + 1 entries for a synthetic trace
-        distinct = {tok for step in trace.steps for tok in step.topk.tokens}
-        self._entries = {tok: _entry_head(json.dumps(token_text(tok, watched)))
-                         for tok in distinct}
+        # each distinct token's top-K entry up to its logprob, as JSON
+        # text (K + 1 entries for a synthetic trace), each step's top-K in
+        # step order, and the error that stopped the loader, if one did
+        self._entries: dict = {}
+        self._rows: list[Distribution] = []
+        self._load_error: Exception | None = None
+        self._loaded = threading.Condition()
+        self._loader = threading.Thread(target=self._load_rows, daemon=True)
+        self._loader.start()
         # (logprobs, width) -> each step's event bytes, None until first served
         self._events: dict[tuple[bool, int], list[bytes | None]] = {}
         self._httpd = ThreadingHTTPServer(("127.0.0.1", 0), _make_handler(self))
@@ -90,38 +101,70 @@ class StubServer:
         host, port = self._httpd.server_address[:2]
         return f"http://{host}:{port}"
 
+    def _load_rows(self) -> None:
+        """Fill _rows and _entries from the trace, one step at a time."""
+        watched = self.trace.header.watched_token
+        entries = self._entries
+        # one object per distinct token across re-read rows, whose tokens
+        # json.loads made afresh (28 bytes for each id above 256)
+        tokens: dict = {}
+        try:
+            for step, topk in zip(self.trace.steps, self.trace.iter_topk()):
+                if step.topk is None:
+                    topk = Distribution(list(map(tokens.setdefault, topk.tokens, topk.tokens)),
+                                        topk.logprobs)
+                for tok in set(topk.tokens).difference(entries):
+                    entries[tok] = _entry_head(json.dumps(token_text(tok, watched)))
+                with self._loaded:
+                    self._rows.append(topk)
+                    self._loaded.notify_all()
+        except Exception as exc:  # noqa: BLE001 - handed to every waiting request
+            with self._loaded:
+                self._load_error = exc
+                self._loaded.notify_all()
+
+    def _row(self, i: int) -> Distribution:
+        """Step i's top-K once the loader has it; the loader's error if it
+        stopped before step i."""
+        rows = self._rows
+        if i >= len(rows):
+            with self._loaded:
+                self._loaded.wait_for(lambda: i < len(rows) or self._load_error is not None)
+            if i >= len(rows):
+                raise self._load_error
+        return rows[i]
+
     def step_event(self, i: int, logprobs: bool, width: int) -> bytes:
         """SSE bytes of step i for one request shape, encoded on first use.
 
         Concurrent requests may both encode a step; they store equal bytes.
         """
-        steps = self.trace.steps
         events = self._events.get((logprobs, width))
         if events is None:  # not setdefault, which would build the list every step
-            events = self._events.setdefault((logprobs, width), [None] * len(steps))
+            events = self._events.setdefault((logprobs, width), [None] * len(self.trace.steps))
         event = events[i]
         if event is None:
-            step = steps[i]
+            text = self.trace.steps[i].chosen_text
             if logprobs:
-                event = self._logprobs_event(step, width)
+                event = self._logprobs_event(text, self._row(i), width)
             else:
-                event = _event(_content(step.chosen_text))
+                event = _event(_content(text))
             events[i] = event
         return event
 
-    def _logprobs_event(self, step: StepObservation, width: int) -> bytes:
-        """The event of step's text and its top-K cut to width, its logprobs
+    def _logprobs_event(self, text: str, topk: Distribution, width: int) -> bytes:
+        """The event of a step's text and its top-K cut to width, its logprobs
         spliced from each token's entry head and the text of each logprob."""
         cut = slice(width or None)
-        entries = list(map(self._entries.__getitem__, step.topk.tokens[cut]))
-        values = jsonl.float_texts(step.topk.logprobs[cut].tolist())
+        entries = list(map(self._entries.__getitem__, topk.tokens[cut]))
+        values = jsonl.float_texts(topk.logprobs[cut].tolist())
         # the chosen text's last entry, the one dict(zip(tokens, lps)) would
         # keep: equal wire texts have equal entry heads
         rev = entries[::-1]
-        chosen = _entry_head(json.dumps(step.chosen_text))
+        chosen = _entry_head(json.dumps(text))
         chosen_lp = values[~rev.index(chosen)] if chosen in rev else "0.0"
         top = ",".join([entry + value + "}" for entry, value in zip(entries, values)])
-        return _event(_content(step.chosen_text), "null",
+        return _event(_content(text), "null",
                       '{"content":[' + chosen + chosen_lp + ',"top_logprobs":[' + top + "]}]}")
 
     def match_prefix(self, partial: str) -> tuple[int, str]:
@@ -241,11 +284,14 @@ def _make_handler(server: StubServer):
             self.send_header("Content-Type", "text/event-stream")
             self.end_headers()
             self._send(_event('{"role":"assistant"}'))
-            for i in range(len(server.trace.steps)):
-                self._send(server.step_event(i, want_logprobs, width))
+            try:
+                for i in range(len(server.trace.steps)):
+                    self._send(server.step_event(i, want_logprobs, width))
+            except SyncThinkError:
+                return  # a row that cannot be served ends the stream short
             stop = server.trace.natural_stop
             if stop is not None:  # a trace that never stops has no answer
-                for piece in _WORD.findall(server.trace.answer_at(stop + 1)):
+                for piece in answer_pieces(server.trace.answer_at(stop + 1)):
                     self._send(_event(_content(piece)))
             self._send(_event("{}", '"stop"'))
             self._send(b"data: [DONE]\n\n")
@@ -263,7 +309,7 @@ def _make_handler(server: StubServer):
             except UnsupportedProbeError as exc:
                 self._error(400, str(exc))
                 return
-            tokens = len(answer.split())
+            tokens = len(answer_pieces(answer))
             self._reply(200, {
                 "id": "stub-completion",
                 "object": "chat.completion",

@@ -4,22 +4,45 @@ A trace is one JSON object per line.  Line 1 is a header identifying the
 source (tokenizer, vocab size, watched terminator id, seed) plus replay
 metadata: the natural stop step, if any, and recorded branch answers.
 Every following line is one decoding step, its top-K as [token, logprob]
-pairs held in memory as one policy.Distribution.  Floats are written in
-their shortest round-trip form, so a parse/serialize cycle is byte-stable.
-write_trace splices each step line from one encode of its other fields,
-a cached text per distinct token and the float texts of one encode of
-the logprob row; the bytes are those jsonl.dumps writes for the row.
+pairs.  Floats are written in their shortest round-trip form, so a
+parse/serialize cycle is byte-stable.  write_trace splices each step
+line from one encode of its other fields, a cached text per distinct
+token and the float texts of one encode of the logprob row; the bytes
+are those jsonl.dumps writes for the row.  It writes a temporary file
+beside the target and renames it over the target, so a failed write
+leaves the target as it was.
+
+Replay reads only a step's scalars (rank, censored flag, entropy, wall
+time, chosen token and text), so read_trace checks every line against
+its top-K and then keeps the step without it (topk is None): about
+0.3 KiB a step whatever K is, where a K = 513 top-K held as a
+Distribution costs about 8 KiB.  For each step it also keeps the line's
+byte offset, line number and CRC-32.  TraceFile.iter_topk is the one way
+to a step's top-K: the step's own for a trace built in memory (the
+generator's, or a hand-built one), the line re-read and parsed for a
+read trace.  A re-read line that is not byte for byte the one checked
+raises TraceIntegrityError naming its file:line.  write_trace and
+StubServer are its callers.
 
 Replay and StubServer read branch answers only through two rules.  A
 probe at decision step t reads key t, whose suffix must match; its live
 partial holds t + 1 tokens.  An answer reads the nearest key at or
 before the tokens kept: t for an injected stop at step t, t + 1 for a
-natural stop there.
+natural stop there.  An answer counts one token per piece it streams in
+(answer_pieces): each word with the whitespace before it, the last also
+with the whitespace after it, or, for an answer of whitespace alone, the
+whole answer as one piece.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import os
+import re
+import threading
+import zlib
+from array import array
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -39,25 +62,28 @@ class StepObservation:
     """One decoding step as seen by the controller.
 
     topk is the step's top-K as a Distribution, sorted by logprob
-    descending.  watched_rank is the terminator's rank; censored=True
-    means the true rank was unknown beyond the top-k and is reported as
-    the number of top-K tokens.
+    descending, or None for a step of a read trace, which keeps only its
+    scalars (TraceFile.iter_topk gives its top-K).  watched_rank is the
+    terminator's rank; censored=True means the true rank was unknown
+    beyond the top-k and is reported as the number of top-K tokens.
     """
 
     t: int
     chosen_token: TokenId
     chosen_text: str
-    topk: Distribution
+    topk: Distribution | None
     watched_rank: int
     censored: bool
     entropy: float
     step_wall_time: float
 
-    def validate(self) -> None:
-        """Check the step on its own."""
+    def validate(self, topk: Distribution | None = None) -> None:
+        """Check the step on its own, with topk as its top-K if given."""
         if self.t < 0:
             raise TraceIntegrityError(f"step index {self.t} is negative")
-        tokens, lps = self.topk.tokens, self.topk.logprobs
+        if topk is None:
+            topk = self.topk
+        tokens, lps = topk.tokens, topk.logprobs
         if not len(tokens):
             raise TraceIntegrityError(f"step {self.t}: empty topk")
         # `not a >= b` also fails a NaN logprob
@@ -89,6 +115,32 @@ class TraceHeader:
     seed: int
 
 
+@dataclass
+class StepLines:
+    """Where each step of a read trace was read: its file and, per step,
+    the byte offset, line number and CRC-32 of its line."""
+
+    path: str
+    offsets: array = field(default_factory=lambda: array("q"))
+    linenos: array = field(default_factory=lambda: array("q"))
+    crcs: array = field(default_factory=lambda: array("L"))
+
+    def add(self, offset: int, lineno: int, raw: bytes) -> None:
+        self.offsets.append(offset)
+        self.linenos.append(lineno)
+        self.crcs.append(zlib.crc32(raw))
+
+    def topk(self, fh, i: int) -> Distribution:
+        """Step i's top-K from its line in fh, the file opened in binary."""
+        fh.seek(self.offsets[i])
+        raw = fh.readline()
+        if zlib.crc32(raw) != self.crcs[i]:
+            raise TraceIntegrityError(
+                f"{self.path}:{self.linenos[i]}: step {i}: line changed since the trace was read"
+            )
+        return _parse_topk(json.loads(raw)["topk"])
+
+
 @dataclass(frozen=True)
 class TraceFile:
     header: TraceHeader
@@ -96,13 +148,40 @@ class TraceFile:
     # branch answers keyed by consumed-token count; value is (suffix, answer)
     probes: dict[int, tuple[str, str]] = field(default_factory=dict)
     natural_stop: int | None = None
+    # where a read trace's step lines are; None for a trace built in memory
+    lines: StepLines | None = field(default=None, repr=False, compare=False)
+
+    def iter_topk(self) -> Iterator[Distribution]:
+        """Each step's top-K in step order: the one the step holds, else
+        its line re-read from the file it was read from.
+
+        A re-read line that differs from the one read_trace checked raises
+        TraceIntegrityError naming its file:line; an unreadable file raises
+        it too.
+        """
+        fh = None
+        try:
+            for i, step in enumerate(self.steps):
+                if step.topk is not None:
+                    yield step.topk
+                    continue
+                if fh is None:
+                    try:
+                        fh = open(self.lines.path, "rb")
+                    except OSError as exc:
+                        raise TraceIntegrityError(f"{self.lines.path}: {exc}") from exc
+                yield self.lines.topk(fh, i)
+        finally:
+            if fh is not None:
+                fh.close()
 
     def validate(self) -> None:
-        """Check the trace held in memory; step i is named as file line i + 2."""
+        """Check the whole trace, each step against its top-K (iter_topk);
+        step i is named as file line i + 2."""
         _check_header(self.header)
         watched = []
-        for i, step in enumerate(self.steps):
-            _check_step(step, self.header, i, i + 2)
+        for i, (step, topk) in enumerate(zip(self.steps, self.iter_topk())):
+            _check_step(step, topk, self.header, i, i + 2)
             if step.chosen_token == self.header.watched_token:
                 watched.append(i)
         _check_end(len(self.steps), watched, self.natural_stop, self.probes)
@@ -128,6 +207,16 @@ class TraceFile:
         return self.probes[max(keys)][1] if keys else ""
 
 
+# a word with the whitespace before it and, the last one, after it; or
+# an answer of whitespace alone
+_PIECE = re.compile(r"\s*\S+(?:\s+\Z)?|\s+\Z")
+
+
+def answer_pieces(answer: str) -> list[str]:
+    """The pieces an answer streams in, one token each (see the module doc)."""
+    return _PIECE.findall(answer)
+
+
 def _check_header(h: TraceHeader) -> None:
     if h.vocab_size < 1:
         raise TraceIntegrityError(f"vocab_size {h.vocab_size} < 1")
@@ -137,14 +226,16 @@ def _check_header(h: TraceHeader) -> None:
         )
 
 
-def _check_step(step: StepObservation, header: TraceHeader, index: int, lineno: int) -> None:
-    """Check step number `index`, read from file line `lineno`, against its header."""
+def _check_step(step: StepObservation, topk: Distribution, header: TraceHeader,
+                index: int, lineno: int) -> None:
+    """Check step number `index`, read from file line `lineno` with top-K
+    `topk`, against its header."""
     if step.t != index:
         raise TraceIntegrityError(
             f"step indices must be consecutive from 0; saw {step.t} at line {lineno}"
         )
-    step.validate()
-    ids, vocab = step.topk.tokens, header.vocab_size
+    step.validate(topk)
+    ids, vocab = topk.tokens, header.vocab_size
     if isinstance(step.chosen_token, int) and not (0 <= step.chosen_token < vocab):
         raise TraceIntegrityError(
             f"step {step.t}: chosen token {step.chosen_token} outside vocabulary"
@@ -162,7 +253,7 @@ def _check_step(step: StepObservation, header: TraceHeader, index: int, lineno: 
             if isinstance(tok, int) and not (0 <= tok < vocab):
                 raise TraceIntegrityError(f"step {step.t}: topk token {tok} outside vocabulary")
 
-    rank, absent = compute_rank(step.topk, header.watched_token)
+    rank, absent = compute_rank(topk, header.watched_token)
     if absent:  # the true rank is censored at the top-K size
         if step.censored and step.watched_rank != rank:
             raise TraceIntegrityError(f"step {step.t}: censored rank must equal topk size")
@@ -218,16 +309,16 @@ def token_text(token: TokenId, watched: TokenId) -> str:
     return "</think>" if token == watched else f"<w{token}>"
 
 
-def _step_line(step: StepObservation, heads: dict[TokenId, str]) -> str:
+def _step_line(step: StepObservation, topk: Distribution, heads: dict[TokenId, str]) -> str:
     """The text jsonl.dumps writes for the step with topk as [token, logprob]
     pairs, spliced from one encode of the other fields, each pair's head
     and the float texts of the logprob row.  The fields after topk are
     numbers and a bool, so the last `"topk":0` is the key itself."""
     head, _, tail = jsonl.dumps({**vars(step), "topk": 0}).rpartition('"topk":0')
-    values = jsonl.float_texts(step.topk.logprobs.tolist())
+    values = jsonl.float_texts(topk.logprobs.tolist())
     # each pair's head before its float text
     pieces = [""] * (2 * len(values))
-    pieces[::2], pieces[1::2] = _pair_heads(step.topk.tokens, heads), values
+    pieces[::2], pieces[1::2] = _pair_heads(topk.tokens, heads), values
     if pieces:
         pieces[0] = pieces[0][2:]  # the first pair drops its head's "],"
         pieces.append("]")  # and the last pair closes
@@ -235,17 +326,29 @@ def _step_line(step: StepObservation, heads: dict[TokenId, str]) -> str:
 
 
 def write_trace(trace: TraceFile, path: str) -> None:
-    """Write the header line, then one line per step (see _step_line)."""
+    """Write the header line, then one line per step (see _step_line).
+
+    The lines go to a temporary file beside path, renamed over path once
+    every line is written; a write that fails leaves path as it was.  So
+    a read trace can be written onto the file it was read from.
+    """
     header = {
         **vars(trace.header),
         "natural_stop": trace.natural_stop,
         "probes": {str(k): trace.probes[k] for k in sorted(trace.probes)},
     }
     heads: dict[TokenId, str] = {}  # one `],[token,` text per distinct token
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(jsonl.dumps(header) + "\n")
-        for step in trace.steps:
-            fh.write(_step_line(step, heads) + "\n")
+    partial = f"{path}.{os.getpid()}-{threading.get_ident()}.tmp"
+    try:
+        with open(partial, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(jsonl.dumps(header) + "\n")
+            for step, topk in zip(trace.steps, trace.iter_topk()):
+                fh.write(_step_line(step, topk, heads) + "\n")
+        os.replace(partial, path)
+    except BaseException:
+        if os.path.exists(partial):
+            os.remove(partial)
+        raise
 
 
 def _parse_header(obj: dict, where: str) -> tuple[TraceHeader, dict[int, tuple[str, str]], int | None]:
@@ -278,45 +381,38 @@ def _parse_branch(value) -> tuple[str, str]:
     return str(value[0]), str(value[1])
 
 
-def _parse_step(obj: dict, where: str, shared: dict[TokenId, TokenId]) -> StepObservation:
-    """One step row as a StepObservation; its int and str tokens come from `shared`.
+def _parse_topk(pairs) -> Distribution:
+    """A step row's [token, logprob] pairs as a Distribution."""
+    return Distribution([tok for tok, _ in pairs], [float(lp) for _, lp in pairs])
 
-    json.loads makes a new object for every token it parses, and an int
-    above 256 costs 28 bytes, so at K = 513 unshared ids would be about
-    7 KiB of every step held.  `shared` maps each token to its first copy
-    in the trace.  Only exact ints and strs go through it: a dict takes
-    1, 1.0 and true for one key, and a list token must reach the step
-    check unhashed.
-    """
-    setdefault = shared.setdefault
+
+def _parse_step(obj: dict, where: str) -> tuple[StepObservation, Distribution]:
+    """One step row as a StepObservation that holds no top-K, and its top-K."""
     try:
         return StepObservation(
             t=int(obj["t"]),
             chosen_token=obj["chosen_token"],
             chosen_text=str(obj["chosen_text"]),
-            topk=Distribution(
-                [setdefault(tok, tok) if type(tok) is int or type(tok) is str else tok
-                 for tok, _ in obj["topk"]],
-                [float(lp) for _, lp in obj["topk"]],
-            ),
+            topk=None,
             watched_rank=int(obj["watched_rank"]),
             censored=bool(obj["censored"]),
             entropy=float(obj["entropy"]),
             step_wall_time=float(obj["step_wall_time"]),
-        )
+        ), _parse_topk(obj["topk"])
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise MalformedTraceError(f"{where}: bad step record: {exc}") from exc
 
 
 def read_trace(path: str) -> TraceFile:
-    """Parse and check a trace file in one pass; the first fault by line is reported."""
+    """Parse and check a trace file in one pass; the first fault by line is
+    reported.  The trace keeps each step without its top-K (see iter_topk)."""
     header = None
     steps: list[StepObservation] = []
     watched: list[int] = []
-    shared: dict[TokenId, TokenId] = {}  # one object per distinct token
+    lines = StepLines(path)
     where = path  # a step's integrity error names its line, others the file
     try:
-        for lineno, obj in jsonl.read_lines(path):
+        for lineno, offset, raw, obj in jsonl.scan_lines(path):
             if not isinstance(obj, dict):
                 raise MalformedTraceError(f"{path}:{lineno}: expected a JSON object")
             if header is None:
@@ -324,11 +420,12 @@ def read_trace(path: str) -> TraceFile:
                 _check_header(header)
                 continue
             where = f"{path}:{lineno}"
-            step = _parse_step(obj, where, shared)
-            _check_step(step, header, len(steps), lineno)
+            step, topk = _parse_step(obj, where)
+            _check_step(step, topk, header, len(steps), lineno)
             if step.chosen_token == header.watched_token:
                 watched.append(step.t)
             steps.append(step)
+            lines.add(offset, lineno, raw)
         where = path
         if header is None:
             raise MalformedTraceError(f"{path}: empty trace file")
@@ -340,7 +437,8 @@ def read_trace(path: str) -> TraceFile:
     except OSError as exc:
         raise MalformedTraceError(f"{path}: {exc}") from exc
     return TraceFile(
-        header=header, steps=tuple(steps), probes=probes, natural_stop=natural_stop
+        header=header, steps=tuple(steps), probes=probes, natural_stop=natural_stop,
+        lines=lines,
     )
 
 
@@ -386,7 +484,7 @@ class TraceReader:
         otherwise the nearest earlier branch stands in.
         """
         answer = self.trace.answer_at(t if injected else t + 1)
-        return answer, len(answer.split()), 0.0
+        return answer, len(answer_pieces(answer)), 0.0
 
     def close(self) -> None:
         pass

@@ -21,6 +21,7 @@ from syncthink.controller import (
     write_records,
 )
 from syncthink.errors import (
+    CapabilityError,
     ConfigurationError,
     MalformedRecordError,
     PolicyUnavailableError,
@@ -106,6 +107,27 @@ class FakeSource:
 
     def close(self):
         self.closed = True
+
+
+class FailingReplay:
+    """A trace replay that raises error in place of step `at`."""
+
+    def __init__(self, reader, at, error):
+        self._reader = reader
+        self._at = at
+        self._error = error
+        self.watched_token = reader.watched_token
+
+    def __iter__(self):
+        return self
+
+    def __next__(self):
+        if self._reader._pos == self._at:
+            raise self._error
+        return next(self._reader)
+
+    def __getattr__(self, name):
+        return getattr(self._reader, name)
 
 
 class TestRunGeneration:
@@ -546,6 +568,19 @@ class TestRunBatch:
                 )
             )
         return out
+
+    @pytest.mark.parametrize("error", [
+        SessionError("stream died"),
+        CapabilityError("endpoint streams tokens without logprobs.content"),
+    ], ids=["session", "capability"])
+    def test_midstream_failure_keeps_the_steps_before_it(self, error):
+        trace = generate_synthetic(SyntheticPhaseSpec(seed=0))
+        item = BatchItem("s0", lambda: FailingReplay(TraceReader(trace), 3, error))
+        [record] = run_batch([item], ["full"])
+        assert not record.complete
+        assert record.error == f"{type(error).__name__}: {error}"
+        assert len(record.rank_trajectory) == 3
+        assert record.reasoning_tokens == 3
 
     def test_grid_order(self, tmp_path):
         records = run_batch(self.items(tmp_path), ["syncthink", "none"])

@@ -8,6 +8,7 @@ import gc
 import http.client
 import json
 import math
+import re
 import socket
 import struct
 import threading
@@ -26,6 +27,7 @@ from syncthink.errors import (
     ConfigurationError,
     PolicyUnavailableError,
     SessionError,
+    TraceIntegrityError,
 )
 from syncthink.policy import (
     BaselineConfig,
@@ -37,7 +39,14 @@ from syncthink.policy import (
 )
 from syncthink.stub import StubServer
 from syncthink.synthetic import SyntheticPhaseSpec, generate_synthetic, token_text
-from syncthink.trace import StepObservation, TraceFile, TraceHeader, TraceReader
+from syncthink.trace import (
+    StepObservation,
+    TraceFile,
+    TraceHeader,
+    TraceReader,
+    read_trace,
+    write_trace,
+)
 from test_policy import random_top, scalar_entropy, scalar_rank, scalar_sorted_pairs
 
 WATCHED_TEXT = "</think>"
@@ -564,6 +573,61 @@ def test_stub_construction_holds_no_copy_of_the_top_k():
     assert per_step < 1024, f"{per_step:.0f} B per step"
 
 
+class TestStubOverAReadTrace:
+    """A read trace keeps no top-K; the stub loads its rows from the file."""
+
+    @pytest.fixture(scope="class")
+    def written(self, tmp_path_factory):
+        trace = generate_synthetic(SyntheticPhaseSpec(phase_lengths=(4, 6, 12, 6), seed=5),
+                                   topk_width=513, probe_every=4)
+        path = tmp_path_factory.mktemp("read") / "t.jsonl"
+        write_trace(trace, str(path))
+        return trace, path
+
+    def exchange(self, trace) -> list[tuple[int, bytes]]:
+        """Status and payload of every request shape's main stream, of a
+        probe after every step, and of an injected stop at every step."""
+        texts = [step.chosen_text for step in trace.steps]
+        with StubServer(trace) as stub:
+            def branch(partial):
+                messages = [{"role": "user", "content": "q"},
+                            {"role": "assistant", "content": partial}]
+                return post(stub, json.dumps({"messages": messages}).encode())
+
+            streams = [post(stub, stream_request(logprobs=lp, top_logprobs=width))
+                       for lp, width in ((True, 0), (True, 2), (True, 513), (False, 0))]
+            probes = [branch("".join(texts[: t + 1]) + "</think>\nFinal answer:")
+                      for t in range(len(texts))]
+            stops = [branch("".join(texts[:t]) + "</think>") for t in range(len(texts))]
+        return streams + probes + stops
+
+    def test_serves_the_bytes_of_the_written_trace(self, written):
+        trace, path = written
+        read = read_trace(str(path))
+        assert all(step.topk is None for step in read.steps)
+        assert self.exchange(read) == self.exchange(trace)
+
+    def test_a_line_changed_after_the_read_is_not_served(self, written, tmp_path):
+        _, path = written
+        copy = tmp_path / "t.jsonl"
+        copy.write_bytes(path.read_bytes())
+        read = read_trace(str(copy))
+        lines = copy.read_bytes().splitlines(keepends=True)
+        # step 5's last logprob, on line 7
+        head, sep, _ = lines[6].rpartition(b"]],")
+        lines[6] = head[: head.rindex(b",") + 1] + b"-99.5" + sep + lines[6][len(head) + 3:]
+        copy.write_bytes(b"".join(lines))
+        with pytest.raises(TraceIntegrityError, match="^" + re.escape(f"{copy}:7: step 5: ")):
+            write_trace(read, str(tmp_path / "out.jsonl"))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["t.jsonl"]
+        with StubServer(read) as stub:
+            record = run_live(connect_endpoint(stub.base_url, "m", top_logprobs=513), "full")
+        assert not record.complete
+        assert record.error.startswith("SessionError: stream ended without completion"), \
+            record.error
+        assert len(record.rank_trajectory) == 5
+
+
 def post(stub, body: bytes, length: str | None = None) -> tuple[int, bytes]:
     """Status and payload of one POST to the stub, sent with length as its
     Content-Length (the body's length by default)."""
@@ -693,9 +757,15 @@ class TestPolicyParity:
             (lambda: with_final_answer(make_trace(), "\t So it is\r\n 42 \n"),
              "full", "freeform", {},
              {"answer_text": "\t So it is\r\n 42 \n", "answer_tokens": 4}),
+            # whitespace alone streams as one piece, one token, in both
+            (lambda: with_final_answer(make_trace(), " \n "), "full", "freeform", {},
+             {"answer_text": " \n ", "answer_tokens": 1, "normalized_answer": ""}),
+            # an injected stop's answer of whitespace alone counts the same
+            (lambda: dataclasses.replace(make_trace(), probes={0: ("Final answer:", "\t ")}),
+             "none", "freeform", {}, {"answer_text": "\t ", "answer_tokens": 1}),
         ],
         ids=["probe-key-is-the-decision-step", "no-natural-stop", "answer-whitespace",
-             "answer-edge-whitespace"],
+             "answer-edge-whitespace", "answer-only-whitespace", "injected-only-whitespace"],
     )
     def test_live_matches_replay_through_the_trace_rules(
         self, build, policy, task_kind, kw, expected

@@ -87,10 +87,10 @@ class TestRoundTrip:
         path = tmp_path / "t.jsonl"
         write_trace(trace, str(path))
         reread = read_trace(str(path))
-        for a, b in zip(trace.steps, reread.steps):
+        for a, b, topk in zip(trace.steps, reread.steps, reread.iter_topk()):
             assert a.entropy == b.entropy
             assert a.step_wall_time == b.step_wall_time
-            assert a.topk.logprobs.tolist() == b.topk.logprobs.tolist()
+            assert a.topk.logprobs.tolist() == topk.logprobs.tolist()
 
     def test_17_digit_floats(self):
         v = 0.1 + 0.2  # 0.30000000000000004
@@ -146,7 +146,7 @@ class TestRoundTrip:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             trace = read_trace(str(path))
-        assert trace.steps[0].topk.logprobs[0] == 800.0
+        assert next(trace.iter_topk()).logprobs[0] == 800.0
 
 
 class TestIntegrity:
@@ -571,17 +571,37 @@ class TestReader:
 WIDE_K, LONG_N = 513, 1024
 
 
+def write_flat_trace(path, width, n, rank=None):
+    """An n-step trace whose steps share one top-K of width entries: the
+    watched token 0 at rank, or censored when rank is None."""
+    ids = list(range(1, width + 1))
+    if rank is not None:
+        ids = ids[:rank] + [0] + ids[rank : width - 1]
+    header = {"tokenizer": "toy", "vocab_size": 4 * WIDE_K, "watched_token": 0,
+              "source": "test", "seed": 0, "natural_stop": None, "probes": {}}
+    row = {"chosen_token": ids[0], "chosen_text": f"<w{ids[0]}>",
+           "topk": [[tok, -0.001 * i] for i, tok in enumerate(ids, start=1)],
+           "watched_rank": width if rank is None else rank, "censored": rank is None,
+           "entropy": 1.5, "step_wall_time": 0.04}
+    jsonl.write_lines(str(path), [header, *({"t": t, **row} for t in range(n))])
+    return path
+
+
 @pytest.fixture(scope="module")
 def long_wide_trace(tmp_path_factory):
     """A LONG_N-step trace of WIDE_K top-K entries, the watched token censored at every step."""
-    path = tmp_path_factory.mktemp("wide") / "t.jsonl"
-    header = {"tokenizer": "toy", "vocab_size": 4 * WIDE_K, "watched_token": 0,
-              "source": "test", "seed": 0, "natural_stop": None, "probes": {}}
-    row = {"chosen_token": 1, "chosen_text": "<w1>",
-           "topk": [[tok, -0.001 * tok] for tok in range(1, WIDE_K + 1)],
-           "watched_rank": WIDE_K, "censored": True, "entropy": 1.5, "step_wall_time": 0.04}
-    jsonl.write_lines(str(path), [header, *({"t": t, **row} for t in range(LONG_N))])
-    return path
+    return write_flat_trace(tmp_path_factory.mktemp("wide") / "t.jsonl", WIDE_K, LONG_N)
+
+
+def held_by_read(path):
+    """(the trace read from path, bytes it holds, peak bytes while reading)."""
+    tracemalloc.start()
+    try:
+        trace = read_trace(str(path))
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return trace, held, peak
 
 
 def test_reading_a_long_wide_trace_peaks_at_what_it_holds(long_wide_trace):
@@ -589,23 +609,27 @@ def test_reading_a_long_wide_trace_peaks_at_what_it_holds(long_wide_trace):
     # line's bytes), whatever the step count; holding every parsed row
     # at once would cost about 3x the trace held
     line = max(map(len, long_wide_trace.read_bytes().splitlines()))
-    tracemalloc.start()
-    try:
-        trace = read_trace(str(long_wide_trace))
-        held, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    trace, held, peak = held_by_read(long_wide_trace)
     assert len(trace.steps) == LONG_N
     over = peak - held
     assert over < 32 * line, f"{over / 2**10:.0f} KiB above {held / 2**20:.1f} MiB held"
-    # ids 257..513 lie above CPython's small-int cache: a fresh object per
-    # entry would cost 28 bytes each, 15.9 KiB a step in all
+    # a read step keeps its scalars and where its line is, not its top-K,
+    # which held as a Distribution costs about 8.8 KiB at K = 513
     per_step = held / LONG_N
-    assert per_step < 10 * 2**10, f"{per_step / 2**10:.1f} KiB held per step"
+    assert per_step < 2**10, f"{per_step / 2**10:.2f} KiB held per step"
+
+
+def test_held_bytes_do_not_grow_with_the_top_k_width(tmp_path):
+    # the watched token at one rank in both, so every scalar is equal
+    wide = write_flat_trace(tmp_path / "wide.jsonl", WIDE_K, LONG_N, rank=7)
+    narrow = write_flat_trace(tmp_path / "narrow.jsonl", 32, LONG_N, rank=7)
+    _, wide_held, _ = held_by_read(wide)
+    _, narrow_held, _ = held_by_read(narrow)
+    assert abs(wide_held - narrow_held) <= 0.1 * narrow_held, (wide_held, narrow_held)
 
 
 class TestSharedTokens:
-    """read_trace holds one object per distinct token of one exact type."""
+    """Top-K tokens, read back through iter_topk, keep their exact type."""
 
     def write(self, path, *topks):
         header = {"tokenizer": "toy", "vocab_size": 4096, "watched_token": 3,
@@ -615,13 +639,6 @@ class TestSharedTokens:
                  "step_wall_time": 0.01} for t, pairs in enumerate(topks)]
         jsonl.write_lines(str(path), [header, *rows])
 
-    def test_equal_tokens_in_two_steps_are_one_object(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        self.write(path, [[1000, -0.5], ["word", -0.9]], [["word", -0.2], [1000, -0.7]])
-        first, second = (step.topk.tokens for step in read_trace(str(path)).steps)
-        assert first[0] == 1000 and first[0] is second[1]
-        assert first[1] == "word" and first[1] is second[0]
-
     def test_equal_tokens_of_other_types_keep_their_type(self, tmp_path):
         # a dict takes 1, 1.0 and true for one key; sharing across types
         # would write 1.0 and true back as 1
@@ -629,7 +646,7 @@ class TestSharedTokens:
         self.write(src, [[1, -0.5], [2, -0.9]], [[1.0, -0.5], [2, -0.9]],
                    [[True, -0.5], [2, -0.9]])
         trace = read_trace(str(src))
-        assert [type(step.topk.tokens[0]) for step in trace.steps] == [int, float, bool]
+        assert [type(topk.tokens[0]) for topk in trace.iter_topk()] == [int, float, bool]
         write_trace(trace, str(dst))
         assert dst.read_bytes() == src.read_bytes()
 
@@ -640,6 +657,85 @@ class TestSharedTokens:
         with pytest.raises(TraceIntegrityError) as err:
             read_trace(str(path))
         assert str(err.value) == f"{path}:4: step 2: topk token of unhashable type: '{kind}'"
+
+
+def edit_line(path, lineno, old, new):
+    """Replace old with new in line lineno of path; returns the file's new bytes."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    assert old in lines[lineno - 1]
+    lines[lineno - 1] = lines[lineno - 1].replace(old, new, 1)
+    path.write_bytes(b"".join(lines))
+    return path.read_bytes()
+
+
+class TestReadTraceTopK:
+    """A read trace keeps no top-K; iter_topk re-reads each step's line."""
+
+    def test_steps_hold_no_top_k_and_iter_topk_reads_it_back(self, tmp_path):
+        trace = make_trace(BASE_RANKS, natural=True, probes={2: ("Q:", "a")})
+        path = tmp_path / "t.jsonl"
+        write_trace(trace, str(path))
+        reread = read_trace(str(path))
+        assert all(step.topk is None for step in reread.steps)
+        assert [step.topk for step in trace.steps] == list(trace.iter_topk())
+        for held, topk in zip(trace.steps, reread.iter_topk()):
+            assert list(topk.tokens) == list(held.topk.tokens)
+            assert topk.logprobs.tolist() == held.topk.logprobs.tolist()
+        reread.validate()
+
+    def test_a_line_changed_after_the_read_names_its_line(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        write_trace(make_trace(BASE_RANKS, natural=True), str(path))
+        trace = read_trace(str(path))
+        # a logprob that keeps the step valid, on step 2's line
+        edit_line(path, 4, b"[11,-0.9]", b"[11,-1.0]")
+        topks = trace.iter_topk()
+        next(topks), next(topks)
+        with pytest.raises(TraceIntegrityError, match="^" + re.escape(
+                f"{path}:4: step 2: line changed since the trace was read") + "$"):
+            next(topks)
+
+    def test_blank_lines_keep_the_line_named(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        write_trace(make_trace(BASE_RANKS, natural=True), str(path))
+        header, *steps = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join([header, b"\n", b" \n", *steps]))
+        trace = read_trace(str(path))
+        edit_line(path, 6, b"[11,-0.9]", b"[11,-1.0]")
+        with pytest.raises(TraceIntegrityError, match=re.escape(f"{path}:6: step 2: ")):
+            trace.validate()
+
+    def test_a_missing_file_fails_the_re_read(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        write_trace(make_trace(BASE_RANKS, natural=True), str(path))
+        trace = read_trace(str(path))
+        path.unlink()
+        with pytest.raises(TraceIntegrityError, match="^" + re.escape(f"{path}: ")):
+            list(trace.iter_topk())
+
+
+class TestSafeWrites:
+    """write_trace renames a finished temporary file over its target."""
+
+    def test_a_read_trace_writes_onto_its_own_path(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        write_trace(make_trace(BASE_RANKS, natural=True, probes={2: ("Q:", "a")}), str(path))
+        original = path.read_bytes()
+        write_trace(read_trace(str(path)), str(path))
+        assert path.read_bytes() == original
+        assert [p.name for p in tmp_path.iterdir()] == ["t.jsonl"]
+
+    def test_a_write_that_fails_partway_leaves_the_target(self, tmp_path):
+        src, dst = tmp_path / "t.jsonl", tmp_path / "dst.jsonl"
+        write_trace(make_trace(BASE_RANKS, natural=True), str(src))
+        trace = read_trace(str(src))
+        edited = edit_line(src, 5, b"[3,-1.3]", b"[3,-1.4]")
+        dst.write_bytes(b"an earlier trace\n")
+        for target, before in ((dst, b"an earlier trace\n"), (src, edited)):
+            with pytest.raises(TraceIntegrityError, match="^" + re.escape(f"{src}:5: step 3: ")):
+                write_trace(trace, str(target))
+            assert target.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dst.jsonl", "t.jsonl"]
 
 
 def reference_line(step):
