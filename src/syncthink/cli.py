@@ -51,7 +51,7 @@ from .phase_analysis import (
     truncation_accuracy_curve,
 )
 from .policy import BaselineConfig, PolicyConfig
-from .saliency import load_tensor, report_curves_to_csv, report_to_obj, saliency_report
+from .saliency import _regions, load_tensor, report_curves_to_csv, report_to_obj, saliency_report
 from .synthetic import SyntheticPhaseSpec, generate_synthetic
 from .trace import TraceReader, read_trace, write_trace
 
@@ -489,9 +489,10 @@ def _validate_saliency(args) -> list[int]:
     bounds = _parse_list(args.boundaries, "--boundaries", int)
     if len(bounds) != 4:
         raise UsageError(f"--boundaries needs p,r,s,end; got {len(bounds)} values")
-    p, r, s, end = bounds
-    if not 0 <= p < r < s <= end:
-        raise UsageError(f"--boundaries must satisfy 0 <= p < r < s <= end, got {bounds}")
+    try:
+        _regions(bounds)
+    except SyncThinkError as exc:
+        raise UsageError(f"--boundaries: {exc}") from exc
     return bounds
 
 

@@ -4,17 +4,22 @@ Works on externally produced attention activations and their loss
 gradients; nothing here runs a model.  A path score is the masked
 Frobenius inner product alpha * sum(A * G * M).  There is no absolute
 value anywhere: the score is bilinear in A and G, so path scores over
-disjoint masks add exactly.  Inputs are 32-bit on disk and upcast to
-64-bit before any multiplication.
+disjoint masks add exactly.  Each path's mask is one rectangle of the
+(query, key) plane, all three listed once in _regions: build_masks
+paints them for saliency_score, and saliency_report sums each block of
+A * G per head without forming a mask or the full product.  Inputs are
+32-bit on disk and upcast to 64-bit before any multiplication.
 
 Container layout, in order and without padding: magic "STNS", one
 version byte, unsigned 32-bit rank, rank unsigned 64-bit dims, then the
-payload as little-endian 32-bit reals in row-major order.
+payload as little-endian 32-bit reals in row-major order, which
+load_tensor reads once, into the array it returns.
 """
 
 from __future__ import annotations
 
 import csv
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -49,9 +54,18 @@ class TensorBlob:
             raise TensorFormatError(
                 f"data shape {self.data.shape} does not match dims {self.dims}"
             )
-        if not np.isfinite(self.data).all():
-            flat = int(np.flatnonzero(~np.isfinite(self.data.reshape(-1)))[0])
-            raise TensorFormatError(f"non-finite value at element {flat}")
+        if (bad := _first_non_finite(self.data)) is not None:
+            raise TensorFormatError(f"non-finite value at element {bad}")
+
+
+def _first_non_finite(data: np.ndarray) -> int | None:
+    """The flat index of data's first non-finite value, else None.  A float64
+    sum of float32 values is non-finite only when a value is, so a finite
+    array costs one pass and no allocation."""
+    with np.errstate(invalid="ignore"):  # +inf plus -inf
+        if np.isfinite(data.sum(dtype=np.float64)):
+            return None
+    return int(np.argmin(np.isfinite(data.reshape(-1))))
 
 
 def save_tensor(tensor, path: str) -> None:
@@ -73,7 +87,8 @@ def save_tensor(tensor, path: str) -> None:
 def load_tensor(path: str) -> TensorBlob:
     """Read and validate a container file; errors carry the byte offset."""
     with open(path, "rb") as fh:
-        raw = fh.read()
+        size = os.fstat(fh.fileno()).st_size
+        raw = fh.read(9 + 8 * MAX_RANK)  # the longest header
     if raw[:4] != MAGIC:
         raise TensorFormatError(
             f"{path}: bad magic {raw[:4]!r} at offset 0, expected {MAGIC!r}"
@@ -98,22 +113,20 @@ def load_tensor(path: str) -> TensorBlob:
             raise TensorFormatError(f"{path}: zero dim at offset {9 + 8 * i}")
         count *= dim
     expected = count * 4
-    actual = len(raw) - dims_end
+    actual = size - dims_end
     if actual != expected:
         raise TensorFormatError(
             f"{path}: payload of {actual} bytes at offset {dims_end},"
             f" expected {expected}"
         )
-    data = np.frombuffer(raw, dtype="<f4", offset=dims_end).reshape(dims)
-    finite = np.isfinite(data)
-    if not finite.all():
-        flat = int(np.flatnonzero(~finite.reshape(-1))[0])
+    data = np.fromfile(path, dtype="<f4", count=count, offset=dims_end)
+    if data.size != count:  # the file shrank after fstat
+        raise TensorFormatError(f"{path}: payload truncated at offset {dims_end + 4 * data.size}")
+    if (bad := _first_non_finite(data)) is not None:
         raise TensorFormatError(
-            f"{path}: non-finite value at offset {dims_end + 4 * flat}"
+            f"{path}: non-finite value at offset {dims_end + 4 * bad}"
         )
-    blob = TensorBlob(dims=tuple(int(d) for d in dims), data=data.astype(np.float32))
-    blob.validate()
-    return blob
+    return TensorBlob(dims=tuple(int(d) for d in dims), data=data.reshape(dims))
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,41 +144,40 @@ class RegionMask:
             raise ConfigurationError(f"mask {self.name} breaks causality")
 
 
-def build_masks(
-    boundaries: tuple[int, int, int, int], length: int | None = None
-) -> tuple[RegionMask, RegionMask, RegionMask]:
-    """Masks for the three paths between reasoning, terminator, and answer.
+def _regions(boundaries) -> tuple[tuple[slice, slice], ...]:
+    """Each path's (query rows, key columns) block, in PATHS order.
 
-    boundaries = (reasoning start, terminator position, answer start,
-    sequence end); the terminator is the single position between the
-    reasoning span and the answer span.  Masks are (length, length) with
-    length defaulting to the sequence end.
+    boundaries = (reasoning start p, terminator position r, answer start
+    s, sequence end); the terminator is the single position between the
+    reasoning span and the answer span.
     """
     p, r, s, end = boundaries
     if not (0 <= p < r < s <= end):
         raise ConfigurationError(
-            "boundaries must satisfy reasoning start < terminator"
-            f" < answer start <= sequence end, got {boundaries}"
+            "boundaries must satisfy 0 <= reasoning start < terminator"
+            f" < answer start <= sequence end, got {tuple(boundaries)}"
         )
+    return (
+        (slice(s, end), slice(p, r)),  # reasoning_to_answer
+        (slice(r, r + 1), slice(p, r)),  # reasoning_to_terminator
+        (slice(s, end), slice(r, r + 1)),  # terminator_to_answer
+    )
+
+
+def build_masks(
+    boundaries: tuple[int, int, int, int], length: int | None = None
+) -> tuple[RegionMask, RegionMask, RegionMask]:
+    """Masks for the three paths between reasoning, terminator, and answer
+    (see _regions); they are (length, length), length defaulting to the
+    sequence end."""
+    regions = _regions(boundaries)
+    end = boundaries[3]
     n = end if length is None else length
     if n < end:
         raise ConfigurationError(f"mask length {n} cannot hold sequence end {end}")
-
-    def blank():
-        return np.zeros((n, n), dtype=np.uint8)
-
-    reasoning_to_answer = blank()
-    reasoning_to_answer[s:end, p:r] = 1
-    reasoning_to_terminator = blank()
-    reasoning_to_terminator[r, p:r] = 1
-    terminator_to_answer = blank()
-    terminator_to_answer[s:end, r] = 1
-    out = (
-        RegionMask("reasoning_to_answer", boundaries, reasoning_to_answer),
-        RegionMask("reasoning_to_terminator", boundaries, reasoning_to_terminator),
-        RegionMask("terminator_to_answer", boundaries, terminator_to_answer),
-    )
-    for mask in out:
+    out = tuple(RegionMask(name, boundaries, np.zeros((n, n), dtype=np.uint8)) for name in PATHS)
+    for mask, block in zip(out, regions):
+        mask.matrix[block] = 1
         mask.validate()
     return out
 
@@ -230,17 +242,16 @@ def saliency_report(attention, gradient, boundaries, *, alpha: float = 1.0) -> S
         raise ConfigurationError(
             f"sequence end {end} does not match attention length {q_len}"
         )
-    masks = build_masks(boundaries)
-    prod = a.astype(np.float64) * g.astype(np.float64)
-    head_scores = np.empty((layers, heads, len(masks)))
-    for idx, mask in enumerate(masks):
-        head_scores[:, :, idx] = alpha * np.tensordot(
-            prod, mask.matrix.astype(np.float64), axes=([2, 3], [0, 1])
-        )
+    head_scores = np.empty((layers, heads, len(PATHS)))
+    for idx, (rows, cols) in enumerate(_regions(boundaries)):
+        # one path's block in float64; float32 * float64 upcasts exactly
+        block = a[..., rows, cols].astype(np.float64)
+        block *= g[..., rows, cols]
+        head_scores[:, :, idx] = alpha * block.sum(axis=(2, 3))
     return SaliencyReport(
         boundaries=tuple(boundaries),
         alpha=alpha,
-        paths=tuple(m.name for m in masks),
+        paths=PATHS,
         head_scores=head_scores,
         layer_scores=head_scores.sum(axis=1),
     )
@@ -254,16 +265,9 @@ def report_to_obj(report: SaliencyReport) -> dict:
         "paths": list(report.paths),
         "layers": layers,
         "heads": heads,
-        "layer_scores": [
-            {path: report.layer_scores[layer, i] for i, path in enumerate(report.paths)}
-            for layer in range(layers)
-        ],
+        "layer_scores": [dict(zip(report.paths, row)) for row in report.layer_scores],
         "head_scores": [
-            [
-                {path: report.head_scores[layer, head, i] for i, path in enumerate(report.paths)}
-                for head in range(heads)
-            ]
-            for layer in range(layers)
+            [dict(zip(report.paths, row)) for row in layer] for layer in report.head_scores
         ],
     }
 
@@ -275,17 +279,8 @@ def report_curves_to_csv(report: SaliencyReport, path: str) -> None:
         writer = csv.writer(fh)
         writer.writerow(["layer", "head", "path", "score"])
         for layer in range(layers):
-            for i, name in enumerate(report.paths):
-                writer.writerow(
-                    [layer, "", name, jsonl.format_float(float(report.layer_scores[layer, i]))]
-                )
-            for head in range(heads):
-                for i, name in enumerate(report.paths):
-                    writer.writerow(
-                        [
-                            layer,
-                            head,
-                            name,
-                            jsonl.format_float(float(report.head_scores[layer, head, i])),
-                        ]
-                    )
+            rows = [("", report.layer_scores[layer])]
+            rows += [(head, report.head_scores[layer, head]) for head in range(heads)]
+            for head, scores in rows:
+                for name, score in zip(report.paths, scores):
+                    writer.writerow([layer, head, name, jsonl.format_float(float(score))])

@@ -383,6 +383,8 @@ def _parse_branch(value) -> tuple[str, str]:
 
 def _parse_topk(pairs) -> Distribution:
     """A step row's [token, logprob] pairs as a Distribution."""
+    if type(pairs) is not list or not set(map(type, pairs)) <= {list}:  # a string unpacks
+        raise TypeError("topk must be a list of [token, logprob] pairs")
     return Distribution([tok for tok, _ in pairs], [float(lp) for _, lp in pairs])
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -128,6 +129,39 @@ class TestContainer:
 
         with pytest.raises(TensorFormatError, match=f"offset {25 + 12}"):
             load_tensor(self.corrupt(tmp_path, mutate))
+
+    def test_first_of_opposite_infinities_is_named(self, tmp_path):
+        # +inf at element 3 and -inf at element 7: their float64 sum is NaN
+        def mutate(raw):
+            raw[25 + 12 : 25 + 16] = struct.pack("<f", float("inf"))
+            raw[25 + 28 : 25 + 32] = struct.pack("<f", float("-inf"))
+            return raw
+
+        with pytest.raises(TensorFormatError, match=f"offset {25 + 12}$"):
+            load_tensor(self.corrupt(tmp_path, mutate))
+        data = np.float32([1, 2, 3, np.inf, 5, 6, 7, -np.inf]).reshape(2, 4)
+        with pytest.raises(TensorFormatError, match="element 3$"):
+            TensorBlob(dims=(2, 4), data=data).validate()
+
+    def test_float32_max_everywhere_is_finite(self, tmp_path):
+        arr = np.full((64, 64), np.finfo(np.float32).max, dtype=np.float32)
+        arr[::2] *= -1
+        blob = load_tensor(self.good_path(tmp_path, arr))
+        assert (blob.data == arr).all()
+        blob = load_tensor(self.good_path(tmp_path, np.abs(arr)))
+        assert (blob.data == np.abs(arr)).all()
+
+    def test_load_peaks_at_its_payload(self, tmp_path):
+        arr = np.random.default_rng(7).normal(size=(2, 4, 512, 512)).astype(np.float32)
+        path = self.good_path(tmp_path, arr)
+        del arr
+        tracemalloc.start()
+        try:
+            blob = load_tensor(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * blob.data.nbytes, f"{peak / 2**20:.1f} MiB"
 
     def test_save_rejects_non_finite(self, tmp_path):
         with pytest.raises(TensorFormatError):
@@ -354,3 +388,45 @@ class TestSaliencyReport:
         assert len(rows) == 1 + 2 * 6
         summed = [r for r in rows[1:] if r[1] == ""]
         assert [r[3] for r in summed[:3]] == ["8.0", "2.0", "10.0"]
+
+    def test_peak_stays_below_the_inputs(self):
+        rng = np.random.default_rng(8)
+        a = rng.random((2, 4, 512, 512), dtype=np.float32)
+        g = rng.standard_normal((2, 4, 512, 512), dtype=np.float32)
+        tracemalloc.start()
+        try:
+            saliency_report(a, g, (0, 255, 257, 512))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < a.nbytes + g.nbytes, f"{peak / 2**20:.1f} MiB"
+
+
+class TestPlantedBottleneck:
+    """Answer rows put share q on the terminator and 1 - q on the reasoning
+    span; with unit gradients the report must give those shares back."""
+
+    @pytest.mark.parametrize("share", [0.05, 0.5, 0.95])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_report_recovers_planted_shares(self, seed, share):
+        rng = np.random.default_rng(seed)
+        layers, heads = 2, 3
+        end = int(rng.integers(16, 48))
+        p, r, s = sorted(rng.choice(np.arange(end - 1), size=3, replace=False).tolist())
+        # every row a causal softmax, then the answer rows replanted
+        logits = rng.normal(size=(layers, heads, end, end))
+        logits[..., ~np.tri(end, dtype=bool)] = -np.inf
+        a = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        a /= a.sum(axis=-1, keepdims=True)
+        q = np.clip(share + rng.uniform(-0.04, 0.04, size=(layers, heads)), 0.0, 1.0)
+        spread = rng.dirichlet(np.ones(r - p), size=(layers, heads, end - s))
+        a[..., s:end, :] = 0.0
+        a[..., s:end, r] = q[..., None]
+        a[..., s:end, p:r] = (1.0 - q)[..., None, None] * spread
+        report = saliency_report(a, np.ones_like(a), (p, r, s, end))
+        scores = dict(zip(report.paths, np.moveaxis(report.head_scores, -1, 0)))
+        np.testing.assert_allclose(scores["terminator_to_answer"], (end - s) * q, rtol=1e-12)
+        np.testing.assert_allclose(scores["reasoning_to_answer"], (end - s) * (1.0 - q), rtol=1e-12)
+        np.testing.assert_allclose(
+            scores["reasoning_to_terminator"], a[..., r, p:r].sum(axis=-1), rtol=1e-12
+        )

@@ -201,6 +201,19 @@ class TestIntegrity:
         with pytest.raises(MalformedTraceError, match="^" + re.escape(f"{path}:1: bad header")):
             read_trace(str(path))
 
+    @pytest.mark.parametrize("value", ['{"15":0,"42":0}', '["15","42"]'])
+    def test_topk_items_must_be_pairs(self, tmp_path, value):
+        # each two-character key or string would unpack into a token and a logprob
+        path = tmp_path / "t.jsonl"
+        path.write_text(
+            '{"tokenizer":"x","vocab_size":100,"watched_token":3,"source":"s","seed":0}\n'
+            '{"t":0,"chosen_token":"1","chosen_text":"a","topk":' + value + ','
+            '"watched_rank":2,"censored":true,"entropy":0.5,"step_wall_time":0.01}\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(MalformedTraceError, match="^" + re.escape(f"{path}:2: bad step")):
+            read_trace(str(path))
+
     def test_header_error_names_its_line(self, tmp_path):
         path = tmp_path / "h.jsonl"
         path.write_text('\n\n{"tokenizer":"x","vocab_size":10}\n')
