@@ -37,7 +37,7 @@ from .errors import (
     SyncThinkError,
     UnsupportedProbeError,
 )
-from .evaluation import parse_answer
+from .evaluation import TASK_KINDS, parse_answer
 from .policy import (
     POLICIES,
     BaselineConfig,
@@ -82,8 +82,11 @@ def _snapshot_config(
     bcfg: BaselineConfig,
     full_length: int | None,
     budget: int,
+    task_kind: str,
 ) -> dict:
-    snap: dict = {"budget": budget, "watched_token": pcfg.watched_token}
+    snap: dict = {
+        "budget": budget, "task_kind": task_kind, "watched_token": pcfg.watched_token,
+    }
     if policy == "syncthink":
         snap.update(
             entropy_weight=pcfg.entropy_weight,
@@ -138,7 +141,7 @@ def run_generation(
             raise ConfigurationError(
                 "fixed_ratio needs a reference full-run length for this source"
             )
-    config = _snapshot_config(policy, pcfg, bcfg, full_length, budget)
+    config = _snapshot_config(policy, pcfg, bcfg, full_length, budget, task_kind)
 
     ranks: list[tuple[int, int]] = []
     entropies: list[tuple[int, float]] = []
@@ -326,7 +329,8 @@ def run_batch(
             raise
         except (SyncThinkError, OSError) as exc:
             return _record(
-                item.sample_id, policy, {"budget": budget}, f"{type(exc).__name__}: {exc}"
+                item.sample_id, policy, {"budget": budget, "task_kind": item.task_kind},
+                f"{type(exc).__name__}: {exc}",
             )
         finally:
             if source is not None:
@@ -346,11 +350,13 @@ _RECORD_FIELDS = tuple(f.name for f in dataclasses.fields(GenerationRecord))
 # the JSON type of each field _record takes as it is given
 _PRIMARY_TYPES = {
     "sample_id": str, "config": dict, "error": str, "answer_text": str,
-    "answer_tokens": int, "normalized_answer": str,
+    "answer_tokens": int,
     "t_gen": float, "t_metric": float, "t_eval": float,
 }
-# the fields _record derives from the others
-_DERIVED = ("complete", "stop_step", "injected", "reasoning_tokens", "total_tokens", "t_total")
+# the fields _record derives from the others; normalized_answer is
+# rebuilt from answer_text and the config's task_kind
+_DERIVED = ("complete", "stop_step", "injected", "reasoning_tokens", "total_tokens",
+            "normalized_answer", "t_total")
 
 
 def record_to_obj(record: GenerationRecord) -> dict:
@@ -365,15 +371,19 @@ def record_from_obj(obj: dict) -> GenerationRecord:
     """Rebuild a record through _record from its primary fields.
 
     Raises TypeError or ValueError when a field has the wrong JSON type,
-    or when a stored derived field differs from the one rebuilt.  Keys
-    that are not fields, such as those of earlier record formats, are
-    ignored.
+    when the config names no task_kind, or when a stored derived field
+    differs from the one rebuilt; normalized_answer is rebuilt through
+    parse_answer, and is "" for a record with an error.  Keys that are
+    not fields, such as those of earlier record formats, are ignored.
     """
     if obj["policy"] not in POLICIES:
         raise ValueError(f"unknown policy {obj['policy']!r}")
     for name, kind in _PRIMARY_TYPES.items():
         if type(obj[name]) is not kind:
             raise TypeError(f"{name} must be a JSON {kind.__name__}, got {obj[name]!r}")
+    task_kind = obj["config"].get("task_kind")
+    if task_kind not in TASK_KINDS:
+        raise ValueError(f"config task_kind must be one of {TASK_KINDS}, got {task_kind!r}")
     if obj["answer_tokens"] < 0:
         raise ValueError(f"answer_tokens must be >= 0, got {obj['answer_tokens']!r}")
     if not all(math.isfinite(obj[name]) for name in ("t_gen", "t_metric", "t_eval")):
@@ -385,7 +395,7 @@ def record_from_obj(obj: dict) -> GenerationRecord:
         ranks=ranks, entropies=entropies,
         reason=None if obj["reason"] is None else StopReason(obj["reason"]),
         answer=(obj["answer_text"], obj["answer_tokens"]),
-        normalized=obj["normalized_answer"],
+        normalized="" if obj["error"] else parse_answer(obj["answer_text"], task_kind),
         t_gen=obj["t_gen"], t_metric=obj["t_metric"], t_eval=obj["t_eval"],
     )
     for name in _DERIVED:

@@ -2,19 +2,25 @@
 
 Rank trajectories are analyzed on the y = log10(rank + 1) scale.  A
 four-segment piecewise-linear fit is found by dynamic programming with
-exact OLS interval costs, run over bounded column blocks in O(n) memory.
+exact OLS interval costs, run over blocks of end columns in O(n)
+memory.  The DP works in one scratch, allocated once per segment_phases
+call and sized from n (_block_cells): sse writes a block's interval
+costs into it and returns a view of it, which the next call overwrites,
+so each caller consumes the costs before it calls again.  A block holds
+as many columns as fit in the scratch beside the splits they reach.
 Only the two middle layers sweep a block: the first segment's layer is
-row 0 of the costs and the last is one column at n.  The interval cost
-is exact only on the cells the DP keeps (two or more points); the DP
-sets every other cell to inf.  Boundary confidence is the relative fit
-loss from removing that boundary alone.  A template check on the
-per-segment slopes flags trajectories that do not follow the expected
-shape (climb, recovery, plateau, final descent).
+the cost from split 0 and the last is the costs into column n.  The
+interval cost is exact only on the cells the DP keeps (two or more
+points); the DP sets every other cell to inf.  Boundary confidence is
+the relative fit loss from removing that boundary alone.  A template
+check on the per-segment slopes flags trajectories that do not follow
+the expected shape (climb, recovery, plateau, final descent).
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -34,8 +40,11 @@ SLOPE_CLIMB_MIN = 0.02
 SLOPE_DESCENT_MAX = -0.005
 SLOPE_PLATEAU_BAND = 0.015
 
-# cells in one column block's cost sub-matrix; bounds the DP's memory
-_BLOCK_CELLS = 1 << 16
+# cost cells in the DP scratch of a trajectory of up to _BLOCK_ROWS
+# steps; a longer one gets _BLOCK_CELLS // _BLOCK_ROWS cells a step, so a
+# block as tall as the trajectory keeps that many columns
+_BLOCK_CELLS = 1 << 14
+_BLOCK_ROWS = 1 << 11
 
 
 @dataclass(frozen=True)
@@ -81,6 +90,12 @@ def _smooth(y: np.ndarray, window: int) -> np.ndarray:
     return sums / counts
 
 
+def _block_cells(n: int) -> int:
+    """Cost cells in the DP scratch of an n-step trajectory: at least one
+    column of n + 1 split points."""
+    return max(_BLOCK_CELLS, (n + 1) * max(1, _BLOCK_CELLS // _BLOCK_ROWS))
+
+
 def _interval_stats(y: np.ndarray):
     """Prefix sums giving O(1) OLS SSE and slope on any [i, j)."""
     n = len(y)
@@ -90,19 +105,32 @@ def _interval_stats(y: np.ndarray):
     py = np.concatenate([[0.0], np.cumsum(y)])
     pyy = np.concatenate([[0.0], np.cumsum(y * y)])
     pxy = np.concatenate([[0.0], np.cumsum(x * y)])
+    cells = _block_cells(n)
+    scratch = np.empty((5, cells))
 
     def sse(i: np.ndarray, j: np.ndarray) -> np.ndarray:
-        # Exact only where j - i >= 2.  The x sums are integers, exact in
-        # float64 far past any length this O(n^2) DP can run, so there
-        # cxx > 0 and every value is finite: no guard is needed, and the
-        # caller masks every other cell.  Same arithmetic as the plain
-        # formula, operation for operation, on five reused buffers.
-        cnt = np.subtract(j, i, dtype=float)
-        sx = np.subtract(px[j], px[i])
-        sy = np.subtract(py[j], py[i])
-        tmp = np.multiply(sx, sx)
+        """SSE of every [i, j) of the broadcast i and j.
+
+        When the broadcast shape fits the scratch, the result is a view
+        into it that the next call overwrites; a larger shape gets fresh
+        arrays.  Exact only where j - i >= 2.  The x sums are integers,
+        exact in float64 far past any length this O(n^2) DP can run, so
+        there cxx > 0 and every value is finite: no guard is needed, and
+        the caller masks every other cell.  Same arithmetic as the plain
+        formula, operation for operation, on five buffers.
+        """
+        shape = np.broadcast_shapes(np.shape(i), np.shape(j))
+        size = math.prod(shape)
+        if size <= cells:
+            cnt, sx, sy, tmp, cxx = (buf[:size].reshape(shape) for buf in scratch)
+        else:
+            cnt, sx, sy, tmp, cxx = np.empty((5, *shape))
+        np.subtract(j, i, out=cnt, dtype=float)
+        np.subtract(px[j], px[i], out=sx)
+        np.subtract(py[j], py[i], out=sy)
+        np.multiply(sx, sx, out=tmp)
         tmp /= cnt
-        cxx = np.subtract(pxx[j], pxx[i])
+        np.subtract(pxx[j], pxx[i], out=cxx)
         cxx -= tmp  # sxx - sx * sx / cnt
         np.multiply(sx, sy, out=tmp)
         tmp /= cnt
@@ -131,38 +159,55 @@ def _interval_stats(y: np.ndarray):
     return sse, slope
 
 
+def _block_width(start: int, cells: int, min_segment: int) -> int:
+    """Columns in the block from column start: the most whose costs fit in
+    cells, one row per column over the max(start + width - min_segment, 1)
+    splits the last column can use; at least one."""
+    a = start - min_segment
+    # the positive root of width * (width + a) = cells, rounded down; a
+    # block of one split row holds at most cells columns
+    width = (math.isqrt(a * a + 4 * cells) - a) // 2
+    return max(1, min(width, cells))
+
+
 def _best_split(sse, n: int, min_segment: int) -> tuple[int, int, int, float]:
     """Optimal four-segment split of [0, n): (b1, b2, b3, total SSE).
 
     best[k, j] is the least SSE of k segments on [0, j), back[k, j] the
-    first split i reaching it.  Column blocks keep the cost sub-matrix to
-    _BLOCK_CELLS cells (one column once n + 1 exceeds it); a split lies
+    first split i reaching it.  A block covers end columns start..stop - 1
+    and cost[r, i] is the SSE of [i, start + r), for the splits i that the
+    last column can use (_block_width sizes it to the scratch); each row
+    is contiguous, so argmin over the splits copies nothing.  A split lies
     min_segment or more before its column, so layer k - 1 of a block is
     done before layer k reads it.  Only layers 2 and 3 go over a block:
-    best[0] is finite only at 0, so layer 1 is the block's row 0 (every
-    back[1] is 0), and layer 4 is read only at column n, the last
-    block's last column.  sse is called on whole blocks but is exact
-    only where j - i >= 2; every cell below min_segment is set to inf.
+    best[0] is finite only at 0, so layer 1 is the block's split 0 (every
+    back[1] is 0), and layer 4 is read only at column n, the last block's
+    last row.  sse is called on whole blocks but is exact only where
+    j - i >= 2; every cell below min_segment is set to inf.  Both layers'
+    totals go to one buffer allocated once per call.
     """
+    cells = _block_cells(n)
     best = np.full((4, n + 1), np.inf)
     best[0, 0] = 0.0
     back = np.zeros((4, n + 1), dtype=int)
-    width = max(1, _BLOCK_CELLS // (n + 1))
-    for start in range(0, n + 1, width):
-        j = np.arange(start, min(start + width, n + 1))
-        i = np.arange(max(j[-1] - min_segment + 1, 1))[:, None]
+    totals_room = np.empty(cells)
+    start = 0
+    while start <= n:
+        stop = min(start + _block_width(start, cells, min_segment), n + 1)
+        i = np.arange(max(stop - min_segment, 1))
         with np.errstate(divide="ignore", invalid="ignore"):
-            cost = sse(i, j)
-        # rows above lo are min_segment or more before every column here
-        lo = max(start - min_segment + 1, 0)
-        cost[lo:][j - i[lo:] < min_segment] = np.inf
-        best[1, j] = cost[0]
-        cols = np.arange(len(j))
+            cost = sse(i, np.arange(start, stop)[:, None])
+        for row, j in enumerate(range(start, stop)):
+            cost[row, max(j - min_segment + 1, 0):] = np.inf
+        best[1, start:stop] = cost[:, 0]
+        totals = totals_room[: cost.size].reshape(cost.shape)
+        rows = np.arange(stop - start)
         for k in (2, 3):
-            totals = best[k - 1, : len(i), None] + cost
-            back[k, j] = totals.argmin(axis=0)
-            best[k, j] = totals[back[k, j], cols]
-    totals = best[3, : len(i)] + cost[:, -1]
+            np.add(best[k - 1, : len(i)], cost, out=totals)
+            back[k, start:stop] = totals.argmin(axis=1)
+            best[k, start:stop] = totals[rows, back[k, start:stop]]
+        start = stop
+    totals = best[3, : len(i)] + cost[-1]
     b3 = int(totals.argmin())
     if not np.isfinite(totals[b3]):
         raise InsufficientDataError(f"no valid 4-segment split of {n} steps")
@@ -247,10 +292,16 @@ def aggregate_macro(trajectories: Sequence, grid_size: int = 100) -> MacroCurve:
             raise EmptyInputError(f"trajectory {pos} is empty")
         idx = np.rint(grid * (len(ranks) - 1)).astype(int)
         rows.append(np.log10(ranks[idx] + 1.0))
-    stack = np.vstack(rows)
+    # np.median(stack, axis=0) bit for bit, without the numpy.ma import
+    # its first call makes: the middle row, or the mean of the two middle
+    # rows, and NaN in a column holding one (a NaN sorts last)
+    stack = np.sort(np.vstack(rows), axis=0)
+    mid = len(rows) // 2
+    median = stack[mid].copy() if len(rows) % 2 else (stack[mid - 1] + stack[mid]) / 2.0
+    np.copyto(median, stack[-1], where=np.isnan(stack[-1]))
     return MacroCurve(
         progress=grid,
-        median_log_rank=np.median(stack, axis=0),
+        median_log_rank=median,
         counts=np.full(grid_size, len(items), dtype=int),
     )
 

@@ -242,7 +242,7 @@ def _check_step(step: StepObservation, topk: Distribution, header: TraceHeader,
         )
     # min and max scan the ids in C.  Text tokens carry no id range; the
     # loop runs only to name the first token outside it, or when the ids
-    # mix types that do not compare.
+    # mix types that do not compare, as a null token does with any other.
     try:
         lo, hi = min(ids), max(ids)
         in_range = isinstance(lo, str) or (0 <= lo and hi < vocab)
@@ -250,6 +250,8 @@ def _check_step(step: StepObservation, topk: Distribution, header: TraceHeader,
         in_range = False
     if not in_range:
         for tok in ids:
+            if tok is None:
+                raise TraceIntegrityError(f"step {step.t}: topk token is null")
             if isinstance(tok, int) and not (0 <= tok < vocab):
                 raise TraceIntegrityError(f"step {step.t}: topk token {tok} outside vocabulary")
 
@@ -382,10 +384,22 @@ def _parse_branch(value) -> tuple[str, str]:
 
 
 def _parse_topk(pairs) -> Distribution:
-    """A step row's [token, logprob] pairs as a Distribution."""
-    if type(pairs) is not list or not set(map(type, pairs)) <= {list}:  # a string unpacks
+    """A step row's [token, logprob] pairs as a Distribution.
+
+    A logprob is a JSON number: an int or a float, not a bool or a
+    string, which float() would take.  That one type pass also refuses a
+    pair that is a string or an object, which unpacks into strings.
+    _check_step checks the tokens.
+    """
+    if type(pairs) is not list:
         raise TypeError("topk must be a list of [token, logprob] pairs")
-    return Distribution([tok for tok, _ in pairs], [float(lp) for _, lp in pairs])
+    tokens = [tok for tok, _ in pairs]
+    logprobs = [lp for _, lp in pairs]
+    bad = set(map(type, logprobs)) - {int, float}
+    if bad:
+        names = ", ".join(sorted(kind.__name__ for kind in bad))
+        raise TypeError(f"topk logprob must be an int or a float, not {names}")
+    return Distribution(tokens, logprobs)
 
 
 def _parse_step(obj: dict, where: str) -> tuple[StepObservation, Distribution]:

@@ -151,7 +151,8 @@ class TestRunGeneration:
         (t, rank), (u, entropy) = record.rank_trajectory[-1], record.entropy_trajectory[-1]
         assert t == u == record.stop_step
         # the config rebuilds every threshold: the stop step's fired, no earlier one did
-        pcfg = PolicyConfig(**{k: v for k, v in record.config.items() if k != "budget"})
+        pcfg = PolicyConfig(**{k: v for k, v in record.config.items()
+                           if k not in ("budget", "task_kind")})
         assert rank <= dynamic_threshold(record.stop_step, entropy, pcfg)
         for (t, rank), (_, entropy) in zip(
             record.rank_trajectory[:-1], record.entropy_trajectory[:-1]
@@ -376,7 +377,8 @@ def stop_case(policy, kind):
 
 def stop_threshold(record):
     """The syncthink threshold at the record's stop, from the record alone."""
-    pcfg = PolicyConfig(**{k: v for k, v in record.config.items() if k != "budget"})
+    pcfg = PolicyConfig(**{k: v for k, v in record.config.items()
+                           if k not in ("budget", "task_kind")})
     return dynamic_threshold(record.stop_step, record.entropy_trajectory[-1][1], pcfg)
 
 
@@ -504,9 +506,23 @@ class TestRecordIO:
             (lambda obj: obj["rank_trajectory"][5].__setitem__(1, True), "ranks must be"),
             (lambda obj: obj["rank_trajectory"][5].__setitem__(0, None),
              "trajectory entry 5 is not step 5"),
+            # the answer is "42", normalized under the config's task_kind
+            (lambda obj: obj.update(normalized_answer="x"),
+             "normalized_answer is 'x' but the other fields give '42'"),
+            (lambda obj: obj.update(answer_text="x"),
+             "normalized_answer is '42' but the other fields give ''"),
+            (lambda obj: obj["config"].update(task_kind="multiple_choice"),
+             "normalized_answer is '42' but the other fields give ''"),
+            (lambda obj: obj.update(error="SessionError: reset", complete=False),
+             "normalized_answer is '42' but the other fields give ''"),
+            (lambda obj: obj["config"].pop("task_kind"),
+             "config task_kind must be one of ('numeric', 'multiple_choice', 'freeform'),"
+             " got None"),
+            (lambda obj: obj["config"].update(task_kind=["numeric"]), "got ['numeric']"),
         ],
         ids=["stop-step-7", "tokens-plus-5", "complete-object", "stop-step-list",
-             "rank-true", "step-index-null"],
+             "rank-true", "step-index-null", "normalized-x", "answer-x", "other-kind",
+             "failed-with-answer", "no-task-kind", "task-kind-list"],
     )
     def test_self_contradicting_record_names_the_line(self, tmp_path, mutate, message):
         record = run_generation(synth_reader(seed=0), "syncthink", task_kind="numeric")
@@ -609,7 +625,8 @@ class TestRunBatch:
         [record] = run_batch([BatchItem(sample_id="bad", open_source=broken)], ["syncthink"],
                              budget=77)
         expected = {
-            "sample_id": "bad", "policy": "syncthink", "config": {"budget": 77},
+            "sample_id": "bad", "policy": "syncthink",
+            "config": {"budget": 77, "task_kind": "freeform"},
             "complete": False, "error": "TraceIntegrityError: planted corruption",
             "stop_step": None, "injected": False, "reason": None,
             "reasoning_tokens": 0, "answer_tokens": 0, "total_tokens": 0,

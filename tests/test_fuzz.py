@@ -142,7 +142,8 @@ def test_trace_lines(tmp_path, capsys):
         assert_cli_fails_cleanly(["analyze", "--traces", path, "--out", out], capsys)
 
 
-def test_records_lines(tmp_path, capsys):
+def base_records(tmp_path) -> list[str]:
+    """The lines of one record per policy over base_trace."""
     trace = base_trace()
     kw = {"baseline_config": BaselineConfig(segment_len=4, convergence_k=2),
           "full_length": len(trace.steps), "task_kind": "numeric"}
@@ -150,12 +151,36 @@ def test_records_lines(tmp_path, capsys):
                for i, policy in enumerate(POLICIES)]
     source = tmp_path / "base.jsonl"
     write_records(str(source), records)
-    lines = source.read_text(encoding="utf-8").splitlines()
     assert "Infinity" not in source.read_text(encoding="utf-8")
+    return source.read_text(encoding="utf-8").splitlines()
+
+
+def test_records_lines(tmp_path, capsys):
+    lines = base_records(tmp_path)
     refused = check_reader(lines, 1602, tmp_path, read_records, MalformedRecordError)
     for path in refused:
         assert_cli_fails_cleanly(["analyze", "--records", path,
                                   "--out", str(tmp_path / "out")], capsys)
+
+
+def test_answer_mutants_are_refused(tmp_path):
+    # a record's config holds its task_kind, so read_records rebuilds
+    # normalized_answer from answer_text and refuses a line that disagrees
+    lines = base_records(tmp_path)
+    cases = [(mutant, what) for mutant, what in mutants(lines, 1602)
+             if re.match(r"line \d+ \['(answer_text|normalized_answer)'\]", what)]
+    assert len(cases) >= 20
+    accepted = []
+    for i, (mutant, what) in enumerate(cases):
+        path = tmp_path / f"case{i}.jsonl"
+        path.write_text("\n".join(mutant) + "\n", encoding="utf-8")
+        try:
+            read_records(str(path))
+        except MalformedRecordError as exc:
+            assert str(exc).startswith(f"{path}:"), (what, exc)
+        else:
+            accepted.append(what)
+    assert not accepted, accepted
 
 
 def test_dataset_lines(tmp_path):

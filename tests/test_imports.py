@@ -131,3 +131,27 @@ def test_entry_point_loads_only_its_modules(entry):
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True, timeout=60).stdout
     assert out.split() == STARTUP_MODULES[entry]
+
+
+def test_analyze_records_leaves_numpy_ma_unloaded(tmp_path):
+    # np.median imports numpy.ma on its first call; aggregate_macro's
+    # median does without it
+    from syncthink.controller import run_generation, write_records
+    from syncthink.synthetic import SyntheticPhaseSpec, generate_synthetic
+    from syncthink.trace import TraceReader
+
+    records = tmp_path / "records.jsonl"
+    write_records(str(records), [
+        run_generation(TraceReader(generate_synthetic(SyntheticPhaseSpec(seed=seed))), "full",
+                       sample_id=f"s{seed}")
+        for seed in (0, 1)
+    ])
+    out = tmp_path / "out"
+    code = ("import sys; from syncthink.cli import main; "
+            f"code = main(['analyze', '--records', {str(records)!r}, '--out', {str(out)!r}]); "
+            "print(code, 'numpy.ma' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(SOURCE.parent)}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True, timeout=60)
+    assert result.stdout.split() == ["0", "False"], result.stderr
+    assert (out / "macro_median.csv").exists()

@@ -126,6 +126,8 @@ def assert_same_bits(got, want):
 
 # one block up to n = 255; several from n = 256 on
 ORACLE_SIZES = (12, 31, 255, 256, 300, 641)
+# the least n whose DP scratch holds more than _BLOCK_CELLS cells
+GROWS_FROM = phase_analysis._BLOCK_ROWS
 
 
 def oracle_ranks(kind, n):
@@ -279,15 +281,43 @@ class TestSegmentPhases:
         monkeypatch.setattr(phase_analysis, "_best_split", matrix_best_split)
         assert got == fit_all()
 
-    @pytest.mark.parametrize("block_cells", [16, 1000, 1 << 16])
-    def test_masked_cells_raise_no_warning(self, block_cells, monkeypatch):
-        # the block costs hold 0/0 and x/0 cells below min_segment
-        monkeypatch.setattr(phase_analysis, "_BLOCK_CELLS", block_cells)
+    @pytest.mark.parametrize(
+        "n,block_cells",
+        [
+            pytest.param(641, 16, id="16"),
+            pytest.param(641, 1000, id="1000"),
+            *(pytest.param(n, None, id=f"sized-{n}") for n in (641, GROWS_FROM - 1,
+                                                               GROWS_FROM + 300)),
+        ],
+    )
+    def test_masked_cells_raise_no_warning(self, n, block_cells, monkeypatch):
+        # the block costs hold 0/0 and x/0 cells below min_segment.  None
+        # keeps the budget the sizing picks: _BLOCK_CELLS up to GROWS_FROM
+        # steps, more past it
+        if block_cells is None:
+            grows = phase_analysis._block_cells(n) > phase_analysis._BLOCK_CELLS
+            assert grows == (n >= GROWS_FROM)
+        else:
+            monkeypatch.setattr(phase_analysis, "_BLOCK_CELLS", block_cells)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for kind in ("random", "constant", "zero_one"):
                 for min_segment in (2, 3, 6):
-                    segment_phases(oracle_ranks(kind, 641), min_segment=min_segment)
+                    segment_phases(oracle_ranks(kind, n), min_segment=min_segment)
+
+    @pytest.mark.parametrize("n", [12, 255, 641, GROWS_FROM + 300])
+    def test_blocks_tile_the_columns_within_the_scratch(self, n):
+        # each block's costs fit the scratch, and the blocks cover 0..n once
+        cells = phase_analysis._block_cells(n)
+        for min_segment in (2, 3, 6):
+            start = 0
+            while start <= n:
+                width = phase_analysis._block_width(start, cells, min_segment)
+                rows = max(start + width - min_segment, 1)
+                assert width * rows <= cells
+                wider = width + 1
+                assert wider * max(start + wider - min_segment, 1) > cells or wider > cells
+                start += width
 
     @pytest.mark.parametrize("window", [1, 9])
     @pytest.mark.parametrize("n", [12, 641, 2250])
@@ -340,9 +370,21 @@ class TestSegmentPhases:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**20, f"peak {peak / 2**20:.1f} MiB"
+        assert peak < 5 * 2**20, f"peak {peak / 2**20:.1f} MiB"
         b1, b2, b3 = seg.boundaries
         assert 3 <= b1 and b1 + 3 <= b2 and b2 + 3 <= b3 and b3 + 3 <= 8192
+
+    @pytest.mark.parametrize("n", [300, 1100, 2250])
+    def test_benchmark_lengths_run_in_a_small_scratch(self, n):
+        # the benchmark corpora's lengths, on either side of GROWS_FROM
+        ranks = np.random.default_rng(n).integers(0, 1000, n).astype(float)
+        tracemalloc.start()
+        try:
+            segment_phases(ranks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
     def test_smoothing_window_tolerates_noise(self):
         rng = np.random.default_rng(5)
@@ -369,6 +411,23 @@ class TestAggregateMacro:
         # different lengths, same constant value: medians agree everywhere
         curve = aggregate_macro([[5] * 10, [5] * 97], grid_size=25)
         assert np.allclose(curve.median_log_rank, math.log10(6.0))
+
+    @pytest.mark.parametrize("runs", range(1, 8))
+    def test_median_is_numpy_median_bit_for_bit(self, runs):
+        # ties, equal runs and a NaN column, over odd and even run counts
+        rng = np.random.default_rng(runs)
+        trajectories = [rng.integers(0, 50, rng.integers(1, 300)).astype(float)
+                        for _ in range(runs)]
+        trajectories[0][-1] = math.nan
+        if runs > 1:
+            trajectories[1] = trajectories[-1]
+        curve = aggregate_macro(trajectories, grid_size=101)
+        grid = np.linspace(0.0, 1.0, 101)
+        stack = np.vstack([
+            np.log10(t[np.rint(grid * (len(t) - 1)).astype(int)] + 1.0) for t in trajectories
+        ])
+        assert_same_bits(curve.median_log_rank, np.median(stack, axis=0))
+        assert np.isnan(curve.median_log_rank[-1])
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(EmptyInputError):

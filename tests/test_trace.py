@@ -663,6 +663,44 @@ class TestSharedTokens:
         write_trace(trace, str(dst))
         assert dst.read_bytes() == src.read_bytes()
 
+    @pytest.mark.parametrize(
+        "pairs,message",
+        [
+            ([[15, "-0.5"], [42, "-1"]], "topk logprob must be an int or a float, not str"),
+            ([[15, True], [42, False]], "topk logprob must be an int or a float, not bool"),
+            ([[15, -0.5], [42, None]], "topk logprob must be an int or a float, not NoneType"),
+            ([[15, "-0.5"], [42, [1]]],
+             "topk logprob must be an int or a float, not list, str"),
+            ([[15, -0.5], "ab"], "topk logprob must be an int or a float, not str"),
+            ([[15, -0.5], {"a": 1, "b": 2}], "topk logprob must be an int or a float, not str"),
+        ],
+        ids=["string-logprobs", "bool-logprobs", "null-logprob", "two-types", "string-pair",
+             "object-pair"],
+    )
+    def test_logprob_not_a_number_names_its_line(self, tmp_path, pairs, message):
+        # float() takes "-0.5" and true, and write_trace would then write
+        # numbers where the file held strings and bools
+        path = tmp_path / "t.jsonl"
+        self.write(path, [[10, -0.5]], pairs)
+        with pytest.raises(MalformedTraceError) as err:
+            read_trace(str(path))
+        assert str(err.value) == f"{path}:3: bad step record: {message}"
+
+    @pytest.mark.parametrize("pairs", [[[None, -0.5], [42, -1]], [[None, -0.5]],
+                                       [["a", -0.5], [None, -1]]])
+    def test_null_token_names_its_line(self, tmp_path, pairs):
+        path = tmp_path / "t.jsonl"
+        self.write(path, [[10, -0.5]], pairs)
+        with pytest.raises(TraceIntegrityError) as err:
+            read_trace(str(path))
+        assert str(err.value) == f"{path}:3: step 1: topk token is null"
+
+    def test_int_logprobs_read_as_floats(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        self.write(path, [[10, 0], [11, -1], [12, -2.5]])
+        [topk] = read_trace(str(path)).iter_topk()
+        assert topk.logprobs.tolist() == [0.0, -1.0, -2.5]
+
     @pytest.mark.parametrize("token,kind", [([1], "list"), ({"id": 1}, "dict")])
     def test_unhashable_token_names_its_line(self, tmp_path, token, kind):
         path = tmp_path / "t.jsonl"
