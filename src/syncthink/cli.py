@@ -498,12 +498,8 @@ def _validate_saliency(args) -> list[int]:
 
 def cmd_saliency(args) -> _Outcome:
     bounds = _validate_saliency(args)
-    tensors = []
-    for path in (args.attention, args.gradients):
-        try:
-            tensors.append(load_tensor(path).data)
-        except SyncThinkError as exc:
-            raise type(exc)(f"{path}: {exc}") from exc
+    # every load_tensor error names its file
+    tensors = [load_tensor(path) for path in (args.attention, args.gradients)]
     report = saliency_report(*tensors, tuple(bounds), alpha=args.alpha)
 
     os.makedirs(args.out, exist_ok=True)

@@ -38,6 +38,7 @@ from .errors import (
     UnsupportedProbeError,
 )
 from .evaluation import TASK_KINDS, parse_answer
+from .jsonl import FLOAT, INT, TEXT, typed
 from .policy import (
     POLICIES,
     BaselineConfig,
@@ -76,33 +77,27 @@ class GenerationRecord:
     t_total: float
 
 
-def _snapshot_config(
-    policy: str,
-    pcfg: PolicyConfig,
-    bcfg: BaselineConfig,
-    full_length: int | None,
-    budget: int,
-    task_kind: str,
-) -> dict:
-    snap: dict = {
-        "budget": budget, "task_kind": task_kind, "watched_token": pcfg.watched_token,
-    }
-    if policy == "syncthink":
-        snap.update(
-            entropy_weight=pcfg.entropy_weight,
-            pacing_cap=pcfg.pacing_cap,
-            min_steps=pcfg.min_steps,
-            check_interval=pcfg.check_interval,
-        )
-    elif policy == "fixed_ratio":
-        snap.update(ratio=bcfg.ratio, full_length=full_length)
-    elif policy == "answer_convergence":
-        snap.update(
-            segment_len=bcfg.segment_len,
-            convergence_k=bcfg.convergence_k,
-            probe_suffix=bcfg.probe_suffix,
-        )
-    return snap
+# the config fields each policy's records hold after _CONFIG_HEAD, in
+# record order, with their JSON types (see jsonl.typed)
+_CONFIG_FIELDS = {
+    "syncthink": {"entropy_weight": FLOAT, "pacing_cap": INT, "min_steps": INT,
+                  "check_interval": INT},
+    "full": {},
+    "none": {},
+    "fixed_ratio": {"ratio": FLOAT, "full_length": INT},
+    "answer_convergence": {"segment_len": INT, "convergence_k": INT, "probe_suffix": TEXT},
+}
+# a source that never opened gives only the _UNOPENED fields
+_UNOPENED = {"budget": INT, "task_kind": TEXT}
+_CONFIG_HEAD = {**_UNOPENED, "watched_token": (int, str)}
+
+
+def _snapshot_config(policy: str, pcfg: PolicyConfig, bcfg: BaselineConfig,
+                     full_length: int | None, budget: int, task_kind: str) -> dict:
+    """The record's config: _CONFIG_HEAD, then the policy's _CONFIG_FIELDS."""
+    values = {**vars(pcfg), **vars(bcfg), "full_length": full_length, "budget": budget,
+              "task_kind": task_kind}
+    return {name: values[name] for name in [*_CONFIG_HEAD, *_CONFIG_FIELDS[policy]]}
 
 
 def run_generation(
@@ -349,9 +344,9 @@ def _pairs(value: list) -> tuple:
 _RECORD_FIELDS = tuple(f.name for f in dataclasses.fields(GenerationRecord))
 # the JSON type of each field _record takes as it is given
 _PRIMARY_TYPES = {
-    "sample_id": str, "config": dict, "error": str, "answer_text": str,
-    "answer_tokens": int,
-    "t_gen": float, "t_metric": float, "t_eval": float,
+    "sample_id": TEXT, "config": (dict,), "error": TEXT, "answer_text": TEXT,
+    "answer_tokens": INT,
+    "t_gen": (float,), "t_metric": (float,), "t_eval": (float,),
 }
 # the fields _record derives from the others; normalized_answer is
 # rebuilt from answer_text and the config's task_kind
@@ -371,19 +366,20 @@ def record_from_obj(obj: dict) -> GenerationRecord:
     """Rebuild a record through _record from its primary fields.
 
     Raises TypeError or ValueError when a field has the wrong JSON type,
-    when the config names no task_kind, or when a stored derived field
-    differs from the one rebuilt; normalized_answer is rebuilt through
+    when the config names no task_kind or is not the policy's (or
+    ConfigurationError, see _check_config), or when a stored derived
+    field differs from the one rebuilt; normalized_answer is rebuilt through
     parse_answer, and is "" for a record with an error.  Keys that are
     not fields, such as those of earlier record formats, are ignored.
     """
     if obj["policy"] not in POLICIES:
         raise ValueError(f"unknown policy {obj['policy']!r}")
-    for name, kind in _PRIMARY_TYPES.items():
-        if type(obj[name]) is not kind:
-            raise TypeError(f"{name} must be a JSON {kind.__name__}, got {obj[name]!r}")
+    for name, kinds in _PRIMARY_TYPES.items():
+        typed(name, obj[name], kinds)
     task_kind = obj["config"].get("task_kind")
     if task_kind not in TASK_KINDS:
         raise ValueError(f"config task_kind must be one of {TASK_KINDS}, got {task_kind!r}")
+    _check_config(obj)
     if obj["answer_tokens"] < 0:
         raise ValueError(f"answer_tokens must be >= 0, got {obj['answer_tokens']!r}")
     if not all(math.isfinite(obj[name]) for name in ("t_gen", "t_metric", "t_eval")):
@@ -403,6 +399,24 @@ def record_from_obj(obj: dict) -> GenerationRecord:
         if type(stored) is not type(rebuilt) or stored != rebuilt:
             raise ValueError(f"{name} is {stored!r} but the other fields give {rebuilt!r}")
     return record
+
+
+def _check_config(obj: dict) -> None:
+    """A record's config is what _snapshot_config writes for its policy, or
+    _UNOPENED's fields for a record with an error and no steps: those keys
+    in that order, each of its JSON type, and values that PolicyConfig and
+    BaselineConfig accept, else ConfigurationError."""
+    config, fields = obj["config"], {**_CONFIG_HEAD, **_CONFIG_FIELDS[obj["policy"]]}
+    if list(config) == list(_UNOPENED) and obj["error"] and not obj["rank_trajectory"]:
+        fields = _UNOPENED
+    if list(config) != list(fields):
+        raise ValueError(f"config keys {list(config)} are not {list(fields)}")
+    for name, kinds in fields.items():
+        typed(f"config {name}", config[name], kinds)
+    if config["budget"] < 1 or config.get("full_length", 1) < 1:
+        raise ValueError("config budget and full_length must be >= 1")
+    for cls in (PolicyConfig, BaselineConfig):
+        cls(**{name: config[name] for name in cls.__dataclass_fields__.keys() & config.keys()})
 
 
 def write_records(path: str, records: Iterable[GenerationRecord]) -> None:
@@ -433,7 +447,7 @@ def read_records(path: str) -> list[GenerationRecord]:
         for lineno, obj in jsonl.read_lines(path):
             try:
                 records.append(record_from_obj(obj))
-            except (LookupError, TypeError, ValueError) as exc:
+            except (LookupError, TypeError, ValueError, ConfigurationError) as exc:
                 raise MalformedRecordError(f"{path}:{lineno}: bad record: {exc!r}") from exc
     except ValueError as exc:  # not JSON; the message names path:line
         raise MalformedRecordError(str(exc)) from exc

@@ -59,6 +59,21 @@ def scan_lines(path: str) -> Iterator[tuple[int, int, bytes, Any]]:
                 yield lineno, start, line, obj
 
 
+# The exact Python types json.loads gives a field of each JSON type: true
+# is a bool and not an int, 1.0 a float and not an int; a FLOAT field
+# also takes an integer.
+INT, FLOAT, TEXT, BOOL = (int,), (int, float), (str,), (bool,)
+
+
+def typed(name: str, value: Any, kinds: tuple[type, ...]) -> Any:
+    """value if its exact type is one of kinds, as a float for a FLOAT
+    field; else TypeError naming the field."""
+    if type(value) not in kinds:
+        names = " or ".join(kind.__name__ for kind in kinds)
+        raise TypeError(f"{name} must be a JSON {names}, got {value!r}")
+    return float(value) if kinds is FLOAT else value
+
+
 def read_lines(path: str) -> Iterator[tuple[int, Any]]:
     """Yield (1-based line number, parsed object) of each line scan_lines yields."""
     for lineno, _, _, obj in scan_lines(path):

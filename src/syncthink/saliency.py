@@ -12,13 +12,15 @@ A * G per head without forming a mask or the full product.  Inputs are
 
 Container layout, in order and without padding: magic "STNS", one
 version byte, unsigned 32-bit rank, rank unsigned 64-bit dims, then the
-payload as little-endian 32-bit reals in row-major order, which
-load_tensor reads once, into the array it returns.
+payload as little-endian 32-bit reals in row-major order.  save_tensor
+writes an array; load_tensor reads the payload once, into the float32
+array of those dims it returns, which every scorer takes as it is.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -35,29 +37,6 @@ MAX_RANK = 8
 PATHS = ("reasoning_to_answer", "reasoning_to_terminator", "terminator_to_answer")
 
 
-@dataclass(frozen=True, eq=False)
-class TensorBlob:
-    """A dumped tensor: dims plus row-major 32-bit data."""
-
-    dims: tuple[int, ...]
-    data: np.ndarray
-
-    def validate(self) -> None:
-        rank = len(self.dims)
-        if not 1 <= rank <= MAX_RANK:
-            raise TensorFormatError(f"rank must be 1..{MAX_RANK}, got {rank}")
-        if any(d < 1 for d in self.dims):
-            raise TensorFormatError(f"dims must be positive, got {self.dims}")
-        if self.data.dtype != np.float32:
-            raise TensorFormatError(f"data must be float32, got {self.data.dtype}")
-        if self.data.shape != self.dims:
-            raise TensorFormatError(
-                f"data shape {self.data.shape} does not match dims {self.dims}"
-            )
-        if (bad := _first_non_finite(self.data)) is not None:
-            raise TensorFormatError(f"non-finite value at element {bad}")
-
-
 def _first_non_finite(data: np.ndarray) -> int | None:
     """The flat index of data's first non-finite value, else None.  A float64
     sum of float32 values is non-finite only when a value is, so a finite
@@ -69,23 +48,24 @@ def _first_non_finite(data: np.ndarray) -> int | None:
 
 
 def save_tensor(tensor, path: str) -> None:
-    """Write an array or TensorBlob in the container format."""
-    arr = np.ascontiguousarray(
-        tensor.data if isinstance(tensor, TensorBlob) else tensor, dtype="<f4"
-    )
-    blob = TensorBlob(dims=arr.shape, data=arr.astype(np.float32, copy=False))
-    blob.validate()
+    """Write an array in the container format, as float32.  A rank outside
+    1..MAX_RANK, a zero dim or a non-finite value raises TensorFormatError
+    and writes nothing."""
+    arr = np.ascontiguousarray(tensor, dtype="<f4")
+    if not 1 <= arr.ndim <= MAX_RANK:
+        raise TensorFormatError(f"rank must be 1..{MAX_RANK}, got {arr.ndim}")
+    if 0 in arr.shape:
+        raise TensorFormatError(f"dims must be positive, got {arr.shape}")
+    if (bad := _first_non_finite(arr)) is not None:
+        raise TensorFormatError(f"non-finite value at element {bad}")
     with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<B", VERSION))
-        fh.write(struct.pack("<I", len(arr.shape)))
-        for dim in arr.shape:
-            fh.write(struct.pack("<Q", dim))
+        fh.write(MAGIC + struct.pack(f"<BI{arr.ndim}Q", VERSION, arr.ndim, *arr.shape))
         fh.write(arr.tobytes())
 
 
-def load_tensor(path: str) -> TensorBlob:
-    """Read and validate a container file; errors carry the byte offset."""
+def load_tensor(path: str) -> np.ndarray:
+    """Read and check a container file: its float32 array, shaped by its
+    dims.  Errors carry the byte offset."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         raw = fh.read(9 + 8 * MAX_RANK)  # the longest header
@@ -107,11 +87,9 @@ def load_tensor(path: str) -> TensorBlob:
     if len(raw) < dims_end:
         raise TensorFormatError(f"{path}: dims truncated at offset {len(raw)}")
     dims = struct.unpack_from(f"<{rank}Q", raw, 9)
-    count = 1
-    for i, dim in enumerate(dims):
-        if dim == 0:
-            raise TensorFormatError(f"{path}: zero dim at offset {9 + 8 * i}")
-        count *= dim
+    if 0 in dims:
+        raise TensorFormatError(f"{path}: zero dim at offset {9 + 8 * dims.index(0)}")
+    count = math.prod(dims)
     expected = count * 4
     actual = size - dims_end
     if actual != expected:
@@ -126,7 +104,7 @@ def load_tensor(path: str) -> TensorBlob:
         raise TensorFormatError(
             f"{path}: non-finite value at offset {dims_end + 4 * bad}"
         )
-    return TensorBlob(dims=tuple(int(d) for d in dims), data=data.reshape(dims))
+    return data.reshape(dims)
 
 
 @dataclass(frozen=True, eq=False)
@@ -183,7 +161,7 @@ def build_masks(
 
 
 def _as_matrix(value, what: str) -> np.ndarray:
-    arr = value.data if isinstance(value, TensorBlob) else np.asarray(value)
+    arr = np.asarray(value)
     if arr.ndim != 2:
         raise TensorFormatError(f"{what} must be 2-D, got rank {arr.ndim}")
     return arr
@@ -224,8 +202,7 @@ def saliency_report(attention, gradient, boundaries, *, alpha: float = 1.0) -> S
     attention and gradient are (layers, heads, query, key) with a square
     attention plane whose side equals the sequence end.
     """
-    a = attention.data if isinstance(attention, TensorBlob) else np.asarray(attention)
-    g = gradient.data if isinstance(gradient, TensorBlob) else np.asarray(gradient)
+    a, g = np.asarray(attention), np.asarray(gradient)
     if a.ndim != 4 or g.ndim != 4:
         raise TensorFormatError(
             f"expected (layers, heads, query, key), got ranks {a.ndim} and {g.ndim}"

@@ -5,10 +5,14 @@ source (tokenizer, vocab size, watched terminator id, seed) plus replay
 metadata: the natural stop step, if any, and recorded branch answers.
 Every following line is one decoding step, its top-K as [token, logprob]
 pairs.  Floats are written in their shortest round-trip form, so a
-parse/serialize cycle is byte-stable.  write_trace splices each step
-line from one encode of its other fields, a cached text per distinct
-token and the float texts of one encode of the logprob row; the bytes
-are those jsonl.dumps writes for the row.  It writes a temporary file
+parse/serialize cycle is byte-stable.  Each field is read by its JSON
+type and never coerced (jsonl.typed; a float field also takes an
+integer), and every token, top-K or chosen, is an int or a str
+(_check_step), so no two equal tokens differ in type.  write_trace
+splices each step line from one encode of its other fields, a cached
+text per distinct token and the float texts of one encode of the
+logprob row; the bytes are those jsonl.dumps writes for the row, for a
+trace that _check_step accepts.  It writes a temporary file
 beside the target and renames it over the target, so a failed write
 leaves the target as it was.
 
@@ -52,9 +56,17 @@ from .errors import (
     TraceIntegrityError,
     UnsupportedProbeError,
 )
+from .jsonl import BOOL, FLOAT, INT, TEXT, typed
 from .policy import Distribution, TokenId, compute_rank
 
-HEADER_FIELDS = ("tokenizer", "vocab_size", "watched_token", "source", "seed")
+# the JSON type of each header field, and of each step field but the
+# tokens (see jsonl.typed)
+HEADER_FIELDS = {"tokenizer": TEXT, "vocab_size": INT, "watched_token": INT, "source": TEXT,
+                 "seed": INT}
+_STEP_FIELDS = {"t": INT, "chosen_text": TEXT, "watched_rank": INT, "censored": BOOL,
+                "entropy": FLOAT, "step_wall_time": FLOAT}
+# the types of a top-K or chosen token: a JSON integer or string
+_TOKEN_TYPES = {int, str}
 
 
 @dataclass(frozen=True)
@@ -76,34 +88,6 @@ class StepObservation:
     censored: bool
     entropy: float
     step_wall_time: float
-
-    def validate(self, topk: Distribution | None = None) -> None:
-        """Check the step on its own, with topk as its top-K if given."""
-        if self.t < 0:
-            raise TraceIntegrityError(f"step index {self.t} is negative")
-        if topk is None:
-            topk = self.topk
-        tokens, lps = topk.tokens, topk.logprobs
-        if not len(tokens):
-            raise TraceIntegrityError(f"step {self.t}: empty topk")
-        # `not a >= b` also fails a NaN logprob
-        if not (lps[:-1] >= lps[1:]).all():
-            raise TraceIntegrityError(f"step {self.t}: topk not sorted descending")
-        # sorted, so the first and last logprobs bound the rest
-        if not (math.isfinite(lps[0]) and math.isfinite(lps[-1])):
-            raise TraceIntegrityError(f"step {self.t}: topk logprobs must be finite")
-        try:
-            distinct = len(set(tokens))
-        except TypeError as exc:  # a JSON array or object as a token
-            raise TraceIntegrityError(f"step {self.t}: topk token of {exc}") from exc
-        if distinct != len(tokens):
-            raise TraceIntegrityError(f"step {self.t}: duplicate token in topk")
-        if self.watched_rank < 0:
-            raise TraceIntegrityError(f"step {self.t}: negative rank")
-        if not (math.isfinite(self.entropy) and self.entropy >= 0.0):
-            raise TraceIntegrityError(f"step {self.t}: entropy must be finite and >= 0")
-        if not (math.isfinite(self.step_wall_time) and self.step_wall_time >= 0.0):
-            raise TraceIntegrityError(f"step {self.t}: wall time must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -229,31 +213,48 @@ def _check_header(h: TraceHeader) -> None:
 def _check_step(step: StepObservation, topk: Distribution, header: TraceHeader,
                 index: int, lineno: int) -> None:
     """Check step number `index`, read from file line `lineno` with top-K
-    `topk`, against its header."""
+    `topk`, on its own and against its header.  Every token is an int or
+    a str, by one type pass before anything compares or hashes them; an
+    int token lies inside the vocabulary, a text token has no id range."""
     if step.t != index:
         raise TraceIntegrityError(
             f"step indices must be consecutive from 0; saw {step.t} at line {lineno}"
         )
-    step.validate(topk)
-    ids, vocab = topk.tokens, header.vocab_size
-    if isinstance(step.chosen_token, int) and not (0 <= step.chosen_token < vocab):
+    tokens, lps = topk.tokens, topk.logprobs
+    if not len(tokens):
+        raise TraceIntegrityError(f"step {step.t}: empty topk")
+    kinds = set(map(type, tokens))
+    if not kinds <= _TOKEN_TYPES:
+        names = ", ".join(sorted(kind.__name__ for kind in kinds - _TOKEN_TYPES))
+        raise TraceIntegrityError(f"step {step.t}: topk token must be an int or a str, not {names}")
+    if (chosen := type(step.chosen_token)) not in _TOKEN_TYPES:
+        raise TraceIntegrityError(
+            f"step {step.t}: chosen token must be an int or a str, not {chosen.__name__}")
+    # `not a >= b` also fails a NaN logprob
+    if not (lps[:-1] >= lps[1:]).all():
+        raise TraceIntegrityError(f"step {step.t}: topk not sorted descending")
+    # sorted, so the first and last logprobs bound the rest
+    if not (math.isfinite(lps[0]) and math.isfinite(lps[-1])):
+        raise TraceIntegrityError(f"step {step.t}: topk logprobs must be finite")
+    if len(set(tokens)) != len(tokens):
+        raise TraceIntegrityError(f"step {step.t}: duplicate token in topk")
+    if step.watched_rank < 0:
+        raise TraceIntegrityError(f"step {step.t}: negative rank")
+    if not (math.isfinite(step.entropy) and step.entropy >= 0.0):
+        raise TraceIntegrityError(f"step {step.t}: entropy must be finite and >= 0")
+    if not (math.isfinite(step.step_wall_time) and step.step_wall_time >= 0.0):
+        raise TraceIntegrityError(f"step {step.t}: wall time must be finite and >= 0")
+    vocab = header.vocab_size
+    if chosen is int and not (0 <= step.chosen_token < vocab):
         raise TraceIntegrityError(
             f"step {step.t}: chosen token {step.chosen_token} outside vocabulary"
         )
-    # min and max scan the ids in C.  Text tokens carry no id range; the
-    # loop runs only to name the first token outside it, or when the ids
-    # mix types that do not compare, as a null token does with any other.
-    try:
-        lo, hi = min(ids), max(ids)
-        in_range = isinstance(lo, str) or (0 <= lo and hi < vocab)
-    except TypeError:
-        in_range = False
-    if not in_range:
-        for tok in ids:
-            if tok is None:
-                raise TraceIntegrityError(f"step {step.t}: topk token is null")
-            if isinstance(tok, int) and not (0 <= tok < vocab):
-                raise TraceIntegrityError(f"step {step.t}: topk token {tok} outside vocabulary")
+    if int in kinds:
+        # min and max scan the ids in C; the loop only names the first outside
+        ids = [tok for tok in tokens if type(tok) is int] if str in kinds else tokens
+        if not (0 <= min(ids) and max(ids) < vocab):
+            tok = next(tok for tok in ids if not 0 <= tok < vocab)
+            raise TraceIntegrityError(f"step {step.t}: topk token {tok} outside vocabulary")
 
     rank, absent = compute_rank(topk, header.watched_token)
     if absent:  # the true rank is censored at the top-K size
@@ -293,11 +294,9 @@ def _check_end(n_steps: int, watched: list[int], natural_stop: int | None, probe
 
 
 def _pair_heads(tokens, heads: dict[TokenId, str]) -> list[str]:
-    """Each top-K pair's `],[token,` text.  Exact int and str tokens share one
-    cached text in `heads`; a step holding any other type encodes its own,
-    since a dict takes 1, 1.0 and true for one key."""
-    if not set(map(type, tokens)) <= {int, str}:
-        return ["],[" + jsonl.dumps(tok) + "," for tok in tokens]
+    """Each top-K pair's `],[token,` text, one cached text per distinct
+    token in `heads`.  A dict takes 1, 1.0 and true for one key, which
+    the token rule of _check_step keeps out of a valid trace."""
     for tok in set(tokens).difference(heads):
         heads[tok] = "],[" + jsonl.dumps(tok) + ","
     return list(map(heads.__getitem__, tokens))
@@ -354,33 +353,32 @@ def write_trace(trace: TraceFile, path: str) -> None:
 
 
 def _parse_header(obj: dict, where: str) -> tuple[TraceHeader, dict[int, tuple[str, str]], int | None]:
+    """The header line's fields, each read by its JSON type; natural_stop
+    (an int or null) and probes (an object) may be left out."""
     for key in HEADER_FIELDS:
         if key not in obj:
             raise MalformedTraceError(f"{where}: header missing field {key!r}")
     try:
-        header = TraceHeader(
-            tokenizer=str(obj["tokenizer"]),
-            vocab_size=int(obj["vocab_size"]),
-            watched_token=int(obj["watched_token"]),
-            source=str(obj["source"]),
-            seed=int(obj["seed"]),
-        )
-        probes = {
-            int(key): _parse_branch(value) for key, value in (obj.get("probes") or {}).items()
-        }
-        raw_stop = obj.get("natural_stop")
-        natural_stop = None if raw_stop is None else int(raw_stop)
-    # OverflowError: an integer field holding 1e400, which json reads as inf
-    except (ValueError, TypeError, AttributeError, OverflowError) as exc:
+        header = TraceHeader(**{key: typed(key, obj[key], kinds)
+                                for key, kinds in HEADER_FIELDS.items()})
+        probes = dict(map(_parse_branch, typed("probes", obj.get("probes", {}), (dict,)).items()))
+        natural_stop = obj.get("natural_stop")
+        if natural_stop is not None:
+            typed("natural_stop", natural_stop, INT)
+    except (ValueError, TypeError) as exc:
         raise MalformedTraceError(f"{where}: bad header: {exc}") from exc
     return header, probes, natural_stop
 
 
-def _parse_branch(value) -> tuple[str, str]:
-    """A header probe value, a [suffix, answer] pair, as a tuple of texts."""
-    if not (isinstance(value, list) and len(value) == 2):
+def _parse_branch(entry: tuple[str, object]) -> tuple[int, tuple[str, str]]:
+    """A header probes entry, a step count's decimal text and a [suffix,
+    answer] pair of texts, as an int and a tuple."""
+    key, value = entry
+    if str(step := int(key)) != key:
+        raise ValueError(f"probe key {key!r} is not a step count's decimal text")
+    if not (type(value) is list and len(value) == 2):
         raise ValueError(f"probe branch must be a [suffix, answer] pair, got {value!r}")
-    return str(value[0]), str(value[1])
+    return step, (typed("probe suffix", value[0], TEXT), typed("probe answer", value[1], TEXT))
 
 
 def _parse_topk(pairs) -> Distribution:
@@ -403,19 +401,13 @@ def _parse_topk(pairs) -> Distribution:
 
 
 def _parse_step(obj: dict, where: str) -> tuple[StepObservation, Distribution]:
-    """One step row as a StepObservation that holds no top-K, and its top-K."""
+    """One step row as a StepObservation that holds no top-K, and its top-K.
+    Each scalar is read by its JSON type; _check_step checks the tokens."""
     try:
-        return StepObservation(
-            t=int(obj["t"]),
-            chosen_token=obj["chosen_token"],
-            chosen_text=str(obj["chosen_text"]),
-            topk=None,
-            watched_rank=int(obj["watched_rank"]),
-            censored=bool(obj["censored"]),
-            entropy=float(obj["entropy"]),
-            step_wall_time=float(obj["step_wall_time"]),
-        ), _parse_topk(obj["topk"])
-    except (KeyError, ValueError, TypeError, OverflowError) as exc:
+        fields = {key: typed(key, obj[key], kinds) for key, kinds in _STEP_FIELDS.items()}
+        step = StepObservation(chosen_token=obj["chosen_token"], topk=None, **fields)
+        return step, _parse_topk(obj["topk"])
+    except (KeyError, ValueError, TypeError) as exc:
         raise MalformedTraceError(f"{where}: bad step record: {exc}") from exc
 
 

@@ -343,7 +343,7 @@ class TestRun:
         rc = run_cli("run", "--policy", "syncthink", "--traces", str(path), "--out", str(out))
         assert rc == 1
         err = capsys.readouterr().err
-        assert err == f"error: {path}:11: step 9: topk token of unhashable type: 'list'\n", err
+        assert err == f"error: {path}:11: step 9: topk token must be an int or a str, not list\n", err
         assert not out.exists()
 
     def test_missing_trace_file_is_usage_error(self, tmp_path):
@@ -763,6 +763,16 @@ class TestSaliency:
         assert rc == 1
         err = capsys.readouterr().err
         assert "bad.stns" in err and "offset" in err
+
+    def test_corrupt_tensor_names_its_file_once(self, tensor_files, tmp_path, capsys):
+        _, grad_path = tensor_files
+        bad_path = tmp_path / "bad.stns"
+        bad_path.write_bytes(b"XTNS")
+        rc = run_cli("saliency", "--attention", str(bad_path), "--gradients", grad_path,
+                     "--boundaries", "0,4,6,12", "--out", str(tmp_path / "nope"))
+        assert rc == 1
+        assert capsys.readouterr().err == (
+            f"error: {bad_path}: bad magic b'XTNS' at offset 0, expected b'STNS'\n")
 
     def test_bad_boundaries_usage_error(self, tensor_files, tmp_path):
         att_path, grad_path = tensor_files

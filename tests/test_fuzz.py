@@ -15,6 +15,7 @@ CapabilityError.
 
 from __future__ import annotations
 
+import ast
 import json
 import math
 import random
@@ -181,6 +182,63 @@ def test_answer_mutants_are_refused(tmp_path):
         else:
             accepted.append(what)
     assert not accepted, accepted
+
+
+def accepted_mutants(cases, tmp_path, read, errors) -> list[str]:
+    """What each accepted case changed; a refused one must name its file:line."""
+    accepted = []
+    for i, (mutant, what) in enumerate(cases):
+        path = tmp_path / f"case{i}.jsonl"
+        path.write_text("\n".join(mutant) + "\n", encoding="utf-8")
+        try:
+            read(str(path))
+        except errors as exc:
+            assert str(exc).startswith(f"{path}:"), (what, exc)
+        else:
+            accepted.append(what)
+    return accepted
+
+
+def test_config_mutants_are_refused(tmp_path):
+    # a record's config is its policy's field table: its keys in order,
+    # each of its JSON type and inside PolicyConfig's and BaselineConfig's
+    # domains; "x" is a valid watched token and a valid probe suffix
+    lines = base_records(tmp_path)
+    cases = [(mutant, what) for mutant, what in mutants(lines, 1602)
+             if re.match(r"line \d+ \['config'", what)]
+    assert len(cases) >= 100
+    accepted = accepted_mutants(cases, tmp_path, read_records, MalformedRecordError)
+    assert all(re.fullmatch(r"line \d+ \['config', '(watched_token|probe_suffix)'\] = \"x\"",
+                            what) for what in accepted), accepted
+
+
+def retypes_a_scalar(lines: list[str], what: str) -> bool:
+    """Whether the mutation `what` sets a value that is not an array or an
+    object to a value of another JSON type (an int and a float differ)."""
+    change = re.fullmatch(r"line (\d+) (\[.*\]) = (.*)", what)
+    if change is None:  # a deleted key
+        return False
+    old = json.loads(lines[int(change[1]) - 1])
+    for key in ast.literal_eval(change[2]):
+        old = old[key]
+    return not isinstance(old, (list, dict)) and type(json.loads(change[3])) is not type(old)
+
+
+def test_retyped_trace_scalars_and_tokens_are_refused(tmp_path):
+    # each header and step field, top-K token and logprob is read by its
+    # JSON type, never coerced; an int token retyped as a float or a bool
+    # would count as the id it equals
+    source = tmp_path / "base.jsonl"
+    write_trace(base_trace(), str(source))
+    lines = source.read_text(encoding="utf-8").splitlines()
+    cases = [(mutant, what) for mutant, what in mutants(lines, 1601)
+             if retypes_a_scalar(lines, what)]
+    assert len(cases) >= 500
+    accepted = accepted_mutants(cases, tmp_path, read_trace,
+                                (MalformedTraceError, TraceIntegrityError))
+    # a token is an int or a str, so "x" is a valid token
+    token = r"line \d+ (\['topk', \d+, 0\]|\['chosen_token'\]) = \"x\""
+    assert all(re.fullmatch(token, what) for what in accepted), accepted
 
 
 def test_dataset_lines(tmp_path):

@@ -261,9 +261,11 @@ class TestSegmentPhases:
     def test_block_edges_match_matrix_oracle(
         self, kind, window, min_segment, block_cells, monkeypatch
     ):
-        # 16 cells: one column per block at every size.  1000 cells:
-        # 76 columns at n = 12, 31 at n = 31, 3 at n = 255 to 300 and 1
-        # at n = 641; the last block is partial at n = 31, 255, 256, 300.
+        # blocks narrow as their split count grows.  16 cells: a scratch
+        # of n + 1 cells, so 3 to 413 blocks, 5 to 28 columns wide at
+        # column 0 and one column wide at the end.  1000 cells: one block
+        # at n = 12 and 31; 36 to 286 blocks at n = 255 to 641, 33 or 34
+        # columns wide at column 0 and 1 to 4 at the end.
         monkeypatch.setattr(phase_analysis, "_BLOCK_CELLS", block_cells)
         cases = [
             oracle_ranks(kind, n)

@@ -13,7 +13,6 @@ import pytest
 from syncthink.errors import ConfigurationError, TensorFormatError
 from syncthink.saliency import (
     PATHS,
-    TensorBlob,
     build_masks,
     load_tensor,
     report_curves_to_csv,
@@ -45,13 +44,13 @@ class TestContainer:
     def test_round_trip(self, tmp_path):
         arr = np.random.default_rng(0).normal(size=(3, 4, 5)).astype(np.float32)
         path = self.good_path(tmp_path, arr)
-        blob = load_tensor(path)
-        assert blob.dims == (3, 4, 5)
-        assert (blob.data == arr).all()
+        loaded = load_tensor(path)
+        assert loaded.dtype == np.float32 and loaded.shape == (3, 4, 5)
+        assert (loaded == arr).all()
 
     def test_rank_one_round_trip(self, tmp_path):
         path = self.good_path(tmp_path, np.float32([1.5, -2.5]))
-        assert load_tensor(path).dims == (2,)
+        assert load_tensor(path).shape == (2,)
 
     def test_layout_is_exactly_as_documented(self, tmp_path):
         path = self.good_path(tmp_path)
@@ -141,15 +140,13 @@ class TestContainer:
             load_tensor(self.corrupt(tmp_path, mutate))
         data = np.float32([1, 2, 3, np.inf, 5, 6, 7, -np.inf]).reshape(2, 4)
         with pytest.raises(TensorFormatError, match="element 3$"):
-            TensorBlob(dims=(2, 4), data=data).validate()
+            save_tensor(data, str(tmp_path / "x.stns"))
 
     def test_float32_max_everywhere_is_finite(self, tmp_path):
         arr = np.full((64, 64), np.finfo(np.float32).max, dtype=np.float32)
         arr[::2] *= -1
-        blob = load_tensor(self.good_path(tmp_path, arr))
-        assert (blob.data == arr).all()
-        blob = load_tensor(self.good_path(tmp_path, np.abs(arr)))
-        assert (blob.data == np.abs(arr)).all()
+        assert (load_tensor(self.good_path(tmp_path, arr)) == arr).all()
+        assert (load_tensor(self.good_path(tmp_path, np.abs(arr))) == np.abs(arr)).all()
 
     def test_load_peaks_at_its_payload(self, tmp_path):
         arr = np.random.default_rng(7).normal(size=(2, 4, 512, 512)).astype(np.float32)
@@ -157,23 +154,26 @@ class TestContainer:
         del arr
         tracemalloc.start()
         try:
-            blob = load_tensor(path)
+            loaded = load_tensor(path)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 1.1 * blob.data.nbytes, f"{peak / 2**20:.1f} MiB"
+        assert peak < 1.1 * loaded.nbytes, f"{peak / 2**20:.1f} MiB"
 
     def test_save_rejects_non_finite(self, tmp_path):
         with pytest.raises(TensorFormatError):
             save_tensor(np.float32([1.0, np.inf]), str(tmp_path / "x.stns"))
 
-    def test_blob_validate_gates(self):
-        with pytest.raises(TensorFormatError):
-            TensorBlob(dims=(2,), data=np.zeros(2, dtype=np.float64)).validate()
-        with pytest.raises(TensorFormatError):
-            TensorBlob(dims=(3,), data=np.zeros(2, dtype=np.float32)).validate()
-        with pytest.raises(TensorFormatError):
-            TensorBlob(dims=(), data=np.float32(0.0)).validate()
+    def test_save_gates(self, tmp_path):
+        path = tmp_path / "x.stns"
+        with pytest.raises(TensorFormatError, match="^rank must be 1..8, got 9$"):
+            save_tensor(np.zeros((1,) * 9, dtype=np.float32), str(path))
+        with pytest.raises(TensorFormatError, match=r"^dims must be positive, got \(2, 0\)$"):
+            save_tensor(np.zeros((2, 0), dtype=np.float32), str(path))
+        assert not path.exists()
+        # float64 input is written as float32
+        save_tensor(np.zeros(2, dtype=np.float64), str(path))
+        assert load_tensor(str(path)).dtype == np.float32
 
 
 class TestBuildMasks:
@@ -233,9 +233,9 @@ class TestSaliencyScore:
         assert saliency_score(a, a, np.zeros((2, 2))) == 0.0
         assert saliency_score(a, np.zeros_like(a), np.ones((2, 2))) == 0.0
 
-    def test_accepts_blobs_and_region_masks(self):
-        a = TensorBlob(dims=(3, 3), data=np.eye(3, dtype=np.float32))
-        g = TensorBlob(dims=(3, 3), data=np.full((3, 3), 2.0, dtype=np.float32))
+    def test_accepts_arrays_and_region_masks(self):
+        a = np.eye(3, dtype=np.float32)
+        g = np.full((3, 3), 2.0, dtype=np.float32)
         mask = build_masks((0, 1, 2, 3))[1]  # terminator row 1, key 0
         assert saliency_score(a, g, mask) == 0.0  # eye has no (1, 0) mass
 

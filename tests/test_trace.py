@@ -257,8 +257,9 @@ class TestIntegrity:
             entropy=1.0,
             step_wall_time=0.0,
         )
-        with pytest.raises(TraceIntegrityError):
-            step.validate()
+        trace = TraceFile(header=TraceHeader("toy", 64, 3, "t", 0), steps=(step,))
+        with pytest.raises(TraceIntegrityError, match="^step 0: topk not sorted descending$"):
+            trace.validate()
 
     @pytest.mark.parametrize(
         "change,message",
@@ -266,7 +267,7 @@ class TestIntegrity:
             ({"topk": topk()}, "empty topk"),
             ({"topk": topk((10, -0.5), (10, -0.9), (12, -1.3), (13, -1.7))}, "duplicate token"),
             ({"topk": topk((10, -0.5), ([1], -0.9), (12, -1.3), (13, -1.7))},
-             "step 2: topk token of unhashable type"),
+             "step 2: topk token must be an int or a str, not list"),
             ({"topk": topk((10, -0.5), (11, math.nan), (12, -1.3), (13, -1.7))}, "not sorted"),
             ({"topk": topk((10, math.nan))}, "logprobs must be finite"),
             ({"topk": topk((10, -0.5), (11, -0.9), (12, -1.3), (13, -math.inf))}, "logprobs must be finite"),
@@ -511,9 +512,11 @@ class TestIntegrityMessages:
         assert str(err.value) == f"{path}:4: step 2: negative rank"
 
     def test_negative_step_index(self):
-        step = dataclasses.replace(make_step(0, 1), t=-1)
-        with pytest.raises(TraceIntegrityError, match="^step index -1 is negative$"):
-            step.validate()
+        # the consecutive-index check refuses a negative index at step 0
+        trace = replace_step(make_trace(BASE_RANKS, natural=True), 0, t=-1)
+        with pytest.raises(TraceIntegrityError, match=re.escape(
+                "step indices must be consecutive from 0; saw -1 at line 2") + "$"):
+            trace.validate()
 
     def test_text_tokens_have_no_id_range(self):
         trace = make_trace(BASE_RANKS, natural=True)
@@ -652,16 +655,16 @@ class TestSharedTokens:
                  "step_wall_time": 0.01} for t, pairs in enumerate(topks)]
         jsonl.write_lines(str(path), [header, *rows])
 
-    def test_equal_tokens_of_other_types_keep_their_type(self, tmp_path):
-        # a dict takes 1, 1.0 and true for one key; sharing across types
-        # would write 1.0 and true back as 1
-        src, dst = tmp_path / "src.jsonl", tmp_path / "dst.jsonl"
-        self.write(src, [[1, -0.5], [2, -0.9]], [[1.0, -0.5], [2, -0.9]],
-                   [[True, -0.5], [2, -0.9]])
-        trace = read_trace(str(src))
-        assert [type(topk.tokens[0]) for topk in trace.iter_topk()] == [int, float, bool]
-        write_trace(trace, str(dst))
-        assert dst.read_bytes() == src.read_bytes()
+    def test_equal_tokens_of_other_types_are_refused(self, tmp_path):
+        # a dict takes 1, 1.0 and true for one key, and == takes a float
+        # equal to the watched id for the watched token
+        path = tmp_path / "t.jsonl"
+        for token, kind in ((1.0, "float"), (True, "bool"), (3.0, "float")):
+            self.write(path, [[1, -0.5], [2, -0.9]], [[token, -0.5], [2, -0.9]])
+            with pytest.raises(TraceIntegrityError) as err:
+                read_trace(str(path))
+            assert str(err.value) == (
+                f"{path}:3: step 1: topk token must be an int or a str, not {kind}")
 
     @pytest.mark.parametrize(
         "pairs,message",
@@ -693,7 +696,8 @@ class TestSharedTokens:
         self.write(path, [[10, -0.5]], pairs)
         with pytest.raises(TraceIntegrityError) as err:
             read_trace(str(path))
-        assert str(err.value) == f"{path}:3: step 1: topk token is null"
+        assert str(err.value) == (
+            f"{path}:3: step 1: topk token must be an int or a str, not NoneType")
 
     def test_int_logprobs_read_as_floats(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -707,7 +711,88 @@ class TestSharedTokens:
         self.write(path, [[10, -0.5]], [[10, -0.5]], [[10, -0.5], [token, -0.9]])
         with pytest.raises(TraceIntegrityError) as err:
             read_trace(str(path))
-        assert str(err.value) == f"{path}:4: step 2: topk token of unhashable type: '{kind}'"
+        assert str(err.value) == (
+            f"{path}:4: step 2: topk token must be an int or a str, not {kind}")
+
+
+ONE_STEP = (
+    '{"tokenizer":"toy","vocab_size":64,"watched_token":3,"source":"s","seed":0,'
+    '"natural_stop":null,"probes":{"1":["Q:","a"]}}\n'
+    '{"t":0,"chosen_token":10,"chosen_text":"<w10>","topk":[[10,-0.5],[11,-0.9]],'
+    '"watched_rank":2,"censored":true,"entropy":0.5,"step_wall_time":0.01}\n'
+)
+
+
+class TestExactJsonTypes:
+    """Each trace field is read by its JSON type, never coerced."""
+
+    def test_one_step_trace_round_trips(self, tmp_path):
+        src, dst = tmp_path / "src.jsonl", tmp_path / "dst.jsonl"
+        src.write_text(ONE_STEP, encoding="utf-8")
+        write_trace(read_trace(str(src)), str(dst))
+        assert dst.read_text(encoding="utf-8") == ONE_STEP
+
+    @pytest.mark.parametrize(
+        "old,new,where,message",
+        [
+            ('"censored":true', '"censored":"false"', 2,
+             "bad step record: censored must be a JSON bool, got 'false'"),
+            ('"watched_rank":2', '"watched_rank":2.9', 2,
+             "bad step record: watched_rank must be a JSON int, got 2.9"),
+            ('"t":0', '"t":0.7', 2, "bad step record: t must be a JSON int, got 0.7"),
+            ('"t":0', '"t":false', 2, "bad step record: t must be a JSON int, got False"),
+            ('"entropy":0.5', '"entropy":"0.5"', 2,
+             "bad step record: entropy must be a JSON int or float, got '0.5'"),
+            ('"chosen_text":"<w10>"', '"chosen_text":10', 2,
+             "bad step record: chosen_text must be a JSON str, got 10"),
+            ('"watched_token":3', '"watched_token":3.7', 1,
+             "bad header: watched_token must be a JSON int, got 3.7"),
+            ('"seed":0', '"seed":true', 1, "bad header: seed must be a JSON int, got True"),
+            ('"source":"s"', '"source":5', 1, "bad header: source must be a JSON str, got 5"),
+            ('"natural_stop":null', '"natural_stop":"0"', 1,
+             "bad header: natural_stop must be a JSON int, got '0'"),
+            ('"probes":{"1":["Q:","a"]}', '"probes":null', 1,
+             "bad header: probes must be a JSON dict, got None"),
+            ('["Q:","a"]', '["Q:",7]', 1, "bad header: probe answer must be a JSON str, got 7"),
+            ('{"1":', '{"01":', 1,
+             "bad header: probe key '01' is not a step count's decimal text"),
+        ],
+        ids=["censored-text", "rank-float", "t-float", "t-bool", "entropy-text",
+             "chosen-text-int", "watched-float", "seed-bool", "source-int",
+             "natural-stop-text", "probes-null", "answer-int", "probe-key-padded"],
+    )
+    def test_scalar_of_another_type_names_its_line(self, tmp_path, old, new, where, message):
+        # int(), float(), bool() and str() would read each, and write_trace
+        # would then write other bytes
+        path = tmp_path / "t.jsonl"
+        assert old in ONE_STEP
+        path.write_text(ONE_STEP.replace(old, new, 1), encoding="utf-8")
+        with pytest.raises(MalformedTraceError) as err:
+            read_trace(str(path))
+        assert str(err.value) == f"{path}:{where}: {message}"
+
+    @pytest.mark.parametrize(
+        "old,new,message",
+        [
+            ("[11,-0.9]", "[99.0,-0.9]", "topk token must be an int or a str, not float"),
+            # a float equal to the watched id would read as an uncensored rank 1
+            ('[11,-0.9]],"watched_rank":2,"censored":true',
+             '[3.0,-0.9]],"watched_rank":1,"censored":false',
+             "topk token must be an int or a str, not float"),
+            ('"chosen_token":10', '"chosen_token":10.0',
+             "chosen token must be an int or a str, not float"),
+            ('"chosen_token":10', '"chosen_token":null',
+             "chosen token must be an int or a str, not NoneType"),
+        ],
+        ids=["float-outside-vocab", "float-watched", "chosen-float", "chosen-null"],
+    )
+    def test_token_of_another_type_names_its_line(self, tmp_path, old, new, message):
+        path = tmp_path / "t.jsonl"
+        assert old in ONE_STEP
+        path.write_text(ONE_STEP.replace(old, new, 1), encoding="utf-8")
+        with pytest.raises(TraceIntegrityError) as err:
+            read_trace(str(path))
+        assert str(err.value) == f"{path}:2: step 0: {message}"
 
 
 def edit_line(path, lineno, old, new):
@@ -820,9 +905,9 @@ class TestStepLines:
             free_step(1, [(text, -0.25) for text in reversed(AWKWARD_TEXTS)],
                       chosen='"topk":0', text='x"topk":0,"y'),
             free_step(2, [(1, -0.5), (2, -0.75), (1000, -1.0), (-7, -2.0), (10**20, -3.0)]),
-            # 1, 1.0 and true are one dict key; each keeps its own text
-            free_step(3, [(True, -0.5), (1, -0.75), ("1", -1.0)]),
-            free_step(4, [(1.0, -0.5), (1, -0.75)]),
+            # an id and its text are two tokens; each keeps its own text
+            free_step(3, [("1", -0.5), (1, -0.75), ("true", -1.0)]),
+            free_step(4, [("1.0", -0.5), (1, -0.75)]),
             free_step(5, [(1, -0.5), (2, -0.75)]),
             free_step(6, [(7, -0.0)]),
             free_step(7, []),
@@ -832,8 +917,8 @@ class TestStepLines:
         lines = self.write(tmp_path, steps)
         assert lines == [reference_line(step) for step in steps]
         assert '"topk":[]' in lines[7]
-        assert '[true,-0.5],[1,-0.75],["1",-1.0]' in lines[3]
-        assert "[1.0,-0.5],[1,-0.75]" in lines[4]
+        assert '["1",-0.5],[1,-0.75],["true",-1.0]' in lines[3]
+        assert '["1.0",-0.5],[1,-0.75]' in lines[4]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_logprob_raises(self, tmp_path, bad):
