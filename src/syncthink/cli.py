@@ -5,9 +5,14 @@ its outputs under --out, then drops a manifest.json recording the
 resolved configuration, inputs, outputs and timestamps.  Exit codes:
 0 success, 1 runtime failure, 2 usage error.
 
-Each config is built once, during validation, from the flags named after
-its fields.  The manifest's config is the parsed flags less _NOT_CONFIG:
-list flags in parsed form, endpoint settings resolved from the environment.
+Each setting is stated once, by the class that owns it: a flag takes its
+default from its PolicyConfig, BaselineConfig, EndpointFactory or
+SyntheticPhaseSpec field, and the class checks its range.  run and sweep
+check their flags into one _Batch, one config pair per grid point, and
+analyze into one _Analysis; endpoint sessions open with the batch
+config's watched token and pacing cap.  The manifest's config is the
+parsed flags less _NOT_CONFIG: list flags in parsed form, endpoint
+settings resolved from the environment.
 """
 
 from __future__ import annotations
@@ -121,16 +126,23 @@ def _require_positive(args, *names: str) -> None:
             raise UsageError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
 
 
-def _flag_configs(args) -> tuple[PolicyConfig, BaselineConfig]:
-    """Both rule configs; a field without a flag, or left unset, keeps its default."""
-    def flags(cls) -> dict:
-        return {f.name: getattr(args, f.name) for f in dataclasses.fields(cls)
-                if getattr(args, f.name, None) is not None}
-
+def _checked(build, *args, **kwargs):
+    """build(*args, **kwargs), a library error in it raised as a usage error."""
     try:
-        return PolicyConfig(**flags(PolicyConfig)), BaselineConfig(**flags(BaselineConfig))
+        return build(*args, **kwargs)
     except SyncThinkError as exc:
         raise UsageError(str(exc)) from exc
+
+
+def _configs(args, **fields) -> tuple[PolicyConfig, BaselineConfig]:
+    """Both rule configs from the flags named after their fields, then
+    `fields`; a field without a flag, or left unset, keeps its default."""
+    values = {**vars(args), **fields}
+    return tuple(
+        _checked(cls, **{f.name: values[f.name] for f in dataclasses.fields(cls)
+                         if values.get(f.name) is not None})
+        for cls in (PolicyConfig, BaselineConfig)
+    )
 
 
 def _inputs(args) -> list[str]:
@@ -200,91 +212,93 @@ def _write_manifest(outcome: _Outcome, args) -> None:
 # ---------------------------------------------------------------- run
 
 
-def _validate_run(args) -> dict:
-    pcfg, bcfg = _flag_configs(args)
-    _require_positive(args, "budget", "parallelism", "full_length")
+@dataclass(frozen=True)
+class _Batch:
+    """A checked run or sweep: one (PolicyConfig, BaselineConfig) pair per
+    grid point, the items, the samples to score (None without --dataset)
+    and the input paths."""
 
-    plan = {"pcfg": pcfg, "bcfg": bcfg, "samples": None, "by_id": {}}
-    if args.dataset:
-        plan["samples"], plan["by_id"] = _load_samples(args)
+    points: list[tuple[PolicyConfig, BaselineConfig]]
+    items: list[BatchItem]
+    samples: list | None
+    inputs: list[str]
 
-    if args.source == "trace":
+
+def _batch(args, grid=({},)) -> _Batch:
+    """Check run's and sweep's flags, then build the items: the traces read,
+    or a session recipe per sample.  grid holds each point's config fields
+    beyond the flags.  Opens no session."""
+    endpoint = args.source == "endpoint"
+    if not endpoint:
         endpoint_only = {"--watched-token": args.watched_token, "--api-base": args.api_base,
                          "--model": args.model, "--full-length": args.full_length}
         given = [flag for flag, value in endpoint_only.items() if value is not None]
         if given:
             raise UsageError(f"{given[0]} applies to --source endpoint only;"
                              " a trace carries its own terminator and length")
-        _require_files(args.traces, "--traces")
-        if args.dataset:
-            _require_trace_entries(args.traces, plan["by_id"])
     # resolved for both sources: the manifest records what the environment set
     args.api_base = args.api_base or os.environ.get(API_BASE_ENV, "")
     args.api_key = args.api_key or os.environ.get(API_KEY_ENV, "")
-    if args.source == "endpoint":
-        if args.traces:
-            raise UsageError("--traces applies to --source trace only")
-        if not args.api_base:
-            raise UsageError(f"--api-base or ${API_BASE_ENV} is required")
-        if not args.model:
-            raise UsageError("--model is required for --source endpoint")
-        if not args.dataset:
-            raise UsageError("--source endpoint needs --dataset for the prompts")
-        if args.policy == "fixed_ratio" and args.full_length is None:
-            raise UsageError(
-                "fixed_ratio against an endpoint needs --full-length;"
-                " there is no recorded run to take the reference from"
-            )
-        try:
-            plan["factory"] = EndpointFactory(
-                args.api_base, args.model, api_key=args.api_key,
-                top_logprobs=args.top_logprobs, max_new_tokens=args.budget,
-                timeout=args.timeout,
-            )
-            plan["factory"].check_cover(args.pacing_cap)
-        except SyncThinkError as exc:
-            raise UsageError(str(exc)) from exc
-    plan["inputs"] = _inputs(args)
-    return plan
+    # a session watches the flag's text; a trace names its own token
+    watched = {"watched_token": args.watched_token or "</think>"} if endpoint else {}
+    points = [_configs(args, **watched, **point) for point in grid]
+    _require_positive(args, "budget", "parallelism", "full_length")
+    samples, by_id = _load_samples(args) if args.dataset else (None, {})
 
-
-def _build_items(args, plan) -> None:
-    """Adds the batch items and fills in the watched token; opens no sessions."""
-    if args.source == "trace":
+    if not endpoint:
+        _require_files(args.traces, "--traces")
+        if args.dataset:
+            _require_trace_entries(args.traces, by_id)
         traces = [(path, read_trace(path)) for path in args.traces]
-        watched = {tr.header.watched_token for _, tr in traces}
-        if len(watched) > 1:
-            raise UsageError(f"traces watch different tokens: {sorted(map(repr, watched))}")
-        plan["items"] = _trace_items(traces, plan["by_id"], args.task_kind)
-        plan["pcfg"] = dataclasses.replace(plan["pcfg"], watched_token=watched.pop())
-        return
+        tokens = {tr.header.watched_token for _, tr in traces}
+        if len(tokens) > 1:
+            raise UsageError(f"traces watch different tokens: {sorted(map(repr, tokens))}")
+        token = tokens.pop()
+        points = [(dataclasses.replace(p, watched_token=token), b) for p, b in points]
+        return _Batch(points, _trace_items(traces, by_id, args.task_kind), samples,
+                      _inputs(args))
 
-    watched = args.watched_token or "</think>"
-    plan["items"] = [
-        BatchItem(
-            sample_id=sample.sample_id,
-            open_source=(lambda q=sample.question: plan["factory"].open_session(
-                q, watched_token=watched, pacing_cap=args.pacing_cap)),
-            task_kind=args.task_kind or sample.task_kind,
-            full_length=args.full_length,
+    if args.traces:
+        raise UsageError("--traces applies to --source trace only")
+    if not args.api_base:
+        raise UsageError(f"--api-base or ${API_BASE_ENV} is required")
+    if not args.model:
+        raise UsageError("--model is required for --source endpoint")
+    if not args.dataset:
+        raise UsageError("--source endpoint needs --dataset for the prompts")
+    if args.policy == "fixed_ratio" and args.full_length is None:
+        raise UsageError(
+            "fixed_ratio against an endpoint needs --full-length;"
+            " there is no recorded run to take the reference from"
         )
-        for sample in plan["samples"]
+    factory = _checked(
+        EndpointFactory, args.api_base, args.model, api_key=args.api_key,
+        top_logprobs=args.top_logprobs, max_new_tokens=args.budget, timeout=args.timeout,
+    )
+    # every point has the flags' watched token and pacing cap; sessions open with them
+    pcfg = points[0][0]
+    _checked(factory.check_cover, pcfg.pacing_cap)
+    items = [
+        BatchItem(sample.sample_id, (lambda q=sample.question: factory.open_session(
+            q, watched_token=pcfg.watched_token, pacing_cap=pcfg.pacing_cap)),
+            args.task_kind or sample.task_kind, args.full_length)
+        for sample in samples
     ]
-    plan["pcfg"] = dataclasses.replace(plan["pcfg"], watched_token=watched)
+    return _Batch(points, items, samples, _inputs(args))
 
 
-def _run_point(args, plan, pcfg, bcfg, out_dir: str) -> tuple[list, object, list[str]]:
+def _run_point(args, batch: _Batch, pcfg, bcfg, out_dir: str) -> tuple[list, object, list[str]]:
     """Run the batch, then make out_dir and write records.jsonl (and report.csv) there."""
     records = run_batch(
-        plan["items"], [args.policy], policy_config=pcfg, baseline_config=bcfg,
+        batch.items, [args.policy], policy_config=pcfg, baseline_config=bcfg,
         budget=args.budget, parallelism=args.parallelism,
     )
     os.makedirs(out_dir, exist_ok=True)
     records_path = os.path.join(out_dir, "records.jsonl")
     write_records(records_path, records)
     outputs, report = [records_path], None
-    if plan["samples"] is not None:
-        report = score(records, plan["samples"], alpha_cost=args.alpha_cost)
+    if batch.samples is not None:
+        report = score(records, batch.samples, alpha_cost=args.alpha_cost)
         report_path = os.path.join(out_dir, "report.csv")
         emit_report(report, report_path)
         outputs.append(report_path)
@@ -292,12 +306,11 @@ def _run_point(args, plan, pcfg, bcfg, out_dir: str) -> tuple[list, object, list
 
 
 def cmd_run(args) -> _Outcome:
-    plan = _validate_run(args)
-    _build_items(args, plan)
-    records, _, outputs = _run_point(args, plan, plan["pcfg"], plan["bcfg"], args.out)
+    batch = _batch(args)
+    records, _, outputs = _run_point(args, batch, *batch.points[0], args.out)
     return _Outcome(
         config=_manifest_config(args),
-        inputs=plan["inputs"],
+        inputs=batch.inputs,
         outputs=outputs,
         record_digest=_records_digest(records),
     )
@@ -306,20 +319,10 @@ def cmd_run(args) -> _Outcome:
 # ---------------------------------------------------------------- sweep
 
 
-def _validate_sweep(args) -> dict:
-    if bool(args.lambda_grid) == bool(args.ratio_grid):
-        raise UsageError("give exactly one of --lambda-grid or --ratio-grid")
-    over_lambda = bool(args.lambda_grid)
-    param = "lambda" if over_lambda else "ratio"
-    values = _parse_list(args.lambda_grid or args.ratio_grid, f"--{param}-grid")
-    # the ranges PolicyConfig.entropy_weight and BaselineConfig.ratio accept
-    bad = [v for v in values if not (0 <= v < math.inf if over_lambda else 0 < v <= 1)]
-    if bad:
-        raise UsageError(f"--{param}-grid holds invalid value {bad[0]!r}")
-    args.policy = "syncthink" if over_lambda else "fixed_ratio"
-    plan = _validate_run(args)
-    plan.update(param=param, values=values)
-    return plan
+# each grid flag's dest: its name in sweep.csv, the config field it sets
+# and the policy every point runs
+_GRIDS = {"lambda_grid": ("lambda", "entropy_weight", "syncthink"),
+          "ratio_grid": ("ratio", "ratio", "fixed_ratio")}
 
 
 def _overall_top1(report) -> str:
@@ -333,21 +336,19 @@ def _mean_of(records, field: str) -> str:
 
 
 def cmd_sweep(args) -> _Outcome:
-    plan = _validate_sweep(args)
-    _build_items(args, plan)
-    param, values = plan["param"], plan["values"]
+    given = [dest for dest in _GRIDS if getattr(args, dest)]
+    if len(given) != 1:
+        raise UsageError("give exactly one of --lambda-grid or --ratio-grid")
+    param, field, args.policy = _GRIDS[given[0]]
+    values = _parse_list(getattr(args, given[0]), f"--{param}-grid")
+    batch = _batch(args, [{field: value} for value in values])
 
     os.makedirs(args.out, exist_ok=True)
     outputs, rows, all_records = [], [], []
-    for i, value in enumerate(values):
-        pcfg, bcfg = plan["pcfg"], plan["bcfg"]
-        if param == "lambda":
-            pcfg = dataclasses.replace(pcfg, entropy_weight=value)
-        else:
-            bcfg = dataclasses.replace(bcfg, ratio=value)
+    for i, (value, (pcfg, bcfg)) in enumerate(zip(values, batch.points)):
         try:
             point_dir = os.path.join(args.out, f"point_{i:02d}")
-            records, report, point_outputs = _run_point(args, plan, pcfg, bcfg, point_dir)
+            records, report, point_outputs = _run_point(args, batch, pcfg, bcfg, point_dir)
         except (SyncThinkError, OSError) as exc:
             # a failing grid point is flagged, not fatal to the sweep
             print(f"warning: {param}={value:g} failed: {exc}", file=sys.stderr)
@@ -374,8 +375,8 @@ def cmd_sweep(args) -> _Outcome:
     outputs.append(curve_path)
 
     return _Outcome(
-        config=_manifest_config(args, **{f"{param}_grid": values}),
-        inputs=plan["inputs"],
+        config=_manifest_config(args, **{given[0]: values}),
+        inputs=batch.inputs,
         outputs=outputs,
         record_digest=_records_digest(all_records),
     )
@@ -384,7 +385,17 @@ def cmd_sweep(args) -> _Outcome:
 # ---------------------------------------------------------------- analyze
 
 
-def _validate_analyze(args) -> dict:
+@dataclass(frozen=True)
+class _Analysis:
+    """A checked analyze: one BaselineConfig per --grid ratio, and the
+    samples to score with their index by id (None and {} without --dataset)."""
+
+    points: list[BaselineConfig]
+    samples: list | None
+    by_id: dict
+
+
+def _analysis(args) -> _Analysis:
     if not args.records and not args.traces:
         raise UsageError("give --records and/or --traces")
     if args.records:
@@ -393,29 +404,26 @@ def _validate_analyze(args) -> dict:
         _require_files(args.traces, "--traces")
     if args.epsilon < 0:
         raise UsageError(f"--epsilon must be >= 0, got {args.epsilon}")
-    plan = {"grid": _parse_list(args.grid, "--grid"), "samples": None}
-    bad = [v for v in plan["grid"] if not 0 < v <= 1]
-    if bad:
-        raise UsageError(f"--grid ratio {bad[0]!r} outside (0, 1]")
-    if args.dataset:
-        if not args.traces:
-            raise UsageError("--dataset only pairs with --traces"
-                             " (the truncation curve replays probes)")
-        if max(map(grid_index, plan["grid"])) != grid_index(1.0):
-            raise UsageError("--grid never reaches full length; the truncation"
-                             " zone is measured against a ratio at 1.0")
-        plan["samples"], plan["by_id"] = _load_samples(args)
-        _require_trace_entries(args.traces, plan["by_id"])
-        traced = [plan["by_id"][_stem(path)] for path in args.traces]
-        if not any(parse_answer(s.gold, s.task_kind) for s in traced):
-            raise UsageError("no traced sample's gold answer normalizes to a"
-                             " non-empty answer; the truncation curve would score nothing")
-        plan["bcfg"] = _flag_configs(args)[1]
-    return plan
+    points = [_checked(BaselineConfig, ratio=ratio) for ratio in _parse_list(args.grid, "--grid")]
+    if not args.dataset:
+        return _Analysis(points, None, {})
+    if not args.traces:
+        raise UsageError("--dataset only pairs with --traces"
+                         " (the truncation curve replays probes)")
+    if max(grid_index(b.ratio) for b in points) != grid_index(1.0):
+        raise UsageError("--grid never reaches full length; the truncation"
+                         " zone is measured against a ratio at 1.0")
+    samples, by_id = _load_samples(args)
+    _require_trace_entries(args.traces, by_id)
+    traced = [by_id[_stem(path)] for path in args.traces]
+    if not any(parse_answer(s.gold, s.task_kind) for s in traced):
+        raise UsageError("no traced sample's gold answer normalizes to a"
+                         " non-empty answer; the truncation curve would score nothing")
+    return _Analysis(points, samples, by_id)
 
 
 def cmd_analyze(args) -> _Outcome:
-    plan = _validate_analyze(args)
+    plan = _analysis(args)
     rows, trajectories = [], []
     # segment_phases is a pure function of the ranks, and a full run's
     # record repeats its trace's trajectory: fit each distinct one once
@@ -451,17 +459,13 @@ def cmd_analyze(args) -> _Outcome:
     else:
         print("warning: no usable trajectories; macro curve skipped", file=sys.stderr)
 
-    if plan["samples"] is not None:
-        items = _trace_items(parsed_traces, plan["by_id"], None)
+    if plan.samples is not None:
+        items = _trace_items(parsed_traces, plan.by_id, None)
         records_by_ratio = {
-            ratio: run_batch(
-                items,
-                ["fixed_ratio"],
-                baseline_config=dataclasses.replace(plan["bcfg"], ratio=ratio),
-            )
-            for ratio in plan["grid"]
+            bcfg.ratio: run_batch(items, ["fixed_ratio"], baseline_config=bcfg)
+            for bcfg in plan.points
         }
-        curve = truncation_accuracy_curve(records_by_ratio, plan["samples"])
+        curve = truncation_accuracy_curve(records_by_ratio, plan.samples)
         curve_path = os.path.join(args.out, "truncation_curve.csv")
         macro_curve_to_csv(curve, curve_path)
         zone = optimal_truncation_zone(curve, epsilon=args.epsilon)
@@ -474,7 +478,7 @@ def cmd_analyze(args) -> _Outcome:
         outputs.extend([curve_path, zone_path])
 
     return _Outcome(
-        config=_manifest_config(args, grid=plan["grid"]),
+        config=_manifest_config(args, grid=[bcfg.ratio for bcfg in plan.points]),
         inputs=_inputs(args),
         outputs=outputs,
     )
@@ -489,10 +493,7 @@ def _validate_saliency(args) -> list[int]:
     bounds = _parse_list(args.boundaries, "--boundaries", int)
     if len(bounds) != 4:
         raise UsageError(f"--boundaries needs p,r,s,end; got {len(bounds)} values")
-    try:
-        _regions(bounds)
-    except SyncThinkError as exc:
-        raise UsageError(f"--boundaries: {exc}") from exc
+    _checked(_regions, bounds)
     return bounds
 
 
@@ -524,10 +525,7 @@ def _validate_gen(args) -> SyntheticPhaseSpec:
     _require_positive(args, "count", "probe_every")
     if args.topk_width < 2:
         raise UsageError(f"--topk-width must be >= 2, got {args.topk_width}")
-    try:
-        return SyntheticPhaseSpec(phase_lengths=tuple(lengths), seed=args.seed)
-    except SyncThinkError as exc:
-        raise UsageError(str(exc)) from exc
+    return _checked(SyntheticPhaseSpec, phase_lengths=tuple(lengths), seed=args.seed)
 
 
 def cmd_gen_synthetic(args) -> _Outcome:
@@ -557,19 +555,20 @@ def cmd_gen_synthetic(args) -> _Outcome:
 
 
 def _add_run_flags(parser) -> None:
-    """Flags shared by run and sweep; each dest names the field it sets."""
-    parser.add_argument("--lambda", dest="entropy_weight", type=_finite_float, default=0.8,
-                        help="entropy weight in the stop rule")
+    """Flags shared by run and sweep; each dest names the field it sets, and
+    a flag that sets a config or endpoint field defaults to its class's."""
+    parser.add_argument("--lambda", dest="entropy_weight", type=_finite_float,
+                        default=PolicyConfig.entropy_weight, help="entropy weight in the stop rule")
     parser.add_argument("--t-max", dest="pacing_cap", metavar="T_MAX", type=int,
-                        default=512, help="pacing cap")
-    parser.add_argument("--min-steps", type=int, default=16)
-    parser.add_argument("--check-interval", type=int, default=1)
-    parser.add_argument("--budget", type=int, default=8192)
-    parser.add_argument("--ratio", type=_finite_float, default=0.5,
+                        default=PolicyConfig.pacing_cap, help="pacing cap")
+    parser.add_argument("--min-steps", type=int, default=PolicyConfig.min_steps)
+    parser.add_argument("--check-interval", type=int, default=PolicyConfig.check_interval)
+    parser.add_argument("--budget", type=int, default=EndpointFactory.max_new_tokens)
+    parser.add_argument("--ratio", type=_finite_float, default=BaselineConfig.ratio,
                         help="fixed_ratio truncation point")
-    parser.add_argument("--segment-len", type=int, default=64)
-    parser.add_argument("--convergence-k", type=int, default=2)
-    parser.add_argument("--probe-suffix", default="Final answer:")
+    parser.add_argument("--segment-len", type=int, default=BaselineConfig.segment_len)
+    parser.add_argument("--convergence-k", type=int, default=BaselineConfig.convergence_k)
+    parser.add_argument("--probe-suffix", default=BaselineConfig.probe_suffix)
     parser.add_argument("--source", choices=("trace", "endpoint"), default="trace")
     parser.add_argument("--traces", nargs="+", metavar="TRACE")
     parser.add_argument("--dataset", help="JSONL samples: id, question, gold")
@@ -581,12 +580,12 @@ def _add_run_flags(parser) -> None:
     parser.add_argument("--api-key", default=None,
                         help=f"falls back to ${API_KEY_ENV}")
     parser.add_argument("--model", default=None)
-    parser.add_argument("--top-logprobs", type=int, default=513)
+    parser.add_argument("--top-logprobs", type=int, default=EndpointFactory.top_logprobs)
     parser.add_argument("--watched-token", default=None,
                         help="terminator text for endpoint sessions")
     parser.add_argument("--full-length", type=int, default=None,
                         help="reference length for fixed_ratio on endpoints")
-    parser.add_argument("--timeout", type=_finite_float, default=120.0)
+    parser.add_argument("--timeout", type=_finite_float, default=EndpointFactory.timeout)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -624,9 +623,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sal.add_argument("--alpha", type=_finite_float, default=1.0)
 
     gen = sub.add_parser("gen-synthetic", help="write planted four-phase traces")
-    gen.add_argument("--phases", default="20,40,200,40",
+    gen.add_argument("--phases", default=",".join(map(str, SyntheticPhaseSpec.phase_lengths)),
                      help="comma-separated phase lengths")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=int, default=SyntheticPhaseSpec.seed)
     gen.add_argument("--count", type=int, default=1)
     gen.add_argument("--topk-width", type=int, default=64)
     gen.add_argument("--probe-every", type=int, default=1)

@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import CapabilityError, ConfigurationError, MalformedDistributionError, SessionError
 from .policy import Distribution, compute_rank, shannon_entropy
-from .trace import StepObservation
+from .trace import StepObservation, answer_pieces
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,8 @@ class LiveSession:
 
     Single-consumer: iterate for reasoning observations, then call
     answer_after exactly once.  probe_with_time issues an auxiliary
-    completion without disturbing the main stream.
+    completion without disturbing the main stream.  Censored ranks are
+    sound up to pacing_cap, the cap a syncthink config may use at most.
     """
 
     def __init__(self, endpoint: EndpointFactory, prompt: str, watched_token: str,
@@ -124,7 +125,7 @@ class LiveSession:
         self._endpoint = endpoint
         self._prompt = prompt
         self.watched_token = watched_token
-        self._pacing_cap = pacing_cap
+        self.pacing_cap = pacing_cap
         self._texts: list[str] = []
         self._t = -1
         self._natural = False
@@ -248,10 +249,10 @@ class LiveSession:
             tokens = list(map(tokens.__getitem__, order.tolist()))
         dist = Distribution(tokens, logprobs)
         rank, censored = compute_rank(dist, self.watched_token)
-        if censored and len(tokens) < self._pacing_cap + 1:
+        if censored and len(tokens) < self.pacing_cap + 1:
             raise CapabilityError(
                 f"server returned top-{len(tokens)} without the watched token;"
-                f" ranks censored below pacing cap {self._pacing_cap} + 1 are unsound"
+                f" ranks censored below pacing cap {self.pacing_cap} + 1 are unsound"
             )
         entropy = shannon_entropy(dist)
         self._t += 1
@@ -290,9 +291,13 @@ class LiveSession:
             if not isinstance(text, str):
                 raise TypeError(f"message content is {type(text).__name__}, not text")
             usage = data.get("usage") or {}
-            tokens = int(usage.get("completion_tokens", len(text.split())))
-            if tokens < 0:
+            tokens = usage.get("completion_tokens", len(answer_pieces(text)))
+            # int() refuses null, "many" and inf; "5", 5.7 and true, which
+            # it takes, are not JSON integers
+            if int(tokens) < 0:
                 raise ValueError(f"completion_tokens {tokens} < 0")
+            if type(tokens) is not int:
+                raise TypeError(f"completion_tokens {tokens!r} is not a JSON integer")
         except _MALFORMED as exc:
             raise SessionError(
                 f"branch completion is malformed: {type(exc).__name__}: {exc}"

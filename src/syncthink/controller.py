@@ -114,7 +114,9 @@ def run_generation(
     """Drive one source under one policy and build its record.
 
     The source yields StepObservation values and provides watched_token,
-    probe_with_time(suffix) and answer_after(t, injected).  Mid-stream
+    probe_with_time(suffix) and answer_after(t, injected).  A syncthink
+    config whose pacing cap exceeds the pacing_cap a source states (a
+    live session's) is refused before any step.  Mid-stream
     failures (SessionError, or a CapabilityError such as a token streamed
     without logprobs) produce an incomplete record carrying the partial
     trajectories instead of raising; error names the class.
@@ -128,6 +130,11 @@ def run_generation(
     if pcfg.watched_token != watched:
         raise ConfigurationError(
             f"config watches {pcfg.watched_token!r} but the source watches {watched!r}"
+        )
+    if policy == "syncthink" and getattr(source, "pacing_cap", math.inf) < pcfg.pacing_cap:
+        raise ConfigurationError(
+            f"config pacing cap {pcfg.pacing_cap} exceeds the source's {source.pacing_cap}:"
+            " its censored ranks could fire the rule"
         )
     bcfg = baseline_config or BaselineConfig()
     if policy == "fixed_ratio" and full_length is None:

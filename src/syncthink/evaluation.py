@@ -277,41 +277,16 @@ def efficiency_rate(
     return 100.0 * (accuracy - base_accuracy) / extra
 
 
-_CSV_COLUMNS = (
-    "dataset",
-    "policy",
-    "n",
-    "n_incomplete",
-    "top1",
-    "mean_reasoning_tokens",
-    "mean_answer_tokens",
-    "mean_total_tokens",
-    "mean_total_time",
-    "objective",
-    "efficiency",
-    "alpha_cost",
-)
-
-
 def emit_report(report: BenchmarkReport, path: str) -> None:
-    """Write the report as CSV, floats in their shortest round-trip form."""
+    """Write the report as CSV: a column per ReportRow field, then
+    alpha_cost; floats in their shortest round-trip form, and an
+    undefined efficiency as an empty cell."""
+    columns = list(ReportRow.__dataclass_fields__)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_CSV_COLUMNS)
+        writer.writerow([*columns, "alpha_cost"])
         for row in report.rows:
-            writer.writerow(
-                [
-                    row.dataset,
-                    row.policy,
-                    row.n,
-                    row.n_incomplete,
-                    jsonl.format_float(row.top1),
-                    jsonl.format_float(row.mean_reasoning_tokens),
-                    jsonl.format_float(row.mean_answer_tokens),
-                    jsonl.format_float(row.mean_total_tokens),
-                    jsonl.format_float(row.mean_total_time),
-                    jsonl.format_float(row.objective),
-                    "" if row.efficiency is None else jsonl.format_float(row.efficiency),
-                    jsonl.format_float(report.alpha_cost),
-                ]
-            )
+            cells = [*(getattr(row, name) for name in columns), float(report.alpha_cost)]
+            writer.writerow(["" if cell is None else
+                             jsonl.format_float(cell) if isinstance(cell, float) else cell
+                             for cell in cells])

@@ -8,13 +8,13 @@ pairs.  Floats are written in their shortest round-trip form, so a
 parse/serialize cycle is byte-stable.  Each field is read by its JSON
 type and never coerced (jsonl.typed; a float field also takes an
 integer), and every token, top-K or chosen, is an int or a str
-(_check_step), so no two equal tokens differ in type.  write_trace
-splices each step line from one encode of its other fields, a cached
-text per distinct token and the float texts of one encode of the
-logprob row; the bytes are those jsonl.dumps writes for the row, for a
-trace that _check_step accepts.  It writes a temporary file
-beside the target and renames it over the target, so a failed write
-leaves the target as it was.
+(_check_token_types), so no two equal tokens differ in type.  write_trace
+puts each step through that rule, then splices its line from one encode
+of its other fields, a cached text per distinct token and the float
+texts of one encode of the logprob row; the bytes are those jsonl.dumps
+writes for the row.  It writes a temporary file beside the target and
+renames it over the target, so a failed write leaves the target as it
+was.
 
 Replay reads only a step's scalars (rank, censored flag, entropy, wall
 time, chosen token and text), so read_trace checks every line against
@@ -223,13 +223,7 @@ def _check_step(step: StepObservation, topk: Distribution, header: TraceHeader,
     tokens, lps = topk.tokens, topk.logprobs
     if not len(tokens):
         raise TraceIntegrityError(f"step {step.t}: empty topk")
-    kinds = set(map(type, tokens))
-    if not kinds <= _TOKEN_TYPES:
-        names = ", ".join(sorted(kind.__name__ for kind in kinds - _TOKEN_TYPES))
-        raise TraceIntegrityError(f"step {step.t}: topk token must be an int or a str, not {names}")
-    if (chosen := type(step.chosen_token)) not in _TOKEN_TYPES:
-        raise TraceIntegrityError(
-            f"step {step.t}: chosen token must be an int or a str, not {chosen.__name__}")
+    kinds = _check_token_types(step, tokens)
     # `not a >= b` also fails a NaN logprob
     if not (lps[:-1] >= lps[1:]).all():
         raise TraceIntegrityError(f"step {step.t}: topk not sorted descending")
@@ -245,7 +239,7 @@ def _check_step(step: StepObservation, topk: Distribution, header: TraceHeader,
     if not (math.isfinite(step.step_wall_time) and step.step_wall_time >= 0.0):
         raise TraceIntegrityError(f"step {step.t}: wall time must be finite and >= 0")
     vocab = header.vocab_size
-    if chosen is int and not (0 <= step.chosen_token < vocab):
+    if type(step.chosen_token) is int and not (0 <= step.chosen_token < vocab):
         raise TraceIntegrityError(
             f"step {step.t}: chosen token {step.chosen_token} outside vocabulary"
         )
@@ -275,6 +269,20 @@ def _check_step(step: StepObservation, topk: Distribution, header: TraceHeader,
         )
 
 
+def _check_token_types(step: StepObservation, tokens) -> set[type]:
+    """The token rule: every top-K token and the chosen token is an int or
+    a str, by one C-level type pass over the top-K.  Returns the top-K's
+    token types."""
+    kinds = set(map(type, tokens))
+    if not kinds <= _TOKEN_TYPES:
+        names = ", ".join(sorted(kind.__name__ for kind in kinds - _TOKEN_TYPES))
+        raise TraceIntegrityError(f"step {step.t}: topk token must be an int or a str, not {names}")
+    if (chosen := type(step.chosen_token)) not in _TOKEN_TYPES:
+        raise TraceIntegrityError(
+            f"step {step.t}: chosen token must be an int or a str, not {chosen.__name__}")
+    return kinds
+
+
 def _check_end(n_steps: int, watched: list[int], natural_stop: int | None, probes: dict) -> None:
     """The checks that need every step: `watched` lists the steps that emit the terminator."""
     if not n_steps:
@@ -295,8 +303,8 @@ def _check_end(n_steps: int, watched: list[int], natural_stop: int | None, probe
 
 def _pair_heads(tokens, heads: dict[TokenId, str]) -> list[str]:
     """Each top-K pair's `],[token,` text, one cached text per distinct
-    token in `heads`.  A dict takes 1, 1.0 and true for one key, which
-    the token rule of _check_step keeps out of a valid trace."""
+    token in `heads`.  A dict takes 1, 1.0 and True for one key, so
+    write_trace puts each row through the token rule first."""
     for tok in set(tokens).difference(heads):
         heads[tok] = "],[" + jsonl.dumps(tok) + ","
     return list(map(heads.__getitem__, tokens))
@@ -329,9 +337,11 @@ def _step_line(step: StepObservation, topk: Distribution, heads: dict[TokenId, s
 def write_trace(trace: TraceFile, path: str) -> None:
     """Write the header line, then one line per step (see _step_line).
 
-    The lines go to a temporary file beside path, renamed over path once
-    every line is written; a write that fails leaves path as it was.  So
-    a read trace can be written onto the file it was read from.
+    Each step passes the token rule before its line is made, else
+    TraceIntegrityError.  The lines go to a temporary file beside path,
+    renamed over path once every line is written; a write that fails
+    leaves path as it was.  So a read trace can be written onto the file
+    it was read from.
     """
     header = {
         **vars(trace.header),
@@ -344,6 +354,7 @@ def write_trace(trace: TraceFile, path: str) -> None:
         with open(partial, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(jsonl.dumps(header) + "\n")
             for step, topk in zip(trace.steps, trace.iter_topk()):
+                _check_token_types(step, topk.tokens)
                 fh.write(_step_line(step, topk, heads) + "\n")
         os.replace(partial, path)
     except BaseException:

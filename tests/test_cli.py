@@ -8,6 +8,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 from datetime import datetime
 from pathlib import Path
 
@@ -783,6 +784,22 @@ class TestSaliency:
         assert run_cli(*base, "--boundaries", "0,4,6") == 2
         assert run_cli(*base, "--boundaries", "0,x,6,12") == 2
         assert not os.path.exists(out)
+
+
+def readme_flag_defaults() -> dict[str, str]:
+    """README's "Key flags" list: each flag and the text in its parentheses
+    up to the first comma."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Key flags (defaults in parentheses)", 1)[1].split("\n\n", 1)[0]
+    return dict(re.findall(r"^- `(--[a-z-]+)` \(`?(.*?)`?[,)]", block, re.MULTILINE))
+
+
+def test_readme_key_flags_are_the_parser_defaults():
+    # the defaults come from the config classes; the docs must follow them
+    parsed = {action.option_strings[0]: json.dumps(action.default)
+              for action in SUBPARSERS["run"]._actions
+              if action.default not in (None, argparse.SUPPRESS)}
+    assert readme_flag_defaults() == parsed
 
 
 class TestTopLevel:

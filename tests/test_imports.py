@@ -8,6 +8,7 @@ import ast
 import functools
 import graphlib
 import importlib
+import importlib.util
 import os
 import pathlib
 import subprocess
@@ -155,3 +156,36 @@ def test_analyze_records_leaves_numpy_ma_unloaded(tmp_path):
                             text=True, check=True, timeout=60)
     assert result.stdout.split() == ["0", "False"], result.stderr
     assert (out / "macro_median.csv").exists()
+
+
+def load_benchmark_module(name: str):
+    """perfbench/<name>.py as a module, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(name, ROOT / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("mode", ["replay", "live"])
+def test_benchmark_feed_runs_one_cycle(mode, tmp_path, monkeypatch):
+    # a drift in run_generation or session setup would otherwise break
+    # only the benchmark's feed process (run_failed)
+    from syncthink.stub import StubServer
+    from syncthink.synthetic import SyntheticPhaseSpec, generate_synthetic
+    from syncthink.trace import read_trace, write_trace
+
+    trace = tmp_path / "t.jsonl"
+    write_trace(generate_synthetic(SyntheticPhaseSpec(phase_lengths=(6, 6, 20, 6), seed=1),
+                                   topk_width=17), str(trace))
+    # perfbench/ is read, never written: no bytecode lands beside its files
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    # feed.py imports the tracer by its bare name
+    monkeypatch.setitem(sys.modules, "tracer", load_benchmark_module("tracer"))
+    feed = load_benchmark_module("feed")
+    policies = ["full", "syncthink", "answer_convergence"]
+    config = {"mode": mode, "traces": [str(trace)], "top_logprobs": 17, "pacing_cap": 16,
+              "policies": policies, "task_kind": "numeric", "cycle_steps": 200}
+    with StubServer(read_trace(str(trace))) as stub:
+        result = feed.Feed({**config, "base_url": stub.base_url}).cycle()
+    assert result["failures"] == []
+    assert result["attempted"] >= len(policies) and result["steps"] > 0

@@ -44,6 +44,7 @@ from syncthink.trace import (
     TraceFile,
     TraceHeader,
     TraceReader,
+    answer_pieces,
     read_trace,
     write_trace,
 )
@@ -1021,3 +1022,69 @@ class TestFailureHandling:
             connect_endpoint("http://x", "", top_logprobs=10)
         with pytest.raises(ConfigurationError):
             connect_endpoint("http://x", "m", top_logprobs=0)
+
+
+class TestPacingCapSoundness:
+    def test_config_cap_above_the_sessions_is_refused_before_any_step(self):
+        # a session at cap 64 (K = 80) proves censored ranks sound up to 64;
+        # at cap 512 its censored rank 80 clears the bar from step 96 on,
+        # while a replay of the trace, which holds the true ranks, stops at 159
+        trace = generate_synthetic(SyntheticPhaseSpec(seed=0), topk_width=80)
+        config = PolicyConfig(watched_token=WATCHED_TEXT, pacing_cap=512, entropy_weight=0.1)
+        with StubServer(trace) as stub:
+            factory = connect_endpoint(stub.base_url, "stub", top_logprobs=80)
+            session = factory.open_session("q", watched_token=WATCHED_TEXT, pacing_cap=64)
+            try:
+                assert session.pacing_cap == 64
+                with pytest.raises(ConfigurationError, match="pacing cap 512 exceeds the source's 64"):
+                    run_generation(session, "syncthink", policy_config=config)
+                assert next(session).t == 0  # no step was read
+            finally:
+                session.close()
+        replay = run_generation(TraceReader(trace), "syncthink", policy_config=dataclasses.replace(
+            config, watched_token=trace.header.watched_token))
+        assert replay.stop_step == 159
+
+    def test_other_policies_do_not_read_the_cap(self, factory):
+        session = open_session(factory)
+        try:
+            record = run_generation(session, "full", policy_config=dataclasses.replace(
+                live_config(), pacing_cap=CAP + 1))
+        finally:
+            session.close()
+        assert record.complete
+
+
+def run_branch(completion):
+    """The record of a `none` run whose branch completion is `completion`."""
+    handler = type("Handler", (ScriptedHandler,), {
+        "events": [sse_event("a"), sse_event("c")], "completion": completion,
+    })
+    with serving(handler) as url:
+        scripted = connect_endpoint(url, "m", top_logprobs=2)
+        session = scripted.open_session("q", watched_token=WATCHED_TEXT, pacing_cap=1)
+        try:
+            return run_generation(session, "none", task_kind="numeric",
+                                  policy_config=PolicyConfig(watched_token=WATCHED_TEXT))
+        finally:
+            session.close()
+
+
+class TestBranchCompletionTokens:
+    @pytest.mark.parametrize("count", ["5", 5.7, True], ids=["text", "float", "bool"])
+    def test_completion_tokens_must_be_a_json_integer(self, count):
+        record = run_branch({"choices": [{"message": {"content": "7"}}],
+                             "usage": {"completion_tokens": count}})
+        assert not record.complete
+        assert record.error == (
+            "SessionError in answer phase: branch completion is malformed: TypeError:"
+            f" completion_tokens {count!r} is not a JSON integer"), record.error
+
+    @pytest.mark.parametrize("answer,tokens", [
+        (" \n ", 1), ("", 0), ("the answer is 42", 4), ("42\n", 1),
+    ])
+    def test_without_usage_an_answer_counts_its_pieces(self, answer, tokens):
+        record = run_branch({"choices": [{"message": {"content": answer}}]})
+        assert record.complete, record.error
+        assert record.answer_tokens == tokens == len(answer_pieces(answer))
+        assert record.answer_text == answer

@@ -881,7 +881,7 @@ def reference_line(step):
 
 
 def free_step(t, pairs, *, chosen=10, text="<w10>"):
-    """A step as written, unchecked: write_trace does not validate."""
+    """A step as written, unchecked: write_trace checks only the token rule."""
     return StepObservation(t=t, chosen_token=chosen, chosen_text=text, topk=topk(*pairs),
                            watched_rank=len(pairs), censored=True, entropy=0.5,
                            step_wall_time=0.01)
@@ -924,6 +924,24 @@ class TestStepLines:
     def test_non_finite_logprob_raises(self, tmp_path, bad):
         with pytest.raises(ValueError):
             self.write(tmp_path, [free_step(0, [(1, -0.5), (2, bad)])])
+
+    @pytest.mark.parametrize("step,message", [
+        # a dict takes True and 1 for one key, so True would be written as
+        # the text cached for step 0's id 1: [[1,-0.5],[1,-0.75],["1",-1.0]]
+        (free_step(1, [(True, -0.5), (1, -0.75), ("1", -1.0)]),
+         "step 1: topk token must be an int or a str, not bool"),
+        (free_step(1, [(1, -0.5)], chosen=1.0), "step 1: chosen token must be an int or a str,"
+         " not float"),
+    ], ids=["topk-bool", "chosen-float"])
+    def test_token_rule_is_checked_before_the_write(self, tmp_path, step, message):
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(b"an earlier trace\n")
+        trace = TraceFile(header=TraceHeader("toy", 64, 3, "test", 0),
+                          steps=(free_step(0, [(1, -0.5), (2, -0.75)]), step))
+        with pytest.raises(TraceIntegrityError, match="^" + re.escape(message) + "$"):
+            write_trace(trace, str(path))
+        assert path.read_bytes() == b"an earlier trace\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["t.jsonl"]
 
     def test_synthetic_trace_reads_back_and_writes_the_same_bytes(self, tmp_path):
         from syncthink.synthetic import SyntheticPhaseSpec, generate_synthetic
