@@ -5,14 +5,14 @@ its outputs under --out, then drops a manifest.json recording the
 resolved configuration, inputs, outputs and timestamps.  Exit codes:
 0 success, 1 runtime failure, 2 usage error.
 
-Each setting is stated once, by the class that owns it: a flag takes its
-default from its PolicyConfig, BaselineConfig, EndpointFactory or
-SyntheticPhaseSpec field, and the class checks its range.  run and sweep
-check their flags into one _Batch, one config pair per grid point, and
-analyze into one _Analysis; endpoint sessions open with the batch
-config's watched token and pacing cap.  The manifest's config is the
-parsed flags less _NOT_CONFIG: list flags in parsed form, endpoint
-settings resolved from the environment.
+Each setting is stated once, by the class or function that owns its
+rule: a flag takes its default from there, and the owner, called through
+_checked before --out exists, checks its range.  run and sweep check
+their flags into one _Batch, one config pair per grid point, and analyze
+into one _Analysis.  The manifest's config is the parsed flags less
+_NOT_CONFIG, list flags parsed and endpoint settings resolved; its inputs
+name each input path by its flag, so the manifest alone rebuilds the
+command.
 """
 
 from __future__ import annotations
@@ -31,8 +31,10 @@ from datetime import datetime, timezone
 from . import __version__
 from .client import EndpointFactory
 from .controller import (
+    DEFAULT_BUDGET,
     POLICIES,
     BatchItem,
+    check_batch,
     read_records,
     record_fingerprint,
     run_batch,
@@ -44,9 +46,11 @@ from .errors import (
     SyncThinkError,
     UsageError,
 )
-from .evaluation import TASK_KINDS, emit_report, load_dataset, parse_answer, score
+from .evaluation import (TASK_KINDS, BenchmarkReport, Sample, emit_report, load_dataset,
+                         parse_answer, score)
 from .jsonl import dumps, format_float
 from .phase_analysis import (
+    DEFAULT_EPSILON,
     aggregate_macro,
     grid_index,
     macro_curve_to_csv,
@@ -57,28 +61,30 @@ from .phase_analysis import (
 )
 from .policy import BaselineConfig, PolicyConfig
 from .saliency import _regions, load_tensor, report_curves_to_csv, report_to_obj, saliency_report
-from .synthetic import SyntheticPhaseSpec, generate_synthetic
-from .trace import TraceReader, read_trace, write_trace
+from .synthetic import (DEFAULT_PROBE_EVERY, DEFAULT_TOPK_WIDTH, SyntheticPhaseSpec,
+                        generate_synthetic)
+from .trace import WATCHED_TEXT, TraceReader, read_trace, write_trace
 
 API_BASE_ENV = "SYNCTHINK_API_BASE"
 API_KEY_ENV = "SYNCTHINK_API_KEY"
 
+# the flags that name input files; the manifest's inputs maps each given
+# one to its path or paths
+_INPUTS = ("records", "traces", "dataset", "attention", "gradients")
 # Parsed flags the manifest's config leaves out: the command and --out,
-# input paths (the manifest lists them under inputs), the API key (only
-# api_key_set is recorded), the seed (a manifest field of its own) and
-# the raw grid strings (their parsed lists stand in).
+# the _INPUTS, the API key (only api_key_set is recorded), the seed (a
+# manifest field of its own) and the raw grid strings (their parsed lists
+# stand in).
 _NOT_CONFIG = frozenset({
-    "command", "out", "traces", "records", "attention", "gradients",
-    "api_key", "seed", "lambda_grid", "ratio_grid", "_started",
+    "command", "out", *_INPUTS, "api_key", "seed", "lambda_grid", "ratio_grid", "_started",
 })
 
 
 @dataclass
 class _Outcome:
-    """What a command reports; manifest.json adds the command, version and times."""
+    """What a command reports; manifest.json adds the command, inputs, version and times."""
 
     config: dict
-    inputs: list
     outputs: list
     seed: int | None = None
     record_digest: str = ""
@@ -119,13 +125,6 @@ def _require_files(paths, flag: str) -> None:
         raise UsageError(f"{flag}: no such file: {missing[0]}")
 
 
-def _require_positive(args, *names: str) -> None:
-    for name in names:
-        value = getattr(args, name)
-        if value is not None and value < 1:
-            raise UsageError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
-
-
 def _checked(build, *args, **kwargs):
     """build(*args, **kwargs), a library error in it raised as a usage error."""
     try:
@@ -145,10 +144,9 @@ def _configs(args, **fields) -> tuple[PolicyConfig, BaselineConfig]:
     )
 
 
-def _inputs(args) -> list[str]:
-    """The records and trace paths given, then the dataset."""
-    paths = (getattr(args, "records", None) or []) + (args.traces or [])
-    return paths + ([args.dataset] if args.dataset else [])
+def _inputs(args) -> dict:
+    """Each input flag given, by dest, with its path or paths."""
+    return {name: getattr(args, name) for name in _INPUTS if getattr(args, name, None) is not None}
 
 
 def _load_samples(args) -> tuple[list, dict]:
@@ -167,12 +165,13 @@ def _require_trace_entries(traces, by_id: dict) -> None:
 
 
 def _trace_items(traces, by_id: dict, task_kind) -> list[BatchItem]:
-    """One replay item per (path, TraceFile); task kind from the flag, the dataset or freeform."""
+    """One replay item per (path, TraceFile); task kind from the flag, the
+    dataset or Sample's default."""
     return [
         BatchItem(
             sample_id=_stem(path),
             open_source=(lambda tr=tr: TraceReader(tr)),
-            task_kind=task_kind or getattr(by_id.get(_stem(path)), "task_kind", "freeform"),
+            task_kind=task_kind or getattr(by_id.get(_stem(path)), "task_kind", Sample.task_kind),
         )
         for path, tr in traces
     ]
@@ -199,6 +198,7 @@ def _write_manifest(outcome: _Outcome, args) -> None:
     manifest = {
         **dataclasses.asdict(outcome),
         "command": args.command,
+        "inputs": _inputs(args),
         "version": __version__,
         "started": args._started,
         "finished": _utc_now(),
@@ -215,13 +215,11 @@ def _write_manifest(outcome: _Outcome, args) -> None:
 @dataclass(frozen=True)
 class _Batch:
     """A checked run or sweep: one (PolicyConfig, BaselineConfig) pair per
-    grid point, the items, the samples to score (None without --dataset)
-    and the input paths."""
+    grid point, the items and the samples to score (None without --dataset)."""
 
     points: list[tuple[PolicyConfig, BaselineConfig]]
     items: list[BatchItem]
     samples: list | None
-    inputs: list[str]
 
 
 def _batch(args, grid=({},)) -> _Batch:
@@ -229,20 +227,24 @@ def _batch(args, grid=({},)) -> _Batch:
     or a session recipe per sample.  grid holds each point's config fields
     beyond the flags.  Opens no session."""
     endpoint = args.source == "endpoint"
-    if not endpoint:
+    if endpoint:
+        # resolved here, so the manifest records the values the sessions use
+        args.api_base = args.api_base or os.environ.get(API_BASE_ENV, "")
+        args.api_key = args.api_key or os.environ.get(API_KEY_ENV, "")
+        if args.watched_token is None:
+            args.watched_token = WATCHED_TEXT
+    else:
         endpoint_only = {"--watched-token": args.watched_token, "--api-base": args.api_base,
                          "--model": args.model, "--full-length": args.full_length}
         given = [flag for flag, value in endpoint_only.items() if value is not None]
         if given:
             raise UsageError(f"{given[0]} applies to --source endpoint only;"
                              " a trace carries its own terminator and length")
-    # resolved for both sources: the manifest records what the environment set
-    args.api_base = args.api_base or os.environ.get(API_BASE_ENV, "")
-    args.api_key = args.api_key or os.environ.get(API_KEY_ENV, "")
-    # a session watches the flag's text; a trace names its own token
-    watched = {"watched_token": args.watched_token or "</think>"} if endpoint else {}
-    points = [_configs(args, **watched, **point) for point in grid]
-    _require_positive(args, "budget", "parallelism", "full_length")
+    # PolicyConfig checks the watched token; a trace's own replaces it below
+    points = [_configs(args, **point) for point in grid]
+    _checked(check_batch, [args.policy], args.budget, args.parallelism)
+    if args.full_length is not None and args.full_length < 1:
+        raise UsageError(f"--full-length must be >= 1, got {args.full_length}")
     samples, by_id = _load_samples(args) if args.dataset else (None, {})
 
     if not endpoint:
@@ -255,15 +257,10 @@ def _batch(args, grid=({},)) -> _Batch:
             raise UsageError(f"traces watch different tokens: {sorted(map(repr, tokens))}")
         token = tokens.pop()
         points = [(dataclasses.replace(p, watched_token=token), b) for p, b in points]
-        return _Batch(points, _trace_items(traces, by_id, args.task_kind), samples,
-                      _inputs(args))
+        return _Batch(points, _trace_items(traces, by_id, args.task_kind), samples)
 
     if args.traces:
         raise UsageError("--traces applies to --source trace only")
-    if not args.api_base:
-        raise UsageError(f"--api-base or ${API_BASE_ENV} is required")
-    if not args.model:
-        raise UsageError("--model is required for --source endpoint")
     if not args.dataset:
         raise UsageError("--source endpoint needs --dataset for the prompts")
     if args.policy == "fixed_ratio" and args.full_length is None:
@@ -284,7 +281,7 @@ def _batch(args, grid=({},)) -> _Batch:
             args.task_kind or sample.task_kind, args.full_length)
         for sample in samples
     ]
-    return _Batch(points, items, samples, _inputs(args))
+    return _Batch(points, items, samples)
 
 
 def _run_point(args, batch: _Batch, pcfg, bcfg, out_dir: str) -> tuple[list, object, list[str]]:
@@ -310,7 +307,6 @@ def cmd_run(args) -> _Outcome:
     records, _, outputs = _run_point(args, batch, *batch.points[0], args.out)
     return _Outcome(
         config=_manifest_config(args),
-        inputs=batch.inputs,
         outputs=outputs,
         record_digest=_records_digest(records),
     )
@@ -376,7 +372,6 @@ def cmd_sweep(args) -> _Outcome:
 
     return _Outcome(
         config=_manifest_config(args, **{given[0]: values}),
-        inputs=batch.inputs,
         outputs=outputs,
         record_digest=_records_digest(all_records),
     )
@@ -402,8 +397,6 @@ def _analysis(args) -> _Analysis:
         _require_files(args.records, "--records")
     if args.traces:
         _require_files(args.traces, "--traces")
-    if args.epsilon < 0:
-        raise UsageError(f"--epsilon must be >= 0, got {args.epsilon}")
     points = [_checked(BaselineConfig, ratio=ratio) for ratio in _parse_list(args.grid, "--grid")]
     if not args.dataset:
         return _Analysis(points, None, {})
@@ -447,6 +440,16 @@ def cmd_analyze(args) -> _Outcome:
     for path, trace in parsed_traces:
         add(_stem(path), [step.watched_rank for step in trace.steps])
 
+    if plan.samples is not None:
+        items = _trace_items(parsed_traces, plan.by_id, None)
+        records_by_ratio = {
+            bcfg.ratio: run_batch(items, ["fixed_ratio"], baseline_config=bcfg)
+            for bcfg in plan.points
+        }
+        curve = truncation_accuracy_curve(records_by_ratio, plan.samples)
+        # the zone's owner checks --epsilon, before --out exists
+        zone = _checked(optimal_truncation_zone, curve, epsilon=args.epsilon)
+
     os.makedirs(args.out, exist_ok=True)
     seg_path = os.path.join(args.out, "segmentations.csv")
     segmentations_to_csv(rows, seg_path)
@@ -460,26 +463,15 @@ def cmd_analyze(args) -> _Outcome:
         print("warning: no usable trajectories; macro curve skipped", file=sys.stderr)
 
     if plan.samples is not None:
-        items = _trace_items(parsed_traces, plan.by_id, None)
-        records_by_ratio = {
-            bcfg.ratio: run_batch(items, ["fixed_ratio"], baseline_config=bcfg)
-            for bcfg in plan.points
-        }
-        curve = truncation_accuracy_curve(records_by_ratio, plan.samples)
         curve_path = os.path.join(args.out, "truncation_curve.csv")
         macro_curve_to_csv(curve, curve_path)
-        zone = optimal_truncation_zone(curve, epsilon=args.epsilon)
         zone_path = os.path.join(args.out, "zone.json")
         with open(zone_path, "w", encoding="utf-8") as fh:
-            fh.write(dumps({
-                "start": zone.start, "end": zone.end, "degenerate": zone.degenerate,
-            }))
-            fh.write("\n")
+            fh.write(dumps(dataclasses.asdict(zone)) + "\n")
         outputs.extend([curve_path, zone_path])
 
     return _Outcome(
         config=_manifest_config(args, grid=[bcfg.ratio for bcfg in plan.points]),
-        inputs=_inputs(args),
         outputs=outputs,
     )
 
@@ -487,18 +479,13 @@ def cmd_analyze(args) -> _Outcome:
 # ---------------------------------------------------------------- saliency
 
 
-def _validate_saliency(args) -> list[int]:
+def cmd_saliency(args) -> _Outcome:
     _require_files([args.attention], "--attention")
     _require_files([args.gradients], "--gradients")
     bounds = _parse_list(args.boundaries, "--boundaries", int)
     if len(bounds) != 4:
         raise UsageError(f"--boundaries needs p,r,s,end; got {len(bounds)} values")
     _checked(_regions, bounds)
-    return bounds
-
-
-def cmd_saliency(args) -> _Outcome:
-    bounds = _validate_saliency(args)
     # every load_tensor error names its file
     tensors = [load_tensor(path) for path in (args.attention, args.gradients)]
     report = saliency_report(*tensors, tuple(bounds), alpha=args.alpha)
@@ -512,7 +499,6 @@ def cmd_saliency(args) -> _Outcome:
     report_curves_to_csv(report, curves_path)
     return _Outcome(
         config=_manifest_config(args, boundaries=bounds),
-        inputs=[args.attention, args.gradients],
         outputs=[report_path, curves_path],
     )
 
@@ -520,23 +506,20 @@ def cmd_saliency(args) -> _Outcome:
 # ---------------------------------------------------------------- gen-synthetic
 
 
-def _validate_gen(args) -> SyntheticPhaseSpec:
-    lengths = _parse_list(args.phases, "--phases", int)
-    _require_positive(args, "count", "probe_every")
-    if args.topk_width < 2:
-        raise UsageError(f"--topk-width must be >= 2, got {args.topk_width}")
-    return _checked(SyntheticPhaseSpec, phase_lengths=tuple(lengths), seed=args.seed)
-
-
 def cmd_gen_synthetic(args) -> _Outcome:
-    spec = _validate_gen(args)
-    os.makedirs(args.out, exist_ok=True)
+    lengths = _parse_list(args.phases, "--phases", int)
+    if args.count < 1:
+        raise UsageError(f"--count must be >= 1, got {args.count}")
+    spec = _checked(SyntheticPhaseSpec, phase_lengths=tuple(lengths), seed=args.seed)
     outputs = []
     for i in range(args.count):
-        trace = generate_synthetic(
-            dataclasses.replace(spec, seed=args.seed + i),
+        # generate_synthetic checks --topk-width and --probe-every, and the
+        # first trace is made before --out exists
+        trace = _checked(
+            generate_synthetic, dataclasses.replace(spec, seed=args.seed + i),
             topk_width=args.topk_width, probe_every=args.probe_every,
         )
+        os.makedirs(args.out, exist_ok=True)
         path = os.path.join(args.out, f"synth_{i:04d}.jsonl")
         write_trace(trace, path)
         outputs.append(path)
@@ -545,7 +528,6 @@ def cmd_gen_synthetic(args) -> _Outcome:
             args, phases=list(spec.phase_lengths),
             seeds=list(range(args.seed, args.seed + args.count)),
         ),
-        inputs=[],
         outputs=outputs,
         seed=args.seed,
     )
@@ -563,7 +545,7 @@ def _add_run_flags(parser) -> None:
                         default=PolicyConfig.pacing_cap, help="pacing cap")
     parser.add_argument("--min-steps", type=int, default=PolicyConfig.min_steps)
     parser.add_argument("--check-interval", type=int, default=PolicyConfig.check_interval)
-    parser.add_argument("--budget", type=int, default=EndpointFactory.max_new_tokens)
+    parser.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     parser.add_argument("--ratio", type=_finite_float, default=BaselineConfig.ratio,
                         help="fixed_ratio truncation point")
     parser.add_argument("--segment-len", type=int, default=BaselineConfig.segment_len)
@@ -573,7 +555,7 @@ def _add_run_flags(parser) -> None:
     parser.add_argument("--traces", nargs="+", metavar="TRACE")
     parser.add_argument("--dataset", help="JSONL samples: id, question, gold")
     parser.add_argument("--task-kind", choices=TASK_KINDS, default=None)
-    parser.add_argument("--alpha-cost", type=_finite_float, default=0.0)
+    parser.add_argument("--alpha-cost", type=_finite_float, default=BenchmarkReport.alpha_cost)
     parser.add_argument("--parallelism", type=int, default=1)
     parser.add_argument("--api-base", default=None,
                         help=f"endpoint URL; falls back to ${API_BASE_ENV}")
@@ -582,7 +564,7 @@ def _add_run_flags(parser) -> None:
     parser.add_argument("--model", default=None)
     parser.add_argument("--top-logprobs", type=int, default=EndpointFactory.top_logprobs)
     parser.add_argument("--watched-token", default=None,
-                        help="terminator text for endpoint sessions")
+                        help=f"terminator text for endpoint sessions; {WATCHED_TEXT} if unset")
     parser.add_argument("--full-length", type=int, default=None,
                         help="reference length for fixed_ratio on endpoints")
     parser.add_argument("--timeout", type=_finite_float, default=EndpointFactory.timeout)
@@ -613,7 +595,7 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--dataset", default=None)
     analyze.add_argument("--grid", default="0.1,0.2,0.3,0.4,0.5,0.6,0.7,0.8,0.9,1.0",
                          help="truncation ratios for the accuracy curve")
-    analyze.add_argument("--epsilon", type=_finite_float, default=0.05,
+    analyze.add_argument("--epsilon", type=_finite_float, default=DEFAULT_EPSILON,
                          help="accuracy slack defining the safe truncation zone")
 
     sal = sub.add_parser("saliency", help="score attention paths between regions")
@@ -627,8 +609,9 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="comma-separated phase lengths")
     gen.add_argument("--seed", type=int, default=SyntheticPhaseSpec.seed)
     gen.add_argument("--count", type=int, default=1)
-    gen.add_argument("--topk-width", type=int, default=64)
-    gen.add_argument("--probe-every", type=int, default=1)
+    gen.add_argument("--topk-width", type=int, default=DEFAULT_TOPK_WIDTH)
+    gen.add_argument("--probe-every", type=int, default=DEFAULT_PROBE_EVERY,
+                     help="0 records no branch answers")
 
     for command in sub.choices.values():
         command.add_argument("--out", required=True)

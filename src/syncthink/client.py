@@ -12,7 +12,7 @@ watched token is outside it.  In both situations a censored rank could
 fall at or below the threshold and fire spuriously.
 
 Token identifiers on this path are the token strings off the wire, so
-the watched token is configured as text (for example "</think>").
+the watched token is configured as text (for example trace.WATCHED_TEXT).
 
 Each streamed token's top-K list is read once into a token list and a
 float64 logprob array.  It is sorted descending only when one vectorised
@@ -44,8 +44,9 @@ from operator import itemgetter
 
 import numpy as np
 
+from .controller import DEFAULT_BUDGET
 from .errors import CapabilityError, ConfigurationError, MalformedDistributionError, SessionError
-from .policy import Distribution, compute_rank, shannon_entropy
+from .policy import Distribution, PolicyConfig, compute_rank, shannon_entropy
 from .trace import StepObservation, answer_pieces
 
 
@@ -58,7 +59,7 @@ class EndpointFactory:
     model: str
     api_key: str = field(default="", repr=False)  # a credential stays out of logs
     top_logprobs: int = 513
-    max_new_tokens: int = 8192
+    max_new_tokens: int = DEFAULT_BUDGET
     timeout: float = 120.0
 
     def __post_init__(self) -> None:
@@ -80,9 +81,8 @@ class EndpointFactory:
 
     def check_cover(self, pacing_cap: int) -> None:
         """Refuse a pacing cap whose censored ranks top_logprobs cannot prove
-        above every reachable threshold: K must cover pacing_cap + 1."""
-        if pacing_cap < 0:
-            raise ConfigurationError(f"pacing_cap must be >= 0, got {pacing_cap!r}")
+        above every reachable threshold: K must cover pacing_cap + 1.
+        PolicyConfig owns the cap's range."""
         if self.top_logprobs < pacing_cap + 1:
             raise CapabilityError(
                 f"top_logprobs={self.top_logprobs} cannot cover"
@@ -90,7 +90,7 @@ class EndpointFactory:
             )
 
     def open_session(
-        self, prompt: str, *, watched_token: str, pacing_cap: int = 512
+        self, prompt: str, *, watched_token: str, pacing_cap: int = PolicyConfig.pacing_cap
     ) -> "LiveSession":
         """Start one streamed generation watching for watched_token, once
         check_cover accepts the pacing cap."""

@@ -37,7 +37,7 @@ from .errors import (
     SyncThinkError,
     UnsupportedProbeError,
 )
-from .evaluation import TASK_KINDS, parse_answer
+from .evaluation import TASK_KINDS, Sample, parse_answer
 from .jsonl import FLOAT, INT, TEXT, typed
 from .policy import (
     POLICIES,
@@ -50,6 +50,9 @@ from .policy import (
 )
 
 TIMING_FIELDS = ("t_gen", "t_metric", "t_eval", "t_total")
+
+# steps a run may take, reasoning and answer together, unless told otherwise
+DEFAULT_BUDGET = 8192
 
 
 @dataclass(frozen=True)
@@ -107,9 +110,9 @@ def run_generation(
     policy_config: PolicyConfig | None = None,
     baseline_config: BaselineConfig | None = None,
     full_length: int | None = None,
-    budget: int = 8192,
+    budget: int = DEFAULT_BUDGET,
     sample_id: str = "",
-    task_kind: str = "freeform",
+    task_kind: str = Sample.task_kind,
 ) -> GenerationRecord:
     """Drive one source under one policy and build its record.
 
@@ -121,10 +124,7 @@ def run_generation(
     without logprobs) produce an incomplete record carrying the partial
     trajectories instead of raising; error names the class.
     """
-    if policy not in POLICIES:
-        raise ConfigurationError(f"unknown policy {policy!r}; expected one of {POLICIES}")
-    if budget < 1:
-        raise ConfigurationError(f"budget must be >= 1, got {budget!r}")
+    check_batch([policy], budget)
     watched = source.watched_token
     pcfg = policy_config or PolicyConfig(watched_token=watched)
     if pcfg.watched_token != watched:
@@ -212,6 +212,17 @@ def run_generation(
     )
 
 
+def check_batch(policies: Sequence[str], budget: int, parallelism: int = 1) -> None:
+    """Refuse an unknown policy, or a budget or parallelism below 1."""
+    if parallelism < 1:
+        raise ConfigurationError(f"parallelism must be >= 1, got {parallelism!r}")
+    for policy in policies:
+        if policy not in POLICIES:
+            raise ConfigurationError(f"unknown policy {policy!r}; expected one of {POLICIES}")
+    if budget < 1:
+        raise ConfigurationError(f"budget must be >= 1, got {budget!r}")
+
+
 def _step_test(policy: str, source, pcfg: PolicyConfig, bcfg: BaselineConfig,
                full_length: int | None, task_kind: str,
                probe_times: list[float]) -> Callable[[object], bool]:
@@ -286,7 +297,7 @@ class BatchItem:
 
     sample_id: str
     open_source: Callable[[], object]
-    task_kind: str = "freeform"
+    task_kind: str = Sample.task_kind
     full_length: int | None = None
 
 
@@ -296,7 +307,7 @@ def run_batch(
     *,
     policy_config: PolicyConfig | None = None,
     baseline_config: BaselineConfig | None = None,
-    budget: int = 8192,
+    budget: int = DEFAULT_BUDGET,
     parallelism: int = 1,
 ) -> list[GenerationRecord]:
     """Run the items x policies grid; data failures become incomplete records.
@@ -305,11 +316,7 @@ def run_batch(
     errors still raise; a corrupt trace or dead stream only poisons its
     own record.
     """
-    if parallelism < 1:
-        raise ConfigurationError(f"parallelism must be >= 1, got {parallelism!r}")
-    for policy in policies:
-        if policy not in POLICIES:
-            raise ConfigurationError(f"unknown policy {policy!r}")
+    check_batch(policies, budget, parallelism)
     jobs = [(item, policy) for item in items for policy in policies]
 
     def run_job(job: tuple[BatchItem, str]) -> GenerationRecord:

@@ -108,7 +108,7 @@ def load_dataset(path: str, dataset: str | None = None) -> tuple[list[Sample], l
                     sample_id=sample_id,
                     question=fields["question"],
                     gold=fields["gold"],
-                    task_kind=fields.get("task_kind", "freeform"),
+                    task_kind=fields.get("task_kind", Sample.task_kind),
                     dataset=dataset,
                 )
             except ConfigurationError as exc:
@@ -192,7 +192,7 @@ def _mean(values: list[float]) -> float:
     return sum(values) / len(values) if values else 0.0
 
 
-def score(records, samples, *, alpha_cost: float = 0.0) -> BenchmarkReport:
+def score(records, samples, *, alpha_cost: float = BenchmarkReport.alpha_cost) -> BenchmarkReport:
     """Exact-match scoring of records against samples, per dataset x policy.
 
     Every record must name a known sample.  Incomplete records count in

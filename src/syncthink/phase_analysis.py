@@ -34,6 +34,7 @@ from .errors import (
     ScoringError,
 )
 from .evaluation import efficiency_rate  # re-exported: analysis callers import it here
+from .policy import BaselineConfig
 
 # slope template on smoothed log-rank, per segment
 SLOPE_CLIMB_MIN = 0.02
@@ -45,6 +46,11 @@ SLOPE_PLATEAU_BAND = 0.015
 # block as tall as the trajectory keeps that many columns
 _BLOCK_CELLS = 1 << 14
 _BLOCK_ROWS = 1 << 11
+
+# points of the normalized-progress grid the macro and truncation curves use
+DEFAULT_GRID_SIZE = 100
+# accuracy points a truncation may lose and stay in the safe zone
+DEFAULT_EPSILON = 0.05
 
 
 @dataclass(frozen=True)
@@ -75,10 +81,18 @@ class TruncationZone:
     degenerate: bool
 
 
-def _extract_ranks(item) -> np.ndarray:
-    traj = getattr(item, "rank_trajectory", item)
-    arr = np.asarray([p[1] if isinstance(p, (tuple, list)) else p for p in traj], dtype=float)
-    return arr
+def _extract_ranks(trajectory) -> np.ndarray:
+    """A trajectory, one rank per step, as a float array."""
+    ranks = np.asarray(trajectory, dtype=float)
+    if ranks.ndim != 1:
+        raise ConfigurationError(f"a trajectory holds one rank per step, not {ranks.shape}")
+    return ranks
+
+
+def _progress_grid(grid_size: int) -> np.ndarray:
+    if grid_size < 2:
+        raise ConfigurationError(f"grid_size must be >= 2, got {grid_size!r}")
+    return np.linspace(0.0, 1.0, grid_size)
 
 
 def _smooth(y: np.ndarray, window: int) -> np.ndarray:
@@ -219,7 +233,8 @@ def _best_split(sse, n: int, min_segment: int) -> tuple[int, int, int, float]:
 def segment_phases(
     trajectory, *, window: int = 9, min_segment: int = 3
 ) -> PhaseSegmentation:
-    """Fit four linear segments to the smoothed log-rank trajectory.
+    """Fit four linear segments to the smoothed log-rank trajectory, one
+    rank per step.
 
     Boundaries are the optimal split points; confidence of a boundary is
     (SSE_without - SSE_full) / SSE_without, the relative fit degradation
@@ -273,18 +288,17 @@ def segment_phases(
     )
 
 
-def aggregate_macro(trajectories: Sequence, grid_size: int = 100) -> MacroCurve:
+def aggregate_macro(trajectories: Sequence, grid_size: int = DEFAULT_GRID_SIZE) -> MacroCurve:
     """Median log-rank across runs on a normalized-progress grid.
 
-    Each trajectory maps linearly onto [0, 1]; the value at a grid point
-    is the median of log10(rank + 1) over all runs at that progress.
+    Each trajectory, one rank per step, maps linearly onto [0, 1]; the
+    value at a grid point is the median of log10(rank + 1) over all runs
+    at that progress.
     """
-    if grid_size < 2:
-        raise ConfigurationError(f"grid_size must be >= 2, got {grid_size!r}")
+    grid = _progress_grid(grid_size)
     items = list(trajectories)
     if not items:
         raise EmptyInputError("no trajectories to aggregate")
-    grid = np.linspace(0.0, 1.0, grid_size)
     rows = []
     for pos, item in enumerate(items):
         ranks = _extract_ranks(item)
@@ -306,7 +320,7 @@ def aggregate_macro(trajectories: Sequence, grid_size: int = 100) -> MacroCurve:
     )
 
 
-def grid_index(ratio: float, grid_size: int = 100) -> int:
+def grid_index(ratio: float, grid_size: int = DEFAULT_GRID_SIZE) -> int:
     """The progress-grid point at which truncation_accuracy_curve places a ratio."""
     return int(np.rint(ratio * (grid_size - 1)))
 
@@ -314,7 +328,7 @@ def grid_index(ratio: float, grid_size: int = 100) -> int:
 def truncation_accuracy_curve(
     records_by_ratio: Mapping[float, Sequence],
     samples: Sequence,
-    grid_size: int = 100,
+    grid_size: int = DEFAULT_GRID_SIZE,
 ) -> MacroCurve:
     """Accuracy at each truncation ratio, placed on the progress grid.
 
@@ -322,20 +336,17 @@ def truncation_accuracy_curve(
     both numerator and denominator; the exclusion count is reported on
     the curve.  Grid points with no measurement hold NaN.
     """
-    if grid_size < 2:
-        raise ConfigurationError(f"grid_size must be >= 2, got {grid_size!r}")
+    grid = _progress_grid(grid_size)
     if not records_by_ratio:
         raise EmptyInputError("no truncation ratios given")
     index = {}
     for sample in samples:
         index[sample.sample_id] = sample
-    grid = np.linspace(0.0, 1.0, grid_size)
     accuracy = np.full(grid_size, np.nan)
     counts = np.zeros(grid_size, dtype=int)
     exclusions = 0
     for ratio, records in sorted(records_by_ratio.items()):
-        if not (0.0 < ratio <= 1.0):
-            raise ConfigurationError(f"ratio must be in (0, 1], got {ratio!r}")
+        BaselineConfig(ratio=ratio)  # the ratio's range is BaselineConfig's
         records = list(records)
         if not records:
             raise EmptyInputError(f"no records at ratio {ratio}")
@@ -360,7 +371,7 @@ def truncation_accuracy_curve(
     return MacroCurve(progress=grid, accuracy=accuracy, counts=counts, exclusions=exclusions)
 
 
-def optimal_truncation_zone(curve: MacroCurve, epsilon: float = 1.0) -> TruncationZone:
+def optimal_truncation_zone(curve: MacroCurve, epsilon: float = DEFAULT_EPSILON) -> TruncationZone:
     """Earliest contiguous suffix of measured points within epsilon of full.
 
     The reference is the accuracy at progress 1.0; the zone runs from the

@@ -14,7 +14,8 @@ The per-step signals are computed over numpy arrays: a Distribution holds
 one token list and one float64 logprob array, and nothing derived from
 them; shannon_entropy exponentiates once per call.  compute_rank counts the
 entries strictly above the watched one, so ties go to the watched token
-whatever the list order.  shannon_entropy is the one entropy code path:
+whatever the list order; it takes a Distribution or (token, score) pairs.
+shannon_entropy takes a Distribution and is the one entropy code path:
 the live client, the synthetic generator and any re-derivation from a
 trace's top-K all call it on a Distribution, so they agree bit for bit.
 """
@@ -57,6 +58,8 @@ class PolicyConfig:
     check_interval: int = 1
 
     def __post_init__(self) -> None:
+        if self.watched_token == "":
+            raise ConfigurationError("watched_token must be an id or non-empty text")
         if not (self.entropy_weight >= 0.0 and math.isfinite(self.entropy_weight)):
             raise ConfigurationError(
                 f"entropy_weight must be finite and >= 0, got {self.entropy_weight!r}"
@@ -129,25 +132,18 @@ class Distribution:
         return cls(*_columns(pairs))
 
 
-Scores = Union[Distribution, Sequence[float], Sequence[tuple[TokenId, float]]]
+Scores = Union[Distribution, Sequence[tuple[TokenId, float]]]
 
 
 def _columns(scores: Scores) -> tuple[Sequence[TokenId], np.ndarray]:
-    """Token labels and float64 values of a score collection.
-
-    A Distribution gives its logprobs, (token, score) pairs are split, and
-    a plain score vector is labelled by position.
-    """
+    """Token labels and float64 values: a Distribution's logprobs, or the
+    (token, score) pairs split."""
     if isinstance(scores, Distribution):
         return scores.tokens, scores.logprobs
-    seq = scores if isinstance(scores, (list, tuple)) else list(scores)
-    if not seq:
+    if not scores:
         raise MalformedDistributionError("empty score collection")
-    first = seq[0]
-    if isinstance(first, (tuple, list)) and len(first) == 2:
-        tokens, values = zip(*seq)
-        return tokens, np.array(values, dtype=np.float64)
-    return range(len(seq)), np.array(seq, dtype=np.float64)
+    tokens, values = zip(*scores)
+    return tokens, np.array(values, dtype=np.float64)
 
 
 def _probs_and_tail(logprobs: np.ndarray) -> tuple[np.ndarray, float]:
@@ -161,11 +157,11 @@ def compute_rank(scores: Scores, watched: TokenId) -> tuple[int, bool]:
     """Rank of the watched token: entries scoring strictly above it.
 
     Ties resolve in the watched token's favor (rank 0 means nothing
-    scores higher).  Works on any monotone score scale: probabilities,
-    logprobs, or raw logits; a Distribution ranks by its logprobs.  When
-    the watched token is absent from a truncated score list, the rank is
-    censored at the list length and the second element of the result is
-    True.
+    scores higher).  Works on any monotone score scale of the pairs:
+    probabilities, logprobs, or raw logits; a Distribution ranks by its
+    logprobs.  When the watched token is absent from a truncated score
+    list, the rank is censored at the list length and the second element
+    of the result is True.
     """
     tokens, values = _columns(scores)
     try:
@@ -177,18 +173,14 @@ def compute_rank(scores: Scores, watched: TokenId) -> tuple[int, bool]:
     return int(np.count_nonzero(values > values[i])), False
 
 
-def shannon_entropy(dist: Scores) -> float:
+def shannon_entropy(dist: Distribution) -> float:
     """Entropy in nats; a positive tail counts as one pseudo-token.
 
-    A Distribution's probabilities and tail are derived here from its
-    logprobs; a plain collection is taken as probabilities with no tail.
-    The probabilities must be finite, non-negative, on distinct tokens
-    and, with the tail, sum to 1 within MASS_TOLERANCE.
+    The probabilities and tail are derived here from the logprobs.  The
+    probabilities must be finite, on distinct tokens and, with the tail,
+    sum to 1 within MASS_TOLERANCE; an exponential is never negative.
     """
-    if isinstance(dist, Distribution):
-        tokens, (probs, tail) = dist.tokens, _probs_and_tail(dist.logprobs)
-    else:
-        (tokens, probs), tail = _columns(dist), 0.0
+    tokens, (probs, tail) = dist.tokens, _probs_and_tail(dist.logprobs)
     if not len(probs):
         raise MalformedDistributionError("distribution has no explicit tokens")
     try:
@@ -198,11 +190,11 @@ def shannon_entropy(dist: Scores) -> float:
     if not distinct:
         token = Counter(tokens).most_common(1)[0][0]
         raise MalformedDistributionError(f"duplicate token {token!r}")
-    bad = ~(np.isfinite(probs) & (probs >= 0.0))
+    bad = ~np.isfinite(probs)
     if bad.any():
         i = int(bad.argmax())
         raise MalformedDistributionError(
-            f"negative or non-finite probability {float(probs[i])!r} for token {tokens[i]!r}"
+            f"non-finite probability {float(probs[i])!r} for token {tokens[i]!r}"
         )
     total = float(probs.sum()) + tail
     if abs(total - 1.0) > MASS_TOLERANCE:

@@ -24,10 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .policy import Distribution, shannon_entropy
+from .policy import BaselineConfig, Distribution, shannon_entropy
 from .trace import StepObservation, TraceFile, TraceHeader, token_text
 
 DEFAULT_WATCHED_TOKEN = 3
+DEFAULT_TOPK_WIDTH = 64
+DEFAULT_PROBE_EVERY = 1
 
 # cells of one (steps x outcomes) matrix block in the temperature solve
 _BLOCK_CELLS = 1 << 16
@@ -180,10 +182,10 @@ def _softmax_logprobs(targets: np.ndarray, width: int) -> np.ndarray:
 def generate_synthetic(
     spec: SyntheticPhaseSpec,
     *,
-    topk_width: int = 64,
-    probe_every: int = 1,
+    topk_width: int = DEFAULT_TOPK_WIDTH,
+    probe_every: int = DEFAULT_PROBE_EVERY,
     probe_answer: str = "42",
-    probe_suffix: str = "Final answer:",
+    probe_suffix: str = BaselineConfig.probe_suffix,
     watched_token: int = DEFAULT_WATCHED_TOKEN,
 ) -> TraceFile:
     """Build a fully validated trace with the planted phase structure.

@@ -19,12 +19,12 @@ was.
 Replay reads only a step's scalars (rank, censored flag, entropy, wall
 time, chosen token and text), so read_trace checks every line against
 its top-K and then keeps the step without it (topk is None): about
-0.3 KiB a step whatever K is, where a K = 513 top-K held as a
-Distribution costs about 8 KiB.  For each step it also keeps the line's
-byte offset, line number and CRC-32.  TraceFile.iter_topk is the one way
-to a step's top-K: the step's own for a trace built in memory (the
-generator's, or a hand-built one), the line re-read and parsed for a
-read trace.  A re-read line that is not byte for byte the one checked
+0.55 KiB a step whatever K is (tracemalloc), where a K = 513 top-K
+held as a Distribution costs about 8 KiB.  For each step it also keeps
+the line's byte offset, line number and CRC-32.  TraceFile.iter_topk is
+the one way to a step's top-K: the step's own for a trace built in
+memory (the generator's, or a hand-built one), the line re-read and
+parsed for a read trace.  A re-read line that is not byte for byte the one checked
 raises TraceIntegrityError naming its file:line.  write_trace and
 StubServer are its callers.
 
@@ -67,6 +67,8 @@ _STEP_FIELDS = {"t": INT, "chosen_text": TEXT, "watched_rank": INT, "censored": 
                 "entropy": FLOAT, "step_wall_time": FLOAT}
 # the types of a top-K or chosen token: a JSON integer or string
 _TOKEN_TYPES = {int, str}
+# the watched id's text on the wire, and an endpoint's default watched token
+WATCHED_TEXT = "</think>"
 
 
 @dataclass(frozen=True)
@@ -312,10 +314,10 @@ def _pair_heads(tokens, heads: dict[TokenId, str]) -> list[str]:
 
 def token_text(token: TokenId, watched: TokenId) -> str:
     """A token's text on the wire: a text token as it is; an id as
-    "</think>" if it is the watched id, else "<w{id}>"."""
+    WATCHED_TEXT if it is the watched id, else "<w{id}>"."""
     if isinstance(token, str):
         return token
-    return "</think>" if token == watched else f"<w{token}>"
+    return WATCHED_TEXT if token == watched else f"<w{token}>"
 
 
 def _step_line(step: StepObservation, topk: Distribution, heads: dict[TokenId, str]) -> str:

@@ -150,7 +150,7 @@ class TestManifest:
                 "count": 2, "phases": [10, 20, 30, 10], "probe_every": 1,
                 "seeds": [4, 5], "topk_width": 8,
             },
-            "inputs": [],
+            "inputs": {},
             "outputs": traces,
             "record_digest": "",
             "seed": 4,
@@ -168,16 +168,16 @@ class TestManifest:
         assert manifest == {
             "command": "run",
             "config": {
-                "alpha_cost": 0.0, "api_base": "", "api_key_set": False,
+                "alpha_cost": 0.0, "api_base": None, "api_key_set": False,
                 "budget": 8192, "check_interval": 1, "convergence_k": 2,
-                "dataset": None, "entropy_weight": 0.8, "full_length": None,
+                "entropy_weight": 0.8, "full_length": None,
                 "min_steps": 16, "model": None, "pacing_cap": 512,
                 "parallelism": 1, "policy": "syncthink",
                 "probe_suffix": "Final answer:", "ratio": 0.5,
                 "segment_len": 64, "source": "trace", "task_kind": None,
                 "timeout": 120.0, "top_logprobs": 513, "watched_token": None,
             },
-            "inputs": traces,
+            "inputs": {"traces": traces},
             "outputs": [records],
             "record_digest": digest.hexdigest(),
             "seed": None,
@@ -201,9 +201,9 @@ class TestManifest:
         assert manifest == {
             "command": "sweep",
             "config": {
-                "alpha_cost": 0.0, "api_base": "", "api_key_set": False,
+                "alpha_cost": 0.0, "api_base": None, "api_key_set": False,
                 "budget": 8192, "check_interval": 1, "convergence_k": 2,
-                "dataset": gold, "entropy_weight": 0.8, "full_length": None,
+                "entropy_weight": 0.8, "full_length": None,
                 "lambda_grid": [0.2, 1.6], "min_steps": 16, "model": None,
                 "pacing_cap": 512, "parallelism": 1, "policy": "syncthink",
                 "probe_suffix": "Final answer:", "ratio": 0.5,
@@ -211,7 +211,7 @@ class TestManifest:
                 "timeout": 120.0, "top_logprobs": 513, "watched_token": None,
             },
             # the dataset is read to score each point, so it is an input
-            "inputs": [*traces, gold],
+            "inputs": {"traces": traces, "dataset": gold},
             "outputs": [
                 *(str(p / name) for p in points for name in ("records.jsonl", "report.csv")),
                 str(out / "sweep.csv"),
@@ -423,6 +423,15 @@ class TestRunEndpoint:
                            "--full-length", length) == 2
         assert not os.path.exists(out)
 
+    def test_empty_watched_token_is_usage_error(self, stub, prompts, tmp_path, capsys):
+        # the sessions watched "</think>" while the manifest recorded ""
+        out = tmp_path / "nope"
+        assert run_cli("run", "--source", "endpoint", "--api-base", stub.base_url,
+                       "--model", "m", "--top-logprobs", "80", "--t-max", "64",
+                       "--watched-token", "", "--dataset", prompts, "--out", str(out)) == 2
+        assert "usage error: watched_token must be" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("timeout", ["0", "-1"])
     def test_timeout_not_above_zero_is_usage_error(self, prompts, tmp_path, capsys, timeout):
         out = tmp_path / "nope"
@@ -443,6 +452,92 @@ class TestRunEndpoint:
         records = read_records(str(out / "records.jsonl"))
         assert not records[0].complete
         assert records[0].error
+
+
+def argv_from_manifest(manifest: dict, out) -> list[str]:
+    """The command a manifest records, rebuilt through its parser's actions
+    from the manifest alone: each flag's value from config, inputs or seed,
+    a list flag's parsed values joined again."""
+    values = {**manifest["config"], **manifest["inputs"], "seed": manifest["seed"],
+              "out": str(out)}
+    argv = [manifest["command"]]
+    for action in SUBPARSERS[manifest["command"]]._actions:
+        value = values.get(action.dest)
+        if not action.option_strings or value is None:
+            continue
+        if isinstance(value, list) and action.nargs is None:
+            value = ",".join(map(str, value))
+        argv += [action.option_strings[0], *map(str, value if isinstance(value, list) else [value])]
+    return argv
+
+
+# outputs that hold wall times; the record digest stands in for them
+TIMED_OUTPUTS = {"records.jsonl", "report.csv", "sweep.csv"}
+
+
+class TestManifestReplaysItsCommand:
+    """Each command, run with non-default flags, then rerun from the argv
+    its manifest rebuilds into a fresh --out, gives the same record digest
+    and the same bytes in every output that holds no wall time.  A flag the
+    manifest misstates or drops fails it."""
+
+    @pytest.fixture()
+    def records(self, workspace, tmp_path):
+        out = tmp_path / "full"
+        assert run_cli("run", "--policy", "full", "--traces", *workspace["traces"],
+                       "--out", str(out)) == 0
+        return str(out / "records.jsonl")
+
+    def argv(self, case, workspace, tmp_path, stub, records) -> list[str]:
+        traces, gold = workspace["traces"], workspace["gold"]
+        if case == "endpoint":
+            prompts = tmp_path / "prompts.jsonl"
+            prompts.write_text(json.dumps({"id": "x1", "question": "solve it",
+                                           "gold": "42", "task_kind": "numeric"}) + "\n")
+            return ["run", "--source", "endpoint", "--api-base", stub.base_url,
+                    "--model", "stub", "--top-logprobs", "80", "--t-max", "64",
+                    "--lambda", "1.6", "--min-steps", "4", "--budget", "250",
+                    "--timeout", "30", "--dataset", str(prompts)]
+        if case == "saliency":
+            rng = np.random.default_rng(5)
+            att, grad = str(tmp_path / "a.stns"), str(tmp_path / "g.stns")
+            save_tensor(rng.random((2, 2, 12, 12)).astype(np.float32), att)
+            save_tensor(rng.standard_normal((2, 2, 12, 12)).astype(np.float32), grad)
+            return ["saliency", "--attention", att, "--gradients", grad,
+                    "--boundaries", "0,4,6,12", "--alpha", "0.5"]
+        return {
+            "run": ["run", "--policy", "syncthink", "--traces", *traces, "--dataset", gold,
+                    "--lambda", "1.2", "--t-max", "40", "--min-steps", "8",
+                    "--check-interval", "2", "--budget", "90", "--task-kind", "numeric",
+                    "--alpha-cost", "0.01", "--parallelism", "2"],
+            "sweep": ["sweep", "--ratio-grid", "0.3,0.9", "--traces", *traces[:3],
+                      "--dataset", gold, "--budget", "100"],
+            "analyze": ["analyze", "--records", records, "--traces", *traces[:4],
+                        "--dataset", gold, "--grid", "0.2,0.6,1.0", "--epsilon", "2.5"],
+            "gen-synthetic": ["gen-synthetic", "--phases", "6,8,12,6", "--seed", "3",
+                              "--count", "2", "--topk-width", "9", "--probe-every", "0"],
+        }[case]
+
+    @pytest.mark.parametrize("case", ["run", "endpoint", "sweep", "analyze",
+                                      "gen-synthetic", "saliency"])
+    def test_rebuilt_argv_reproduces_the_run(self, case, workspace, tmp_path, stub, records,
+                                             monkeypatch):
+        monkeypatch.delenv("SYNCTHINK_API_BASE", raising=False)
+        monkeypatch.delenv("SYNCTHINK_API_KEY", raising=False)
+        first, again = tmp_path / "first", tmp_path / "again"
+        assert run_cli(*self.argv(case, workspace, tmp_path, stub, records),
+                       "--out", str(first)) == 0
+        manifest = read_manifest(first)
+        assert run_cli(*argv_from_manifest(manifest, again)) == 0
+        replayed = read_manifest(again)
+        assert replayed["record_digest"] == manifest["record_digest"]
+        names = [os.path.relpath(p, first) for p in manifest["outputs"]]
+        assert names == [os.path.relpath(p, again) for p in replayed["outputs"]]
+        for name in names:
+            if os.path.basename(name) not in TIMED_OUTPUTS:
+                assert (first / name).read_bytes() == (again / name).read_bytes(), name
+        for key in ("config", "inputs", "seed", "command"):
+            assert replayed[key] == manifest[key], key
 
 
 class TestSweep:
@@ -546,6 +641,14 @@ class TestAnalyze:
         assert zone["end"] == 1.0
         assert not zone["degenerate"]
         assert abs(zone["start"] - 0.6) < 0.05
+
+    def test_negative_epsilon_is_usage_error(self, workspace, tmp_path, capsys):
+        out = tmp_path / "nope"
+        assert run_cli("analyze", "--traces", *workspace["traces"],
+                       "--dataset", workspace["gold"], "--epsilon", "-0.5",
+                       "--out", str(out)) == 2
+        assert "usage error: epsilon must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_records_only_analysis(self, workspace, tmp_path):
         run_out = tmp_path / "run"
@@ -786,20 +889,29 @@ class TestSaliency:
         assert not os.path.exists(out)
 
 
-def readme_flag_defaults() -> dict[str, str]:
-    """README's "Key flags" list: each flag and the text in its parentheses
+def readme_flag_defaults() -> dict[str, dict[str, str]]:
+    """README's "Key flags" lists, by the first command each names: each
+    flag and the text in its parentheses, a quoted default whole, any other
     up to the first comma."""
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    block = readme.split("Key flags (defaults in parentheses)", 1)[1].split("\n\n", 1)[0]
-    return dict(re.findall(r"^- `(--[a-z-]+)` \(`?(.*?)`?[,)]", block, re.MULTILINE))
+    lists = {}
+    for block in readme.split("Key flags (defaults in parentheses) of `")[1:]:
+        command, block = block.split("`", 1)
+        found = re.findall(r"^- `(--[a-z-]+)` \((?:`([^`]*)`|([^,)]*))", block.split("\n\n")[0],
+                           re.MULTILINE)
+        lists[command] = {flag: quoted or bare for flag, quoted, bare in found}
+    return lists
 
 
 def test_readme_key_flags_are_the_parser_defaults():
-    # the defaults come from the config classes; the docs must follow them
-    parsed = {action.option_strings[0]: json.dumps(action.default)
-              for action in SUBPARSERS["run"]._actions
-              if action.default not in (None, argparse.SUPPRESS)}
-    assert readme_flag_defaults() == parsed
+    # the defaults come from their owners; the docs must follow them
+    documented = readme_flag_defaults()
+    assert list(documented) == ["run", "analyze", "gen-synthetic"]
+    for command, flags in documented.items():
+        parsed = {action.option_strings[0]: json.dumps(action.default)
+                  for action in SUBPARSERS[command]._actions
+                  if action.default not in (None, argparse.SUPPRESS)}
+        assert flags == parsed, command
 
 
 class TestTopLevel:

@@ -208,11 +208,6 @@ class TestSegmentPhases:
         seg = segment_phases(ranks, window=1)
         assert all(0.0 <= c <= 1.0 for c in seg.confidence)
 
-    def test_accepts_record_like_objects(self):
-        ranks, truth = planted_ranks()
-        record = SimpleNamespace(rank_trajectory=[(t, r) for t, r in enumerate(ranks)])
-        assert segment_phases(record, window=1, min_segment=3).boundaries == truth
-
     def test_too_short_rejected(self):
         with pytest.raises(InsufficientDataError):
             segment_phases(np.arange(11, dtype=float), window=1, min_segment=3)
@@ -227,6 +222,8 @@ class TestSegmentPhases:
             segment_phases(ranks, min_segment=1)
         with pytest.raises(ConfigurationError):
             segment_phases(np.full(40, -1.0), window=1)
+        with pytest.raises(ConfigurationError, match="one rank per step"):
+            segment_phases([(t, 1.0) for t in range(40)], window=1)
         for bad in (math.nan, math.inf):
             ranks = list(range(40))
             ranks[20] = bad

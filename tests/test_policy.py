@@ -160,15 +160,26 @@ class TestDynamicThreshold:
             prev = v
 
 
+def scored(scores) -> Distribution:
+    """Scores on any monotone scale as a Distribution, token i scoring scores[i]."""
+    return Distribution.from_topk_logprobs(list(enumerate(scores)))
+
+
+def of_probs(probs) -> Distribution:
+    """A Distribution whose token i has probability probs[i]."""
+    return scored([math.log(p) if p > 0.0 else -math.inf for p in probs])
+
+
 class TestComputeRank:
     def test_tie_goes_to_watched(self):
-        rank, censored = compute_rank([1.0, 1.0, 0.0], watched=1)
+        rank, censored = compute_rank(scored([1.0, 1.0, 0.0]), watched=1)
         assert (rank, censored) == (0, False)
 
     def test_basic_positions(self):
-        assert compute_rank([0.1, 0.5, 0.4], watched=0) == (2, False)
-        assert compute_rank([0.1, 0.5, 0.4], watched=1) == (0, False)
-        assert compute_rank([0.1, 0.5, 0.4], watched=2) == (1, False)
+        dist = scored([0.1, 0.5, 0.4])
+        assert compute_rank(dist, watched=0) == (2, False)
+        assert compute_rank(dist, watched=1) == (0, False)
+        assert compute_rank(dist, watched=2) == (1, False)
 
     def test_matches_sort_oracle(self):
         rng = np.random.default_rng(11)
@@ -180,7 +191,7 @@ class TestComputeRank:
                 scores[1] = scores[0]
                 scores[-1] = scores[n // 2]
             watched = int(rng.integers(0, n))
-            rank, censored = compute_rank(scores, watched)
+            rank, censored = compute_rank(scored(scores), watched)
             assert not censored
             assert rank == oracle_rank(scores, watched)
 
@@ -190,17 +201,18 @@ class TestComputeRank:
         assert (rank, censored) == (3, True)
 
     def test_pairs_and_vector_agree(self):
-        scores = [0.2, 0.9, 0.4, 0.9]
-        pairs = list(enumerate(scores))
+        # the pairs and the Distribution's columns built from them
+        pairs = list(enumerate([0.2, 0.9, 0.4, 0.9]))
+        dist = Distribution.from_topk_logprobs(pairs)
         for w in range(4):
-            assert compute_rank(scores, w) == compute_rank(pairs, w)
+            assert compute_rank(dist, w) == compute_rank(pairs, w)
 
     def test_works_on_logprob_scale(self):
         # rank depends only on order, not scale
         probs = [0.5, 0.3, 0.2]
         lps = [math.log(p) for p in probs]
         for w in range(3):
-            assert compute_rank(probs, w) == compute_rank(lps, w)
+            assert compute_rank(scored(probs), w) == compute_rank(scored(lps), w)
 
     def test_empty_rejected(self):
         with pytest.raises(MalformedDistributionError):
@@ -213,11 +225,11 @@ class TestComputeRank:
 
 class TestShannonEntropy:
     def test_one_hot_is_zero(self):
-        assert shannon_entropy([1.0, 0.0, 0.0]) == 0.0
+        assert shannon_entropy(of_probs([1.0, 0.0, 0.0])) == 0.0
 
     def test_uniform_is_log_n(self):
         for n in (2, 3, 7, 97):
-            h = shannon_entropy([1.0 / n] * n)
+            h = shannon_entropy(of_probs([1.0 / n] * n))
             assert abs(h - math.log(n)) < 1e-12
 
     def test_matches_mpmath_oracle(self):
@@ -226,7 +238,7 @@ class TestShannonEntropy:
             n = int(rng.integers(2, 80))
             raw = rng.random(n)
             probs = (raw / raw.sum()).tolist()
-            assert abs(shannon_entropy(probs) - oracle_entropy(probs)) < 1e-12
+            assert abs(shannon_entropy(of_probs(probs)) - oracle_entropy(probs)) < 1e-12
 
     def test_tail_counts_as_pseudo_token(self):
         dist = Distribution((0, 1), np.log([0.5, 0.25]))
@@ -238,14 +250,6 @@ class TestShannonEntropy:
         dist = Distribution((0, 1), np.log([0.5, 0.5]))
         assert dist.tail_mass == 0.0
         assert abs(shannon_entropy(dist) - math.log(2)) < 1e-15
-
-    def test_mass_deficit_rejected(self):
-        with pytest.raises(MalformedDistributionError):
-            shannon_entropy([0.5, 0.3])
-
-    def test_negative_mass_rejected(self):
-        with pytest.raises(MalformedDistributionError):
-            shannon_entropy([(0, -0.1), (1, 1.1)])
 
     def test_from_topk_logprobs_round_trip(self):
         lps = [(0, math.log(0.6)), (1, math.log(0.3))]
@@ -308,15 +312,12 @@ class TestVectorisedMatchesScalarOracle:
             lambda: shannon_entropy(Distribution(["a"], [math.nan])),
             lambda: shannon_entropy(Distribution(["a", "b"], [math.inf, -1.0])),
             lambda: shannon_entropy(Distribution(["a"], [800.0])),  # exp overflows
-            lambda: shannon_entropy([("a", -0.1), ("b", 1.1)]),
             lambda: shannon_entropy(Distribution(["a", "b"], np.log([0.7, 0.7]))),
-            lambda: shannon_entropy([0.5, 0.3]),
         ],
         ids=[
             "empty-rank", "duplicate-watched", "empty-entropy", "empty-pairs",
             "duplicate-token", "unhashable-token", "nan-logprob", "nan-logprob-k1", "inf-logprob",
-            "overflowing-logprob",
-            "negative-probability", "mass-excess", "mass-deficit",
+            "overflowing-logprob", "mass-excess",
         ],
     )
     def test_every_rejection_still_raises(self, call):
