@@ -18,7 +18,6 @@ command.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
 import json
@@ -32,6 +31,7 @@ from . import __version__
 from .client import EndpointFactory
 from .controller import (
     DEFAULT_BUDGET,
+    DEFAULT_PARALLELISM,
     POLICIES,
     BatchItem,
     check_batch,
@@ -48,7 +48,7 @@ from .errors import (
 )
 from .evaluation import (TASK_KINDS, BenchmarkReport, Sample, emit_report, load_dataset,
                          parse_answer, score)
-from .jsonl import dumps, format_float
+from .jsonl import dumps, write_csv
 from .phase_analysis import (
     DEFAULT_EPSILON,
     aggregate_macro,
@@ -60,7 +60,8 @@ from .phase_analysis import (
     truncation_accuracy_curve,
 )
 from .policy import BaselineConfig, PolicyConfig
-from .saliency import _regions, load_tensor, report_curves_to_csv, report_to_obj, saliency_report
+from .saliency import (DEFAULT_ALPHA, _regions, load_tensor, report_curves_to_csv,
+                       report_to_obj, saliency_report)
 from .synthetic import (DEFAULT_PROBE_EVERY, DEFAULT_TOPK_WIDTH, SyntheticPhaseSpec,
                         generate_synthetic)
 from .trace import WATCHED_TEXT, TraceReader, read_trace, write_trace
@@ -321,14 +322,14 @@ _GRIDS = {"lambda_grid": ("lambda", "entropy_weight", "syncthink"),
           "ratio_grid": ("ratio", "ratio", "fixed_ratio")}
 
 
-def _overall_top1(report) -> str:
+def _overall_top1(report) -> float:
     total = sum(row.n for row in report.rows)
-    return format_float(sum(row.top1 * row.n for row in report.rows) / total if total else 0.0)
+    return sum(row.top1 * row.n for row in report.rows) / total if total else 0.0
 
 
-def _mean_of(records, field: str) -> str:
+def _mean_of(records, field: str) -> float:
     values = [getattr(r, field) for r in records if r.complete]
-    return format_float(sum(values) / len(values) if values else 0.0)
+    return sum(values) / len(values) if values else 0.0
 
 
 def cmd_sweep(args) -> _Outcome:
@@ -348,26 +349,21 @@ def cmd_sweep(args) -> _Outcome:
         except (SyncThinkError, OSError) as exc:
             # a failing grid point is flagged, not fatal to the sweep
             print(f"warning: {param}={value:g} failed: {exc}", file=sys.stderr)
-            rows.append([param, format_float(value), "0", "0", "", "", "", "", str(exc)])
+            rows.append([param, value, 0, 0, None, None, None, None, str(exc)])
             continue
         outputs.extend(point_outputs)
         all_records.extend(records)
         rows.append([
-            param, format_float(value), str(len(records)),
-            str(sum(1 for r in records if r.complete)),
-            "" if report is None else _overall_top1(report),
+            param, value, len(records), sum(1 for r in records if r.complete),
+            None if report is None else _overall_top1(report),
             *(_mean_of(records, f) for f in ("reasoning_tokens", "total_tokens", "t_total")),
-            "",
+            None,
         ])
 
     curve_path = os.path.join(args.out, "sweep.csv")
-    with open(curve_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([
-            "param", "value", "records", "complete", "top1",
-            "mean_reasoning_tokens", "mean_total_tokens", "mean_total_time", "error",
-        ])
-        writer.writerows(rows)
+    write_csv(curve_path, ["param", "value", "records", "complete", "top1",
+                           "mean_reasoning_tokens", "mean_total_tokens", "mean_total_time",
+                           "error"], rows)
     outputs.append(curve_path)
 
     return _Outcome(
@@ -556,7 +552,7 @@ def _add_run_flags(parser) -> None:
     parser.add_argument("--dataset", help="JSONL samples: id, question, gold")
     parser.add_argument("--task-kind", choices=TASK_KINDS, default=None)
     parser.add_argument("--alpha-cost", type=_finite_float, default=BenchmarkReport.alpha_cost)
-    parser.add_argument("--parallelism", type=int, default=1)
+    parser.add_argument("--parallelism", type=int, default=DEFAULT_PARALLELISM)
     parser.add_argument("--api-base", default=None,
                         help=f"endpoint URL; falls back to ${API_BASE_ENV}")
     parser.add_argument("--api-key", default=None,
@@ -602,7 +598,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sal.add_argument("--attention", required=True)
     sal.add_argument("--gradients", required=True)
     sal.add_argument("--boundaries", required=True, help="p,r,s,end indices")
-    sal.add_argument("--alpha", type=_finite_float, default=1.0)
+    sal.add_argument("--alpha", type=_finite_float, default=DEFAULT_ALPHA)
 
     gen = sub.add_parser("gen-synthetic", help="write planted four-phase traces")
     gen.add_argument("--phases", default=",".join(map(str, SyntheticPhaseSpec.phase_lengths)),

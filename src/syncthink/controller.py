@@ -45,14 +45,16 @@ from .policy import (
     PolicyConfig,
     StopReason,
     answer_convergence_stop,
-    fixed_ratio_stop,
+    fixed_ratio_stop_step,
     should_stop,
 )
 
 TIMING_FIELDS = ("t_gen", "t_metric", "t_eval", "t_total")
 
-# steps a run may take, reasoning and answer together, unless told otherwise
+# steps a run may take, reasoning and answer together, and the sources a
+# batch runs at once, unless told otherwise
 DEFAULT_BUDGET = 8192
+DEFAULT_PARALLELISM = 1
 
 
 @dataclass(frozen=True)
@@ -212,7 +214,8 @@ def run_generation(
     )
 
 
-def check_batch(policies: Sequence[str], budget: int, parallelism: int = 1) -> None:
+def check_batch(policies: Sequence[str], budget: int,
+                parallelism: int = DEFAULT_PARALLELISM) -> None:
     """Refuse an unknown policy, or a budget or parallelism below 1."""
     if parallelism < 1:
         raise ConfigurationError(f"parallelism must be >= 1, got {parallelism!r}")
@@ -240,7 +243,8 @@ def _step_test(policy: str, source, pcfg: PolicyConfig, bcfg: BaselineConfig,
     if policy == "none":
         return lambda obs: True
     if policy == "fixed_ratio":
-        return lambda obs: fixed_ratio_stop(obs.t, full_length, bcfg.ratio)
+        stop_step = fixed_ratio_stop_step(full_length, bcfg.ratio)
+        return lambda obs: obs.t >= stop_step
     answers: list[str] = []
 
     def converged(obs) -> bool:
@@ -308,7 +312,7 @@ def run_batch(
     policy_config: PolicyConfig | None = None,
     baseline_config: BaselineConfig | None = None,
     budget: int = DEFAULT_BUDGET,
-    parallelism: int = 1,
+    parallelism: int = DEFAULT_PARALLELISM,
 ) -> list[GenerationRecord]:
     """Run the items x policies grid; data failures become incomplete records.
 

@@ -11,11 +11,10 @@ its own output for every kind.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 
 from . import jsonl
 from .errors import ConfigurationError, ScoringError, UndefinedRateError
@@ -278,15 +277,7 @@ def efficiency_rate(
 
 
 def emit_report(report: BenchmarkReport, path: str) -> None:
-    """Write the report as CSV: a column per ReportRow field, then
-    alpha_cost; floats in their shortest round-trip form, and an
-    undefined efficiency as an empty cell."""
-    columns = list(ReportRow.__dataclass_fields__)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([*columns, "alpha_cost"])
-        for row in report.rows:
-            cells = [*(getattr(row, name) for name in columns), float(report.alpha_cost)]
-            writer.writerow(["" if cell is None else
-                             jsonl.format_float(cell) if isinstance(cell, float) else cell
-                             for cell in cells])
+    """Write the report as CSV by jsonl.write_csv's cell rule: a column per
+    ReportRow field, then alpha_cost; an undefined efficiency is an empty cell."""
+    jsonl.write_csv(path, [*ReportRow.__dataclass_fields__, "alpha_cost"],
+                    ([*astuple(row), float(report.alpha_cost)] for row in report.rows))

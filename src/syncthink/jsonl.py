@@ -1,16 +1,17 @@
-"""JSON line serialization: compact, key order kept, finite floats only.
+"""JSON line and CSV serialization: compact, key order kept, finite floats only.
 
 Records are replayed and compared byte for byte.  json writes a float in
 its shortest form that parses back to the same double, so a
 parse/serialize cycle is byte-stable.  Keys must be str: json.dumps
-would quietly turn int keys into strings.
+would quietly turn int keys into strings.  Every CSV table is written by
+write_csv, whose one cell rule writes a float in that same form.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Sequence
 
 
 def format_float(value: float) -> str:
@@ -31,6 +32,25 @@ def float_texts(values: list[float]) -> list[str]:
     NaN and infinities raise ValueError.
     """
     return dumps(values)[1:-1].split(",") if values else []
+
+
+def _cell(value: Any) -> Any:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return format_float(value) if isinstance(value, float) else value
+
+
+def write_csv(path: str, columns: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
+    """Write a header of columns, then each row by one cell rule: None an
+    empty cell, a bool true or false, a float by format_float, anything
+    else as csv writes it.  A numpy bool is not a bool: pass tolist()."""
+    import csv  # here: the feed and stub processes write no table
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(map(_cell, row) for row in rows)
 
 
 def write_lines(path: str, objects: Iterable[Any]) -> None:

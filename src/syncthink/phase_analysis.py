@@ -19,7 +19,6 @@ the expected shape (climb, recovery, plateau, final descent).
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -399,47 +398,21 @@ def optimal_truncation_zone(curve: MacroCurve, epsilon: float = DEFAULT_EPSILON)
 
 
 def segmentations_to_csv(rows: Sequence[tuple[str, PhaseSegmentation]], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "sample_id",
-                "boundary_1",
-                "boundary_2",
-                "boundary_3",
-                "confidence_1",
-                "confidence_2",
-                "confidence_3",
-                "slope_1",
-                "slope_2",
-                "slope_3",
-                "slope_4",
-                "degenerate",
-            ]
-        )
-        for sample_id, seg in rows:
-            writer.writerow(
-                [sample_id]
-                + [str(b) for b in seg.boundaries]
-                + [jsonl.format_float(c) for c in seg.confidence]
-                + [jsonl.format_float(s) for s in seg.slopes]
-                + [str(seg.degenerate).lower()]
-            )
+    columns = ["sample_id", "boundary_1", "boundary_2", "boundary_3", "confidence_1",
+               "confidence_2", "confidence_3", "slope_1", "slope_2", "slope_3", "slope_4",
+               "degenerate"]
+    jsonl.write_csv(path, columns, (
+        [sample_id, *seg.boundaries, *seg.confidence, *seg.slopes, seg.degenerate]
+        for sample_id, seg in rows
+    ))
 
 
 def macro_curve_to_csv(curve: MacroCurve, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["progress", "median_log_rank", "count", "accuracy"])
-        for i, p in enumerate(curve.progress):
-            median = (
-                ""
-                if curve.median_log_rank is None
-                else jsonl.format_float(float(curve.median_log_rank[i]))
-            )
-            count = "" if curve.counts is None else str(int(curve.counts[i]))
-            if curve.accuracy is None or np.isnan(curve.accuracy[i]):
-                acc = ""
-            else:
-                acc = jsonl.format_float(float(curve.accuracy[i]))
-            writer.writerow([jsonl.format_float(float(p)), median, count, acc])
+    """One row per grid point; a column the curve lacks, and an unmeasured
+    (NaN) accuracy, as an empty cell."""
+    absent = [None] * len(curve.progress)
+    median, counts, accuracy = (absent if a is None else a.tolist()
+                                for a in (curve.median_log_rank, curve.counts, curve.accuracy))
+    accuracy = [None if a is None or math.isnan(a) else a for a in accuracy]
+    jsonl.write_csv(path, ["progress", "median_log_rank", "count", "accuracy"],
+                    zip(curve.progress.tolist(), median, counts, accuracy))

@@ -232,15 +232,13 @@ def should_stop(t: int, observation, config: PolicyConfig) -> bool:
     return observation.watched_rank <= dynamic_threshold(t, observation.entropy, config)
 
 
-def fixed_ratio_stop(t: int, full_length: int, ratio: float) -> bool:
-    """Stop once t reaches ceil(ratio * full_length) decision points."""
+def fixed_ratio_stop_step(full_length: int, ratio: float) -> int:
+    """The step fixed_ratio stops at, ceil(ratio * full_length); one check per run."""
     if not (0.0 < ratio <= 1.0):
         raise ConfigurationError(f"ratio must be in (0, 1], got {ratio!r}")
     if full_length < 1:
         raise ConfigurationError(f"full_length must be >= 1, got {full_length!r}")
-    if t < 0:
-        raise ConfigurationError(f"t must be >= 0, got {t!r}")
-    return t >= math.ceil(ratio * full_length)
+    return math.ceil(ratio * full_length)
 
 
 def answer_convergence_stop(probe_answers: Sequence[str], k: int) -> bool:

@@ -19,7 +19,6 @@ array of those dims it returns, which every scorer takes as it is.
 
 from __future__ import annotations
 
-import csv
 import math
 import os
 import struct
@@ -33,6 +32,7 @@ from .errors import ConfigurationError, TensorFormatError
 MAGIC = b"STNS"
 VERSION = 1
 MAX_RANK = 8
+DEFAULT_ALPHA = 1.0  # the path scores' scale, unless told otherwise
 
 PATHS = ("reasoning_to_answer", "reasoning_to_terminator", "terminator_to_answer")
 
@@ -167,7 +167,7 @@ def _as_matrix(value, what: str) -> np.ndarray:
     return arr
 
 
-def saliency_score(attention, gradient, mask, *, alpha: float = 1.0) -> float:
+def saliency_score(attention, gradient, mask, *, alpha: float = DEFAULT_ALPHA) -> float:
     """alpha * sum over the masked region of attention * gradient.
 
     Signed by design: no absolute value, so the score is bilinear and
@@ -196,7 +196,8 @@ class SaliencyReport:
     layer_scores: np.ndarray = field(repr=False)  # (layers, paths)
 
 
-def saliency_report(attention, gradient, boundaries, *, alpha: float = 1.0) -> SaliencyReport:
+def saliency_report(attention, gradient, boundaries, *,
+                    alpha: float = DEFAULT_ALPHA) -> SaliencyReport:
     """Score every (layer, head) slice along the three paths.
 
     attention and gradient are (layers, heads, query, key) with a square
@@ -251,13 +252,8 @@ def report_to_obj(report: SaliencyReport) -> dict:
 
 def report_curves_to_csv(report: SaliencyReport, path: str) -> None:
     """Per-layer path curves; head column empty on the head-summed rows."""
-    layers, heads, _ = report.head_scores.shape
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["layer", "head", "path", "score"])
-        for layer in range(layers):
-            rows = [("", report.layer_scores[layer])]
-            rows += [(head, report.head_scores[layer, head]) for head in range(heads)]
-            for head, scores in rows:
-                for name, score in zip(report.paths, scores):
-                    writer.writerow([layer, head, name, jsonl.format_float(float(score))])
+    rows = ([layer, head, name, score]
+            for layer, (summed, by_head) in enumerate(zip(report.layer_scores, report.head_scores))
+            for head, scores in [(None, summed), *enumerate(by_head)]
+            for name, score in zip(report.paths, scores.tolist()))
+    jsonl.write_csv(path, ["layer", "head", "path", "score"], rows)

@@ -143,7 +143,8 @@ class TraceFile:
 
         A re-read line that differs from the one read_trace checked raises
         TraceIntegrityError naming its file:line; an unreadable file raises
-        it too.
+        it too, and so does a step of a trace built in memory that holds
+        no top-K.
         """
         fh = None
         try:
@@ -151,6 +152,8 @@ class TraceFile:
                 if step.topk is not None:
                     yield step.topk
                     continue
+                if self.lines is None:
+                    raise TraceIntegrityError(f"step {i}: no top-K held and no line to re-read")
                 if fh is None:
                     try:
                         fh = open(self.lines.path, "rb")

@@ -18,9 +18,11 @@ import pytest
 from syncthink import __version__, cli
 from syncthink.cli import main
 from syncthink.controller import GenerationRecord, read_records, record_fingerprint
+from syncthink.policy import Distribution
 from syncthink.saliency import load_tensor, saliency_report, save_tensor
 from syncthink.stub import StubServer
 from syncthink.synthetic import SyntheticPhaseSpec, generate_synthetic
+from syncthink.trace import StepObservation, TraceFile, TraceHeader, write_trace
 
 TIMING_FIELDS = {"t_gen", "t_metric", "t_eval", "t_total"}
 
@@ -354,6 +356,33 @@ class TestRun:
         assert rc == 2
         assert not out.exists()
 
+    def test_run_without_traces_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "nope"
+        assert run_cli("run", "--out", str(out)) == 2
+        assert "--traces is required here" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_dataset_without_usable_samples_is_usage_error(self, workspace, tmp_path, capsys):
+        dataset = tmp_path / "unusable.jsonl"
+        dataset.write_text(json.dumps({"id": "x", "question": "q"}) + "\n")  # no gold
+        out = tmp_path / "nope"
+        assert run_cli("run", "--traces", *workspace["traces"], "--dataset", str(dataset),
+                       "--out", str(out)) == 2
+        assert f"--dataset {dataset} holds no usable samples" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_traces_watching_different_tokens_are_usage_error(self, workspace, tmp_path,
+                                                               capsys):
+        other = tmp_path / "other.jsonl"
+        step = StepObservation(0, 7, "<w7>", Distribution([7, 8], [-0.5, -1.5]), 2, True,
+                               0.5, 0.01)
+        write_trace(TraceFile(TraceHeader("toy", 64, 5, "hand", 0), (step,)), str(other))
+        out = tmp_path / "nope"
+        assert run_cli("run", "--traces", workspace["traces"][0], str(other),
+                       "--out", str(out)) == 2
+        assert "traces watch different tokens" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["run", "sweep"])
     @pytest.mark.parametrize("flag,value", [
         ("--watched-token", "</think>"), ("--api-base", "http://x"),
@@ -421,6 +450,17 @@ class TestRunEndpoint:
                            "--policy", "fixed_ratio", "--full-length", length) == 2
             assert run_cli(*base, "--api-base", "http://x", "--model", "m",
                            "--full-length", length) == 2
+        assert not os.path.exists(out)
+
+    def test_traces_or_no_dataset_with_endpoint_are_usage_errors(self, workspace, prompts,
+                                                                  tmp_path, capsys):
+        out = str(tmp_path / "nope")
+        base = ["run", "--source", "endpoint", "--api-base", "http://x", "--model", "m",
+                "--out", out]
+        assert run_cli(*base, "--dataset", prompts, "--traces", workspace["traces"][0]) == 2
+        assert "--traces applies to --source trace only" in capsys.readouterr().err
+        assert run_cli(*base) == 2
+        assert "--source endpoint needs --dataset" in capsys.readouterr().err
         assert not os.path.exists(out)
 
     def test_empty_watched_token_is_usage_error(self, stub, prompts, tmp_path, capsys):
@@ -673,6 +713,18 @@ class TestAnalyze:
         assert "skipped" in capsys.readouterr().err
         with open(out / "segmentations.csv", newline="", encoding="utf-8") as fh:
             assert len(list(csv.DictReader(fh))) == 10  # traces only
+
+    def test_records_all_too_short_skip_the_macro_curve(self, workspace, tmp_path, capsys):
+        run_out = tmp_path / "run"
+        assert run_cli("run", "--policy", "none",
+                       "--traces", *workspace["traces"], "--out", str(run_out)) == 0
+        out = tmp_path / "an"
+        assert run_cli("analyze", "--records", str(run_out / "records.jsonl"),
+                       "--out", str(out)) == 0
+        assert "no usable trajectories; macro curve skipped" in capsys.readouterr().err
+        assert not (out / "macro_median.csv").exists()
+        assert [os.path.basename(p) for p in read_manifest(out)["outputs"]] == [
+            "segmentations.csv"]
 
     def test_full_record_and_its_trace_are_fitted_once(self, workspace, tmp_path, monkeypatch):
         import syncthink.cli

@@ -211,6 +211,18 @@ class TestRunGeneration:
                 continue
             assert getattr(full, field.name) == getattr(ratio, field.name), field.name
 
+    def test_fixed_ratio_without_reference_length_refused_before_any_step(self):
+        source = FakeSource([plain_step(0)])  # has no reference_length
+        with pytest.raises(ConfigurationError, match="reference full-run length"):
+            run_generation(source, "fixed_ratio")
+        assert source._i == 0
+
+    def test_fixed_ratio_zero_full_length_refused_before_any_step(self):
+        source = FakeSource([plain_step(0)])
+        with pytest.raises(ConfigurationError, match="full_length must be >= 1"):
+            run_generation(source, "fixed_ratio", full_length=0)
+        assert source._i == 0
+
     def test_answer_convergence_fires_on_kth_stable_probe(self):
         reader = synth_reader(seed=0)
         commit_start = sum(SyntheticPhaseSpec().phase_lengths[:3])
@@ -519,10 +531,16 @@ class TestRecordIO:
              "config task_kind must be one of ('numeric', 'multiple_choice', 'freeform'),"
              " got None"),
             (lambda obj: obj["config"].update(task_kind=["numeric"]), "got ['numeric']"),
+            (lambda obj: obj["entropy_trajectory"].pop(),
+             "rank and entropy trajectories differ in length"),
+            (lambda obj: obj.update(answer_tokens=-1), "answer_tokens must be >= 0, got -1"),
+            (lambda obj: obj["config"].update(budget=0),
+             "config budget and full_length must be >= 1"),
         ],
         ids=["stop-step-7", "tokens-plus-5", "complete-object", "stop-step-list",
              "rank-true", "step-index-null", "normalized-x", "answer-x", "other-kind",
-             "failed-with-answer", "no-task-kind", "task-kind-list"],
+             "failed-with-answer", "no-task-kind", "task-kind-list", "trajectories-differ",
+             "answer-tokens-negative", "budget-zero"],
     )
     def test_self_contradicting_record_names_the_line(self, tmp_path, mutate, message):
         record = run_generation(synth_reader(seed=0), "syncthink", task_kind="numeric")
@@ -655,6 +673,18 @@ class TestRunBatch:
             run_batch(self.items(tmp_path, seeds=(0,)), ["warp"])
         with pytest.raises(ConfigurationError):
             run_batch(self.items(tmp_path, seeds=(0,)), ["full"], parallelism=0)
+
+    def test_configuration_error_inside_a_job_propagates(self):
+        # a config the run refuses is the caller's fault, not one record's
+        opened = []
+
+        def open_source():
+            opened.append(FakeSource([plain_step(0)]))  # has no reference_length
+            return opened[-1]
+
+        with pytest.raises(ConfigurationError, match="reference full-run length"):
+            run_batch([BatchItem("a", open_source)], ["fixed_ratio"])
+        assert [s.closed for s in opened] == [True]
 
     def test_parallel_matches_serial(self, tmp_path):
         items = self.items(tmp_path, seeds=(0, 1, 2))

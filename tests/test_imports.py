@@ -1,6 +1,7 @@
-"""The package's modules import each other without a cycle, every name
-the benchmark tracer wraps exists, every name README imports from the
-package resolves, and the modules each entry point loads are pinned."""
+"""The package's modules import each other without a cycle, only jsonl
+writes CSV cells, every name the benchmark tracer wraps exists, every
+name README imports from the package resolves, and the modules each
+entry point loads are pinned."""
 
 from __future__ import annotations
 
@@ -70,6 +71,35 @@ def test_package_has_no_import_cycle():
         graphlib.TopologicalSorter(import_graph()).prepare()
     except graphlib.CycleError as exc:
         raise AssertionError(f"import cycle: {' -> '.join(exc.args[1])}") from None
+
+
+def table_rule_uses(source: str) -> set[str]:
+    """Where the source imports csv or names format_float (a call, an
+    attribute or an import of it)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import) and any(a.name == "csv" for a in node.names):
+            found.add("import csv")
+        elif isinstance(node, ast.ImportFrom) and node.module == "csv":
+            found.add("import csv")
+        elif isinstance(node, ast.ImportFrom) and any(a.name == "format_float"
+                                                       for a in node.names):
+            found.add("format_float")
+        elif isinstance(node, ast.Name) and node.id == "format_float":
+            found.add("format_float")
+        elif isinstance(node, ast.Attribute) and node.attr == "format_float":
+            found.add("format_float")
+    return found
+
+
+def test_only_jsonl_writes_table_cells():
+    # every CSV cell goes through jsonl.write_csv's one rule
+    uses = {module_name(path): table_rule_uses(path.read_text(encoding="utf-8"))
+            for path in sorted(SOURCE.glob("*.py"))}
+    assert uses.pop("syncthink.jsonl") == {"import csv", "format_float"}
+    assert {name: found for name, found in uses.items() if found} == {}
+    assert table_rule_uses("from .jsonl import format_float\njsonl.format_float(1.0)\n"
+                           "import csv\n") == {"import csv", "format_float"}
 
 
 def tracer_targets() -> list[tuple[str, str, str]]:

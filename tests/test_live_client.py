@@ -830,6 +830,29 @@ def with_final_answer(trace, answer):
     return dataclasses.replace(trace, probes={**trace.probes, final: ("Final answer:", answer)})
 
 
+class TestRequestHeaders:
+    @pytest.mark.parametrize("key,sent", [("sk-1", "Bearer sk-1"), ("", None)],
+                             ids=["key", "no-key"])
+    def test_authorization_only_with_a_key(self, key, sent):
+        seen = []
+
+        class Handler(ScriptedHandler):
+            events, completion = [sse_event("a")], None
+
+            def do_POST(self):
+                seen.append(self.headers.get("Authorization"))
+                super().do_POST()
+
+        with serving(Handler) as url:
+            factory = connect_endpoint(url, "m", api_key=key, top_logprobs=WIDTH)
+            session = open_session(factory)
+            try:
+                list(session)
+            finally:
+                session.close()
+        assert seen == [sent]
+
+
 class TestCapabilityGates:
     def test_open_rejects_insufficient_k(self, stub):
         factory = connect_endpoint(stub.base_url, "m", top_logprobs=100)

@@ -20,7 +20,7 @@ from syncthink.policy import (
     answer_convergence_stop,
     compute_rank,
     dynamic_threshold,
-    fixed_ratio_stop,
+    fixed_ratio_stop_step,
     shannon_entropy,
     should_stop,
 )
@@ -404,21 +404,17 @@ class TestConfigValidation:
 
 class TestFixedRatio:
     def test_quarter_of_200_fires_at_50(self):
-        assert not fixed_ratio_stop(49, 200, 0.25)
-        assert fixed_ratio_stop(50, 200, 0.25)
+        assert fixed_ratio_stop_step(200, 0.25) == 50
 
     def test_full_ratio_never_fires_inside_run(self):
         # decision points run 0..length-1; ratio 1.0 needs t == length
-        assert all(not fixed_ratio_stop(t, 300, 1.0) for t in range(300))
-        assert fixed_ratio_stop(300, 300, 1.0)
+        assert fixed_ratio_stop_step(300, 1.0) == 300
 
     def test_domain_errors(self):
-        with pytest.raises(ConfigurationError):
-            fixed_ratio_stop(10, 200, 0.0)
-        with pytest.raises(ConfigurationError):
-            fixed_ratio_stop(10, 0, 0.5)
-        with pytest.raises(ConfigurationError):
-            fixed_ratio_stop(-1, 200, 0.5)
+        with pytest.raises(ConfigurationError, match="ratio must be in"):
+            fixed_ratio_stop_step(200, 0.0)
+        with pytest.raises(ConfigurationError, match="full_length must be >= 1"):
+            fixed_ratio_stop_step(0, 0.5)
 
 
 class TestAnswerConvergence:

@@ -555,6 +555,19 @@ class TestReader:
         with pytest.raises(UnsupportedProbeError):
             reader.probe_with_time("Q:")
 
+    def test_reference_length_without_natural_stop_is_the_step_count(self):
+        from syncthink.controller import run_generation
+        from syncthink.policy import BaselineConfig
+        from syncthink.trace import TraceReader
+
+        trace = make_trace([9, 7, 5, 2, 6])
+        assert trace.natural_stop is None
+        assert TraceReader(trace).reference_length == 5
+        record = run_generation(TraceReader(trace), "fixed_ratio",
+                                baseline_config=BaselineConfig(ratio=0.5))
+        assert record.config["full_length"] == 5
+        assert record.stop_step == math.ceil(0.5 * 5) == 3
+
     def test_answer_after_key_semantics(self):
         from syncthink.trace import TraceReader
 
@@ -848,6 +861,30 @@ class TestReadTraceTopK:
         path.unlink()
         with pytest.raises(TraceIntegrityError, match="^" + re.escape(f"{path}: ")):
             list(trace.iter_topk())
+
+    def test_a_built_step_without_its_top_k_names_the_step(self, tmp_path):
+        # the form every step of a read trace has, without a file to re-read
+        trace = TraceFile(TraceHeader("t", 10, 3, "hand", 0),
+                          (StepObservation(0, 1, "<w1>", None, 1, False, 0.5, 0.01),))
+        message = "^" + re.escape("step 0: no top-K held and no line to re-read")
+        with pytest.raises(TraceIntegrityError, match=message):
+            trace.validate()
+        target = tmp_path / "t.jsonl"
+        target.write_bytes(b"an earlier trace\n")
+        with pytest.raises(TraceIntegrityError, match=message):
+            write_trace(trace, str(target))
+        assert target.read_bytes() == b"an earlier trace\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["t.jsonl"]
+
+    def test_a_line_that_is_not_an_object_names_its_line(self, tmp_path):
+        path = tmp_path / "t.jsonl"
+        write_trace(make_trace(BASE_RANKS), str(path))
+        with path.open("a", encoding="utf-8") as fh:
+            fh.write("[1, 2]\n")
+        lineno = len(BASE_RANKS) + 2
+        with pytest.raises(MalformedTraceError,
+                           match="^" + re.escape(f"{path}:{lineno}: expected a JSON object")):
+            read_trace(str(path))
 
 
 class TestSafeWrites:
