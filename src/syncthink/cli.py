@@ -126,6 +126,15 @@ def _require_files(paths, flag: str) -> None:
         raise UsageError(f"{flag}: no such file: {missing[0]}")
 
 
+def _require_traces(paths) -> None:
+    """--traces: existing files, no two with one stem (the sample id)."""
+    _require_files(paths, "--traces")
+    stems = sorted(map(_stem, paths))
+    twice = [a for a, b in zip(stems, stems[1:]) if a == b]
+    if twice:
+        raise UsageError(f"--traces: two traces have the sample id {twice[0]!r}")
+
+
 def _checked(build, *args, **kwargs):
     """build(*args, **kwargs), a library error in it raised as a usage error."""
     try:
@@ -249,7 +258,7 @@ def _batch(args, grid=({},)) -> _Batch:
     samples, by_id = _load_samples(args) if args.dataset else (None, {})
 
     if not endpoint:
-        _require_files(args.traces, "--traces")
+        _require_traces(args.traces)
         if args.dataset:
             _require_trace_entries(args.traces, by_id)
         traces = [(path, read_trace(path)) for path in args.traces]
@@ -392,7 +401,7 @@ def _analysis(args) -> _Analysis:
     if args.records:
         _require_files(args.records, "--records")
     if args.traces:
-        _require_files(args.traces, "--traces")
+        _require_traces(args.traces)
     points = [_checked(BaselineConfig, ratio=ratio) for ratio in _parse_list(args.grid, "--grid")]
     if not args.dataset:
         return _Analysis(points, None, {})

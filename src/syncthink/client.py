@@ -14,14 +14,13 @@ fall at or below the threshold and fire spuriously.
 Token identifiers on this path are the token strings off the wire, so
 the watched token is configured as text (for example trace.WATCHED_TEXT).
 
-Each streamed token's top-K list is read once into a token list and a
-float64 logprob array.  It is sorted descending only when one vectorised
-check finds it is not already (a stable argsort, so ties keep server
-order), and rank and entropy are computed from those arrays.  An event
-of the wrong shape (a missing field, a non-numeric logprob, a payload
-that is not an object) or a top-K that is no distribution (a duplicate
-token, a NaN logprob) ends the session with SessionError naming the
-step, so the record keeps the steps before it.
+Each streamed token's top-K list is read once into a Distribution,
+sorted descending only when one vectorised check finds it is not already
+(a stable argsort, so ties keep server order); rank and entropy are
+computed from its arrays.  An event of the wrong shape (a missing field,
+a payload that is not an object) or a top-K that fails policy.topk_probs,
+the rule replay applies too, ends the session with SessionError naming
+the step, so the record keeps the steps before it.
 
 HTTP is the standard library's: urllib honours HTTP(S)_PROXY/NO_PROXY and
 verifies HTTPS against the system trust store.  The event stream is read
@@ -232,29 +231,25 @@ class LiveSession:
                 "endpoint omits top_logprobs on streamed tokens;"
                 " per-token top-K logprobs are required"
             )
-        logprobs = np.array(list(map(_LOGPROB, top)))
-        if logprobs.dtype.kind not in "fiu" or logprobs.ndim != 1:
-            raise TypeError("top_logprobs entries need a number as logprob")
-        tokens = list(map(_TOKEN, top))
+        dist = Distribution(list(map(_TOKEN, top)), list(map(_LOGPROB, top)))
         token = entry.get("token", content)
-        logprobs = logprobs.astype(np.float64, copy=False)
         now = time.perf_counter()
         wall = now - self._mark
         self._mark = now
         # servers send descending already; a stable sort keeps tie order,
         # and a NaN fails the check, is sorted last and is rejected below
+        logprobs = dist.logprobs
         if not (logprobs[:-1] >= logprobs[1:]).all():
             order = np.argsort(-logprobs, kind="stable")
-            logprobs = logprobs[order]
-            tokens = list(map(tokens.__getitem__, order.tolist()))
-        dist = Distribution(tokens, logprobs)
+            dist = Distribution(list(map(dist.tokens.__getitem__, order.tolist())),
+                                logprobs[order])
         rank, censored = compute_rank(dist, self.watched_token)
-        if censored and len(tokens) < self.pacing_cap + 1:
+        if censored and len(dist.tokens) < self.pacing_cap + 1:
             raise CapabilityError(
-                f"server returned top-{len(tokens)} without the watched token;"
+                f"server returned top-{len(dist.tokens)} without the watched token;"
                 f" ranks censored below pacing cap {self.pacing_cap} + 1 are unsound"
             )
-        entropy = shannon_entropy(dist)
+        entropy = shannon_entropy(dist, token)
         self._t += 1
         self._texts.append(content)
         self._natural = token == self.watched_token

@@ -12,18 +12,18 @@ reference length, or once branch-probed answers stabilize.
 
 The per-step signals are computed over numpy arrays: a Distribution holds
 one token list and one float64 logprob array, and nothing derived from
-them; shannon_entropy exponentiates once per call.  compute_rank counts the
-entries strictly above the watched one, so ties go to the watched token
-whatever the list order; it takes a Distribution or (token, score) pairs.
-shannon_entropy takes a Distribution and is the one entropy code path:
-the live client, the synthetic generator and any re-derivation from a
-trace's top-K all call it on a Distribution, so they agree bit for bit.
+them.  compute_rank counts the entries strictly above the watched one, so
+ties go to the watched token whatever the list order; it takes a
+Distribution or (token, score) pairs.  topk_probs is the one rule of
+what a step's top-K may be, in replay and live alike.  shannon_entropy
+applies it and reuses its exp; the live client, the synthetic generator
+and any re-derivation from a trace's top-K all call it, so they agree
+bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence, Union
@@ -34,8 +34,10 @@ from .errors import ConfigurationError, MalformedDistributionError
 
 TokenId = Union[int, str]
 
-# tolerance on probability mass bookkeeping
+# how far past 1 a top-K's probabilities may sum
 MASS_TOLERANCE = 1e-6
+# the types of a token, in a top-K or chosen: a JSON integer or string
+_TOKEN_TYPES = (int, str)
 
 # every policy the controller runs, in canonical report order
 POLICIES = ("syncthink", "full", "none", "fixed_ratio", "answer_convergence")
@@ -108,13 +110,17 @@ class Distribution:
     log-probabilities, in the order given.  Nothing else is stored: the
     probabilities and the tail (the mass of every token not listed,
     max(0, 1 - sum(exp(logprobs)))) are derived when read.  Logprobs that
-    are not one per token, in one dimension, raise MalformedDistributionError.
+    are not numbers (a bool is none) or not one per token, in one
+    dimension, raise MalformedDistributionError.
     """
 
     tokens: Sequence[TokenId]
     logprobs: np.ndarray
 
     def __post_init__(self) -> None:
+        # a list off the wire, before float64 reads true as 1.0 and "-1" as -1.0
+        if not isinstance(self.logprobs, np.ndarray):
+            _check_types("topk logprob", self.logprobs, (int, float))
         logprobs = np.ascontiguousarray(self.logprobs, np.float64)
         if logprobs.ndim != 1 or len(logprobs) != len(self.tokens):
             raise MalformedDistributionError(
@@ -124,7 +130,7 @@ class Distribution:
 
     @property
     def tail_mass(self) -> float:
-        return _probs_and_tail(self.logprobs)[1]
+        return topk_probs(self)[1]
 
     @classmethod
     def from_topk_logprobs(cls, pairs: Sequence[tuple[TokenId, float]]) -> "Distribution":
@@ -146,11 +152,13 @@ def _columns(scores: Scores) -> tuple[Sequence[TokenId], np.ndarray]:
     return tokens, np.array(values, dtype=np.float64)
 
 
-def _probs_and_tail(logprobs: np.ndarray) -> tuple[np.ndarray, float]:
-    """exp(logprobs) (above about 709 it overflows to inf) and the unlisted mass."""
-    with np.errstate(over="ignore"):
-        probs = np.exp(logprobs)
-    return probs, max(0.0, 1.0 - float(probs.sum()))
+def _check_types(what: str, values, allowed: tuple[type, type]) -> None:
+    """One C-level type pass; MalformedDistributionError names the others."""
+    bad = set(map(type, values)).difference(allowed)
+    if bad:
+        names = ", ".join(sorted(kind.__name__ for kind in bad))
+        first, second = (kind.__name__ for kind in allowed)
+        raise MalformedDistributionError(f"{what} must be an {first} or a {second}, not {names}")
 
 
 def compute_rank(scores: Scores, watched: TokenId) -> tuple[int, bool]:
@@ -173,34 +181,40 @@ def compute_rank(scores: Scores, watched: TokenId) -> tuple[int, bool]:
     return int(np.count_nonzero(values > values[i])), False
 
 
-def shannon_entropy(dist: Distribution) -> float:
-    """Entropy in nats; a positive tail counts as one pseudo-token.
-
-    The probabilities and tail are derived here from the logprobs.  The
-    probabilities must be finite, on distinct tokens and, with the tail,
-    sum to 1 within MASS_TOLERANCE; an exponential is never negative.
+def topk_probs(dist: Distribution, *chosen: TokenId) -> tuple[np.ndarray, float]:
+    """The top-K rule: exp(logprobs) and the tail of a top-K that lists a
+    token, whose tokens and each chosen token (the one the step emitted)
+    are ints or strs, none listed twice, with no NaN or +inf logprob (-inf
+    is a zero probability) and a mass of at most 1 + MASS_TOLERANCE; else
+    MalformedDistributionError.  Distribution refuses non-number logprobs.
     """
-    tokens, (probs, tail) = dist.tokens, _probs_and_tail(dist.logprobs)
-    if not len(probs):
-        raise MalformedDistributionError("distribution has no explicit tokens")
-    try:
-        distinct = len(set(tokens)) == len(tokens)
-    except TypeError as exc:
-        raise MalformedDistributionError(f"unhashable token: {exc}") from exc
-    if not distinct:
-        token = Counter(tokens).most_common(1)[0][0]
-        raise MalformedDistributionError(f"duplicate token {token!r}")
-    bad = ~np.isfinite(probs)
-    if bad.any():
-        i = int(bad.argmax())
+    tokens, logprobs = dist.tokens, dist.logprobs
+    if not len(tokens):
+        raise MalformedDistributionError("empty topk")
+    # types first: a set takes 1, 1.0 and True for one token
+    _check_types("topk token", tokens, _TOKEN_TYPES)
+    _check_types("chosen token", chosen, _TOKEN_TYPES)
+    if len(set(tokens)) != len(tokens):
+        raise MalformedDistributionError("duplicate token in topk")
+    # above about 709 exp overflows to inf; a NaN or +inf logprob also
+    # makes the mass fail, and is named apart
+    with np.errstate(over="ignore"):
+        probs = np.exp(logprobs)
+    total = float(probs.sum())
+    if not total <= 1.0 + MASS_TOLERANCE:
+        if not (logprobs < math.inf).all():
+            i = int(np.argmin(logprobs < math.inf))
+            raise MalformedDistributionError(f"topk logprobs must be finite or -inf; token"
+                                             f" {tokens[i]!r} has {float(logprobs[i])!r}")
         raise MalformedDistributionError(
-            f"non-finite probability {float(probs[i])!r} for token {tokens[i]!r}"
-        )
-    total = float(probs.sum()) + tail
-    if abs(total - 1.0) > MASS_TOLERANCE:
-        raise MalformedDistributionError(
-            f"probability mass sums to {total!r}, off by more than {MASS_TOLERANCE}"
-        )
+            f"probability mass sums to {total!r}, above 1 + {MASS_TOLERANCE}")
+    return probs, max(0.0, 1.0 - total)
+
+
+def shannon_entropy(dist: Distribution, *chosen: TokenId) -> float:
+    """Entropy in nats of a top-K that passes topk_probs, with the chosen
+    tokens given; a positive tail counts as one pseudo-token."""
+    probs, tail = topk_probs(dist, *chosen)
     p = probs[probs > 0.0]
     entropy = -float((p * np.log(p)).sum())
     if tail > 0.0:

@@ -169,14 +169,12 @@ class StubServer:
 
     def match_prefix(self, partial: str) -> tuple[int, str]:
         """Longest run of step texts prefixing the partial, plus the rest."""
-        pos = 0
-        matched = 0
-        for text in (step.chosen_text for step in self.trace.steps):
-            if text and partial.startswith(text, pos):
-                pos += len(text)
-                matched += 1
-            else:
+        pos = matched = 0
+        for step in self.trace.steps:
+            if not partial.startswith(step.chosen_text, pos):
                 break
+            pos += len(step.chosen_text)
+            matched += 1
         return matched, partial[pos:]
 
     def start(self) -> "StubServer":

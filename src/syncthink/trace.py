@@ -7,14 +7,15 @@ Every following line is one decoding step, its top-K as [token, logprob]
 pairs.  Floats are written in their shortest round-trip form, so a
 parse/serialize cycle is byte-stable.  Each field is read by its JSON
 type and never coerced (jsonl.typed; a float field also takes an
-integer), and every token, top-K or chosen, is an int or a str
-(_check_token_types), so no two equal tokens differ in type.  write_trace
-puts each step through that rule, then splices its line from one encode
-of its other fields, a cached text per distinct token and the float
-texts of one encode of the logprob row; the bytes are those jsonl.dumps
-writes for the row.  It writes a temporary file beside the target and
-renames it over the target, so a failed write leaves the target as it
-was.
+integer).  A step's text is not empty and its top-K passes
+policy.topk_probs, the one top-K rule, with its chosen token; the format
+adds rows sorted descending, no -inf logprob (jsonl cannot write it),
+ids inside the vocabulary, and a rank and censored flag that agree with
+the top-K.  write_trace checks the first two, then splices each line
+from one encode of its other fields, a cached text per distinct token
+and the float texts of one encode of the logprob row, the bytes
+jsonl.dumps writes for the row, into a temporary file it renames over
+the target, so a failed write leaves the target as it was.
 
 Replay reads only a step's scalars (rank, censored flag, entropy, wall
 time, chosen token and text), so read_trace checks every line against
@@ -52,12 +53,13 @@ from typing import Iterator
 
 from . import jsonl
 from .errors import (
+    MalformedDistributionError,
     MalformedTraceError,
     TraceIntegrityError,
     UnsupportedProbeError,
 )
 from .jsonl import BOOL, FLOAT, INT, TEXT, typed
-from .policy import Distribution, TokenId, compute_rank
+from .policy import Distribution, TokenId, compute_rank, topk_probs
 
 # the JSON type of each header field, and of each step field but the
 # tokens (see jsonl.typed)
@@ -65,8 +67,6 @@ HEADER_FIELDS = {"tokenizer": TEXT, "vocab_size": INT, "watched_token": INT, "so
                  "seed": INT}
 _STEP_FIELDS = {"t": INT, "chosen_text": TEXT, "watched_rank": INT, "censored": BOOL,
                 "entropy": FLOAT, "step_wall_time": FLOAT}
-# the types of a top-K or chosen token: a JSON integer or string
-_TOKEN_TYPES = {int, str}
 # the watched id's text on the wire, and an endpoint's default watched token
 WATCHED_TEXT = "</think>"
 
@@ -215,28 +215,33 @@ def _check_header(h: TraceHeader) -> None:
         )
 
 
+def _check_text_and_topk(step: StepObservation, topk: Distribution) -> None:
+    """Refuse an empty text and a top-K that fails policy.topk_probs."""
+    if not step.chosen_text:
+        raise TraceIntegrityError(f"step {step.t}: empty chosen text")
+    try:
+        topk_probs(topk, step.chosen_token)
+    except MalformedDistributionError as exc:
+        raise TraceIntegrityError(f"step {step.t}: {exc}") from exc
+
+
 def _check_step(step: StepObservation, topk: Distribution, header: TraceHeader,
                 index: int, lineno: int) -> None:
     """Check step number `index`, read from file line `lineno` with top-K
-    `topk`, on its own and against its header.  Every token is an int or
-    a str, by one type pass before anything compares or hashes them; an
-    int token lies inside the vocabulary, a text token has no id range."""
+    `topk`, on its own and against its header.  An int token lies inside
+    the vocabulary, a text token has no id range."""
     if step.t != index:
         raise TraceIntegrityError(
             f"step indices must be consecutive from 0; saw {step.t} at line {lineno}"
         )
     tokens, lps = topk.tokens, topk.logprobs
-    if not len(tokens):
-        raise TraceIntegrityError(f"step {step.t}: empty topk")
-    kinds = _check_token_types(step, tokens)
     # `not a >= b` also fails a NaN logprob
     if not (lps[:-1] >= lps[1:]).all():
         raise TraceIntegrityError(f"step {step.t}: topk not sorted descending")
-    # sorted, so the first and last logprobs bound the rest
-    if not (math.isfinite(lps[0]) and math.isfinite(lps[-1])):
+    _check_text_and_topk(step, topk)
+    # sorted, and the rule refuses NaN and +inf, so only the last can be -inf
+    if not math.isfinite(lps[-1]):
         raise TraceIntegrityError(f"step {step.t}: topk logprobs must be finite")
-    if len(set(tokens)) != len(tokens):
-        raise TraceIntegrityError(f"step {step.t}: duplicate token in topk")
     if step.watched_rank < 0:
         raise TraceIntegrityError(f"step {step.t}: negative rank")
     if not (math.isfinite(step.entropy) and step.entropy >= 0.0):
@@ -248,12 +253,15 @@ def _check_step(step: StepObservation, topk: Distribution, header: TraceHeader,
         raise TraceIntegrityError(
             f"step {step.t}: chosen token {step.chosen_token} outside vocabulary"
         )
-    if int in kinds:
-        # min and max scan the ids in C; the loop only names the first outside
-        ids = [tok for tok in tokens if type(tok) is int] if str in kinds else tokens
-        if not (0 <= min(ids) and max(ids) < vocab):
-            tok = next(tok for tok in ids if not 0 <= tok < vocab)
-            raise TraceIntegrityError(f"step {step.t}: topk token {tok} outside vocabulary")
+    # min and max scan the ids in C, and a row mixing ints and strs raises
+    try:
+        ids, lo, hi = tokens, min(tokens), max(tokens)
+    except TypeError:
+        ids = [tok for tok in tokens if type(tok) is int]
+        lo, hi = min(ids), max(ids)
+    if type(lo) is int and not (0 <= lo and hi < vocab):
+        tok = next(tok for tok in ids if not 0 <= tok < vocab)
+        raise TraceIntegrityError(f"step {step.t}: topk token {tok} outside vocabulary")
 
     rank, absent = compute_rank(topk, header.watched_token)
     if absent:  # the true rank is censored at the top-K size
@@ -272,20 +280,6 @@ def _check_step(step: StepObservation, topk: Distribution, header: TraceHeader,
         raise TraceIntegrityError(
             f"step {step.t}: recorded rank {step.watched_rank} disagrees with topk rank {rank}"
         )
-
-
-def _check_token_types(step: StepObservation, tokens) -> set[type]:
-    """The token rule: every top-K token and the chosen token is an int or
-    a str, by one C-level type pass over the top-K.  Returns the top-K's
-    token types."""
-    kinds = set(map(type, tokens))
-    if not kinds <= _TOKEN_TYPES:
-        names = ", ".join(sorted(kind.__name__ for kind in kinds - _TOKEN_TYPES))
-        raise TraceIntegrityError(f"step {step.t}: topk token must be an int or a str, not {names}")
-    if (chosen := type(step.chosen_token)) not in _TOKEN_TYPES:
-        raise TraceIntegrityError(
-            f"step {step.t}: chosen token must be an int or a str, not {chosen.__name__}")
-    return kinds
 
 
 def _check_end(n_steps: int, watched: list[int], natural_stop: int | None, probes: dict) -> None:
@@ -309,7 +303,7 @@ def _check_end(n_steps: int, watched: list[int], natural_stop: int | None, probe
 def _pair_heads(tokens, heads: dict[TokenId, str]) -> list[str]:
     """Each top-K pair's `],[token,` text, one cached text per distinct
     token in `heads`.  A dict takes 1, 1.0 and True for one key, so
-    write_trace puts each row through the token rule first."""
+    write_trace puts each row through the top-K rule first."""
     for tok in set(tokens).difference(heads):
         heads[tok] = "],[" + jsonl.dumps(tok) + ","
     return list(map(heads.__getitem__, tokens))
@@ -342,7 +336,7 @@ def _step_line(step: StepObservation, topk: Distribution, heads: dict[TokenId, s
 def write_trace(trace: TraceFile, path: str) -> None:
     """Write the header line, then one line per step (see _step_line).
 
-    Each step passes the token rule before its line is made, else
+    Each step passes _check_text_and_topk before its line is made, else
     TraceIntegrityError.  The lines go to a temporary file beside path,
     renamed over path once every line is written; a write that fails
     leaves path as it was.  So a read trace can be written onto the file
@@ -359,7 +353,7 @@ def write_trace(trace: TraceFile, path: str) -> None:
         with open(partial, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(jsonl.dumps(header) + "\n")
             for step, topk in zip(trace.steps, trace.iter_topk()):
-                _check_token_types(step, topk.tokens)
+                _check_text_and_topk(step, topk)
                 fh.write(_step_line(step, topk, heads) + "\n")
         os.replace(partial, path)
     except BaseException:
@@ -398,22 +392,11 @@ def _parse_branch(entry: tuple[str, object]) -> tuple[int, tuple[str, str]]:
 
 
 def _parse_topk(pairs) -> Distribution:
-    """A step row's [token, logprob] pairs as a Distribution.
-
-    A logprob is a JSON number: an int or a float, not a bool or a
-    string, which float() would take.  That one type pass also refuses a
-    pair that is a string or an object, which unpacks into strings.
-    _check_step checks the tokens.
-    """
+    """A step row's [token, logprob] pairs as a Distribution, which refuses a
+    logprob that is not a JSON number, as a string or object pair unpacks to."""
     if type(pairs) is not list:
         raise TypeError("topk must be a list of [token, logprob] pairs")
-    tokens = [tok for tok, _ in pairs]
-    logprobs = [lp for _, lp in pairs]
-    bad = set(map(type, logprobs)) - {int, float}
-    if bad:
-        names = ", ".join(sorted(kind.__name__ for kind in bad))
-        raise TypeError(f"topk logprob must be an int or a float, not {names}")
-    return Distribution(tokens, logprobs)
+    return Distribution([tok for tok, _ in pairs], [lp for _, lp in pairs])
 
 
 def _parse_step(obj: dict, where: str) -> tuple[StepObservation, Distribution]:
@@ -423,7 +406,7 @@ def _parse_step(obj: dict, where: str) -> tuple[StepObservation, Distribution]:
         fields = {key: typed(key, obj[key], kinds) for key, kinds in _STEP_FIELDS.items()}
         step = StepObservation(chosen_token=obj["chosen_token"], topk=None, **fields)
         return step, _parse_topk(obj["topk"])
-    except (KeyError, ValueError, TypeError) as exc:
+    except (KeyError, ValueError, TypeError, OverflowError, MalformedDistributionError) as exc:
         raise MalformedTraceError(f"{where}: bad step record: {exc}") from exc
 
 

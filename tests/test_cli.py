@@ -106,6 +106,23 @@ def workspace(tmp_path_factory):
     return {"root": root, "traces": traces, "gold": str(gold)}
 
 
+@pytest.mark.parametrize("command,flags", [("run", []), ("sweep", ["--lambda-grid", "0.8"]),
+                                           ("analyze", [])])
+def test_two_traces_of_one_sample_id_are_a_usage_error(workspace, tmp_path, capsys,
+                                                       command, flags):
+    # a trace's file stem is its sample id, which a second trace would score twice
+    trace = workspace["traces"][0]
+    twin = tmp_path / "other" / os.path.basename(trace)
+    twin.parent.mkdir()
+    twin.write_bytes(Path(trace).read_bytes())
+    out = tmp_path / "out"
+    assert run_cli(command, *flags, "--traces", trace, str(twin),
+                   "--dataset", workspace["gold"], "--out", str(out)) == 2
+    assert not out.exists()
+    stem = os.path.splitext(os.path.basename(trace))[0]
+    assert f"two traces have the sample id {stem!r}" in capsys.readouterr().err
+
+
 class TestGenSynthetic:
     def test_count_and_manifest(self, tmp_path):
         out = tmp_path / "gen"

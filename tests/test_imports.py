@@ -1,7 +1,7 @@
 """The package's modules import each other without a cycle, only jsonl
-writes CSV cells, every name the benchmark tracer wraps exists, every
-name README imports from the package resolves, and the modules each
-entry point loads are pinned."""
+writes CSV cells, only policy states the top-K rule, every name the
+benchmark tracer wraps exists, every name README imports from the
+package resolves, and the modules each entry point loads are pinned."""
 
 from __future__ import annotations
 
@@ -100,6 +100,45 @@ def test_only_jsonl_writes_table_cells():
     assert {name: found for name, found in uses.items() if found} == {}
     assert table_rule_uses("from .jsonl import format_float\njsonl.format_float(1.0)\n"
                            "import csv\n") == {"import csv", "format_float"}
+
+
+# the names of the top-K rule's mass tolerance and token types
+TOPK_RULE_NAMES = {"MASS_TOLERANCE", "_TOKEN_TYPES"}
+
+
+def topk_rule_uses(source: str) -> set[str]:
+    """Where the source raises MalformedDistributionError or names the top-K
+    rule's tolerance or token types (a name, an attribute or an import)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if getattr(exc, "id", getattr(exc, "attr", None)) == "MalformedDistributionError":
+                found.add("raise MalformedDistributionError")
+        elif isinstance(node, ast.Name) and node.id in TOPK_RULE_NAMES:
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr in TOPK_RULE_NAMES:
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(a.name for a in node.names if a.name in TOPK_RULE_NAMES)
+    return found
+
+
+def test_only_policy_states_the_top_k_rule():
+    # replay and the live client take a top-K by one rule, policy.topk_probs
+    uses = {module_name(path): topk_rule_uses(path.read_text(encoding="utf-8"))
+            for path in sorted(SOURCE.glob("*.py"))}
+    assert uses.pop("syncthink.policy") == {"raise MalformedDistributionError",
+                                            *TOPK_RULE_NAMES}
+    assert {name: found for name, found in uses.items() if found} == {}
+    assert topk_rule_uses("raise errors.MalformedDistributionError('x')\n") == {
+        "raise MalformedDistributionError"}
+    assert topk_rule_uses("raise MalformedDistributionError\n") == {
+        "raise MalformedDistributionError"}
+    assert topk_rule_uses("from .policy import MASS_TOLERANCE\npolicy._TOKEN_TYPES\n"
+                          "_TOKEN_TYPES = {int, str}\n") == TOPK_RULE_NAMES
+    # catching it, as the live client does, is not stating the rule
+    assert topk_rule_uses("try:\n    f()\nexcept MalformedDistributionError:\n    pass\n") == set()
 
 
 def tracer_targets() -> list[tuple[str, str, str]]:

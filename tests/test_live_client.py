@@ -20,6 +20,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import numpy as np
 import pytest
 
+from syncthink import jsonl
 from syncthink.client import connect_endpoint
 from syncthink.controller import BatchItem, record_fingerprint, run_batch, run_generation
 from syncthink.errors import (
@@ -925,11 +926,11 @@ class TestFailureHandling:
             ([b"data: [1]\n\n"], None, "full", "stream failed at step 1: AttributeError"),
             (
                 [sse_event("b", [{"token": "b", "logprob": None}])], None, "full",
-                "stream failed at step 1: TypeError",
+                "stream failed at step 1: MalformedDistributionError",
             ),
             (
                 [sse_event("b", [{"token": "b", "logprob": "low"}])], None, "full",
-                "stream failed at step 1: TypeError",
+                "stream failed at step 1: MalformedDistributionError",
             ),
             (
                 [sse_event(5)], None, "full",
@@ -1045,6 +1046,79 @@ class TestFailureHandling:
             connect_endpoint("http://x", "", top_logprobs=10)
         with pytest.raises(ConfigurationError):
             connect_endpoint("http://x", "m", top_logprobs=0)
+
+
+# top-K rows that break the rule, each served live and read from a trace:
+# (token, logprob) pairs sorted descending, and the chosen token
+RULE_ROWS = {
+    "mass-2.37": ([(1, 0.0), (2, 0.0), (3, -1.0)], 1),
+    "logprob-800": ([(1, 800.0), (2, -1.0)], 1),
+    **{f"topk-{name}": ([(1, -1.5), (token, -1.9)], 1)
+       for name, token in (("null", None), ("true", True), ("2.5", 2.5), ("list", [1]))},
+    **{f"chosen-{name}": ([(1, -1.5), (2, -1.9)], token)
+       for name, token in (("null", None), ("true", True), ("2.5", 2.5), ("list", [1]))},
+}
+
+
+def rule_event(pairs, chosen):
+    """A streamed step with top-K pairs and a chosen token as the wire sends them."""
+    top = [{"token": token, "logprob": lp} for token, lp in pairs]
+    choice = {"delta": {"content": "x"},
+              "logprobs": {"content": [{"token": chosen, "logprob": -1.5, "top_logprobs": top}]}}
+    return b"data: " + json.dumps({"choices": [choice]}).encode() + b"\n\n"
+
+
+def rule_trace(path, pairs, chosen, rank=None):
+    """A two-step trace whose step 1 holds pairs; the watched id is 3."""
+    header = {"tokenizer": "toy", "vocab_size": 64, "watched_token": 3, "source": "test",
+              "seed": 0, "natural_stop": None, "probes": {}}
+    first = {"t": 0, "chosen_token": 1, "chosen_text": "x", "topk": [[1, -0.1], [2, -2.5]],
+             "watched_rank": 2, "censored": True, "entropy": 1.0, "step_wall_time": 0.01}
+    step = {**first, "t": 1, "chosen_token": chosen, "topk": [list(p) for p in pairs],
+            "watched_rank": len(pairs) if rank is None else rank, "censored": rank is None}
+    jsonl.write_lines(str(path), [header, first, step])
+
+
+class TestOneTopKRule:
+    """policy.topk_probs decides a top-K for replay and live alike."""
+
+    @pytest.mark.parametrize("case", sorted(RULE_ROWS))
+    def test_replay_and_live_refuse_the_same_row(self, tmp_path, case):
+        pairs, chosen = RULE_ROWS[case]
+        path = tmp_path / "t.jsonl"
+        rule_trace(path, pairs, chosen)
+        with pytest.raises(TraceIntegrityError) as replay:
+            read_trace(str(path))
+        prefix = f"{path}:3: step 1: "
+        assert str(replay.value).startswith(prefix), replay.value
+        events = [sse_event("a"), rule_event(pairs, chosen)]
+        handler = type("Handler", (ScriptedHandler,), {"events": events, "completion": None})
+        with serving(handler) as url:
+            item = BatchItem(case, lambda: connect_endpoint(url, "m", top_logprobs=2)
+                             .open_session("q", watched_token=WATCHED_TEXT, pacing_cap=1))
+            [live] = run_batch([item], ["full"], policy_config=live_config())
+        assert not live.complete
+        assert [t for t, _ in live.rank_trajectory] == [0]
+        # one rule, so one message
+        assert live.error == ("SessionError: stream failed at step 1: MalformedDistributionError: "
+                              + str(replay.value)[len(prefix):])
+
+    def test_replay_and_live_read_the_same_signals_off_a_valid_row(self, tmp_path):
+        # the watched token second: id 3 in the trace, its text live
+        logprobs = [-0.5, -1.5, -2.0]
+        events = [rule_event(list(zip(["a", WATCHED_TEXT, "b"], logprobs)), "a")]
+        handler = type("Handler", (ScriptedHandler,), {"events": events, "completion": None})
+        with serving(handler) as url:
+            session = connect_endpoint(url, "m", top_logprobs=3).open_session(
+                "q", watched_token=WATCHED_TEXT, pacing_cap=1)
+            with contextlib.closing(session):
+                obs = next(session)
+        path = tmp_path / "t.jsonl"
+        rule_trace(path, list(zip([10, 3, 11], logprobs)), 10, rank=1)
+        topk = list(read_trace(str(path)).iter_topk())[1]
+        assert (obs.watched_rank, obs.censored, obs.entropy) == (
+            *compute_rank(topk, 3), shannon_entropy(topk))
+        assert (obs.watched_rank, obs.censored) == (1, False)
 
 
 class TestPacingCapSoundness:

@@ -35,7 +35,7 @@ def topk(*pairs):
 
 def make_step(t, rank, *, watched=3, width=4, chosen=None, entropy=1.0):
     """A hand-built consistent step: watched sits at its rank if visible."""
-    lps = [-0.5 - 0.4 * i for i in range(width)]
+    lps = [-1.5 - 0.4 * i for i in range(width)]
     fillers = [i for i in range(10, 10 + width)]
     if rank < width:
         ids = fillers[:rank] + [watched] + fillers[rank : width - 1]
@@ -121,7 +121,7 @@ class TestRoundTrip:
             '{"tokenizer":"toy","vocab_size":64,"watched_token":3,"source":"test",'
             '"seed":7,"natural_stop":2,"probes":{"1":["Final answer:","4 2"],'
             '"3":["Final answer:","42"]}}\n',
-            '{"t":0,"chosen_token":10,"chosen_text":"<w10>","topk":[[10,-0.1],'
+            '{"t":0,"chosen_token":10,"chosen_text":"<w10>","topk":[[10,-0.2],'
             '[11,-2.5],[3,-3.0000000000000004],[12,-7.25]],"watched_rank":2,'
             '"censored":false,"entropy":0.30000000000000004,"step_wall_time":0.0125}\n',
             '{"t":1,"chosen_token":"é","chosen_text":"é","topk":[["é",-1.0],'
@@ -137,16 +137,18 @@ class TestRoundTrip:
         assert dst.read_bytes() == original
 
     def test_logprob_beyond_exp_range_reads_without_warning(self, tmp_path):
-        # exp(800) overflows a double; the step is still well-formed
+        # exp(800) overflows a double to a mass of inf, refused without a
+        # RuntimeWarning
         path = tmp_path / "t.jsonl"
         write_trace(make_trace([9, 7, 0], natural=True), str(path))
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        lines[1] = lines[1].replace("[10,-0.5]", "[10,800.0]")
+        lines[1] = lines[1].replace("[10,-1.5]", "[10,800.0]")
         path.write_text("".join(lines), encoding="utf-8")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            trace = read_trace(str(path))
-        assert next(trace.iter_topk()).logprobs[0] == 800.0
+            with pytest.raises(TraceIntegrityError) as err:
+                read_trace(str(path))
+        assert str(err.value) == f"{path}:2: step 0: probability mass sums to inf, above 1 + 1e-06"
 
 
 class TestIntegrity:
@@ -265,13 +267,13 @@ class TestIntegrity:
         "change,message",
         [
             ({"topk": topk()}, "empty topk"),
-            ({"topk": topk((10, -0.5), (10, -0.9), (12, -1.3), (13, -1.7))}, "duplicate token"),
-            ({"topk": topk((10, -0.5), ([1], -0.9), (12, -1.3), (13, -1.7))},
+            ({"topk": topk((10, -1.5), (10, -1.9), (12, -2.3), (13, -2.7))}, "duplicate token"),
+            ({"topk": topk((10, -1.5), ([1], -1.9), (12, -2.3), (13, -2.7))},
              "step 2: topk token must be an int or a str, not list"),
-            ({"topk": topk((10, -0.5), (11, math.nan), (12, -1.3), (13, -1.7))}, "not sorted"),
+            ({"topk": topk((10, -1.5), (11, math.nan), (12, -2.3), (13, -2.7))}, "not sorted"),
             ({"topk": topk((10, math.nan))}, "logprobs must be finite"),
-            ({"topk": topk((10, -0.5), (11, -0.9), (12, -1.3), (13, -math.inf))}, "logprobs must be finite"),
-            ({"topk": topk((10, math.inf), (11, -0.9), (12, -1.3), (13, -1.7))}, "logprobs must be finite"),
+            ({"topk": topk((10, -1.5), (11, -1.9), (12, -2.3), (13, -math.inf))}, "logprobs must be finite"),
+            ({"topk": topk((10, math.inf), (11, -1.9), (12, -2.3), (13, -2.7))}, "logprobs must be finite"),
             ({"watched_rank": -1}, "negative rank"),
             ({"entropy": -0.5}, "entropy must be finite"),
             ({"entropy": math.nan}, "entropy must be finite"),
@@ -279,7 +281,7 @@ class TestIntegrity:
             ({"step_wall_time": -0.01}, "wall time must be finite"),
             ({"step_wall_time": math.nan}, "wall time must be finite"),
             ({"chosen_token": 64}, "chosen token 64 outside vocabulary"),
-            ({"topk": topk((10, -0.5), (11, -0.9), (12, -1.3), (99, -1.7))}, "topk token 99 outside"),
+            ({"topk": topk((10, -1.5), (11, -1.9), (12, -2.3), (99, -2.7))}, "topk token 99 outside"),
             (None, "probe key 6 out of range"),
         ],
         ids=[
@@ -362,6 +364,25 @@ class TestIntegrity:
             trace.validate()
 
 
+def test_empty_step_text_is_refused(tmp_path):
+    # a step that streams no text cannot be served: over StubServer this
+    # trace's full run stopped one step short of the 300 its replay ran
+    from syncthink.synthetic import SyntheticPhaseSpec, generate_synthetic
+
+    trace = generate_synthetic(SyntheticPhaseSpec(seed=3), topk_width=80)
+    bad = replace_step(trace, 5, chosen_text="")
+    message = "step 5: empty chosen text"
+    with pytest.raises(TraceIntegrityError, match="^" + message + "$"):
+        bad.validate()
+    path = tmp_path / "t.jsonl"
+    with pytest.raises(TraceIntegrityError, match="^" + message + "$"):
+        write_trace(bad, str(path))
+    assert not path.exists()
+    write_unchecked(bad, path)
+    with pytest.raises(TraceIntegrityError, match="^" + re.escape(f"{path}:7: {message}") + "$"):
+        read_trace(str(path))
+
+
 def replace_step(trace, index, **change):
     steps = list(trace.steps)
     steps[index] = dataclasses.replace(steps[index], **change)
@@ -388,13 +409,13 @@ MESSAGES = {
         "step indices must be consecutive from 0; saw 7 at line 4"),
     "empty-topk": (lambda tr: replace_step(tr, 2, topk=topk()), "step 2: empty topk"),
     "unsorted": (
-        lambda tr: replace_step(tr, 2, topk=topk((10, -0.9), (11, -0.5))),
+        lambda tr: replace_step(tr, 2, topk=topk((10, -1.9), (11, -1.5))),
         "step 2: topk not sorted descending"),
     "not-finite": (
-        lambda tr: replace_step(tr, 2, topk=topk((10, -0.5), (11, -math.inf))),
+        lambda tr: replace_step(tr, 2, topk=topk((10, -1.5), (11, -math.inf))),
         "step 2: topk logprobs must be finite"),
     "duplicate": (
-        lambda tr: replace_step(tr, 2, topk=topk((10, -0.5), (10, -0.9))),
+        lambda tr: replace_step(tr, 2, topk=topk((10, -1.5), (10, -1.9))),
         "step 2: duplicate token in topk"),
     "negative-rank": (
         lambda tr: replace_step(tr, 2, watched_rank=-1), "step 2: negative rank"),
@@ -409,19 +430,19 @@ MESSAGES = {
         "step 2: chosen token -1 outside vocabulary"),
     "chosen-before-topk": (
         lambda tr: replace_step(
-            tr, 2, chosen_token=70, topk=topk((10, -0.5), (99, -0.9), (12, -1.3), (13, -1.7))),
+            tr, 2, chosen_token=70, topk=topk((10, -1.5), (99, -1.9), (12, -2.3), (13, -2.7))),
         "step 2: chosen token 70 outside vocabulary"),
     "first-of-two-outside": (
-        lambda tr: replace_step(tr, 2, topk=topk((10, -0.5), (-1, -0.9), (99, -1.3), (13, -1.7))),
+        lambda tr: replace_step(tr, 2, topk=topk((10, -1.5), (-1, -1.9), (99, -2.3), (13, -2.7))),
         "step 2: topk token -1 outside vocabulary"),
     "first-of-two-outside-high": (
-        lambda tr: replace_step(tr, 2, topk=topk((10, -0.5), (64, -0.9), (-5, -1.3), (13, -1.7))),
+        lambda tr: replace_step(tr, 2, topk=topk((10, -1.5), (64, -1.9), (-5, -2.3), (13, -2.7))),
         "step 2: topk token 64 outside vocabulary"),
     "topk-at-vocab-size": (
-        lambda tr: replace_step(tr, 2, topk=topk((10, -0.5), (64, -0.9), (12, -1.3), (13, -1.7))),
+        lambda tr: replace_step(tr, 2, topk=topk((10, -1.5), (64, -1.9), (12, -2.3), (13, -2.7))),
         "step 2: topk token 64 outside vocabulary"),
     "outside-among-text": (
-        lambda tr: replace_step(tr, 2, topk=topk(("a", -0.5), (99, -0.9), ("b", -1.3), (13, -1.7))),
+        lambda tr: replace_step(tr, 2, topk=topk(("a", -1.5), (99, -1.9), ("b", -2.3), (13, -2.7))),
         "step 2: topk token 99 outside vocabulary"),
     "marked-censored": (
         lambda tr: replace_step(tr, 3, censored=True),
@@ -431,7 +452,7 @@ MESSAGES = {
         "step 3: recorded rank 1 disagrees with topk rank 2"),
     "rank-disagrees-on-tie": (
         lambda tr: replace_step(
-            tr, 3, topk=topk((10, -0.5), (11, -0.9), (3, -0.9), (13, -1.7))),
+            tr, 3, topk=topk((10, -1.5), (11, -1.9), (3, -1.9), (13, -2.7))),
         "step 3: recorded rank 2 disagrees with topk rank 1"),
     "censored-rank": (
         lambda tr: replace_step(tr, 2, censored=True, watched_rank=5),
@@ -454,8 +475,20 @@ MESSAGES = {
 }
 
 
-# write_trace refuses a non-finite float, so these faults never reach a file
+# jsonl cannot write a non-finite float, so these faults never reach a file
 FILE_CASES = sorted(set(MESSAGES) - {"not-finite", "wall-time"})
+
+
+def write_unchecked(trace, path):
+    """The trace's lines as jsonl writes them, checking nothing: a fault
+    that write_trace refuses to write, such as an empty top-K, reaches
+    the file."""
+    header = {**vars(trace.header), "natural_stop": trace.natural_stop,
+              "probes": {str(k): v for k, v in sorted(trace.probes.items())}}
+    rows = [{**vars(step), "topk": list(map(list, zip(step.topk.tokens,
+                                                       step.topk.logprobs.tolist())))}
+            for step in trace.steps]
+    jsonl.write_lines(str(path), [header, *rows])
 
 
 def file_location(message):
@@ -482,7 +515,7 @@ class TestIntegrityMessages:
     def test_message_from_file(self, case, tmp_path):
         corrupt, message = MESSAGES[case]
         path = tmp_path / "t.jsonl"
-        write_trace(corrupt(make_trace(BASE_RANKS, natural=True)), str(path))
+        write_unchecked(corrupt(make_trace(BASE_RANKS, natural=True)), path)
         where = f"{path}{file_location(message)}"
         with pytest.raises(TraceIntegrityError, match="^" + re.escape(f"{where}: {message}") + "$"):
             read_trace(str(path))
@@ -520,7 +553,7 @@ class TestIntegrityMessages:
 
     def test_text_tokens_have_no_id_range(self):
         trace = make_trace(BASE_RANKS, natural=True)
-        text = replace_step(trace, 2, topk=topk(("a", -0.5), ("b", -0.9), ("c", -1.3)))
+        text = replace_step(trace, 2, topk=topk(("a", -1.5), ("b", -1.9), ("c", -2.3)))
         text.validate()
 
 
@@ -609,7 +642,7 @@ def write_flat_trace(path, width, n, rank=None):
     header = {"tokenizer": "toy", "vocab_size": 4 * WIDE_K, "watched_token": 0,
               "source": "test", "seed": 0, "natural_stop": None, "probes": {}}
     row = {"chosen_token": ids[0], "chosen_text": f"<w{ids[0]}>",
-           "topk": [[tok, -0.001 * i] for i, tok in enumerate(ids, start=1)],
+           "topk": [[tok, -7.0 - 0.001 * i] for i, tok in enumerate(ids, start=1)],
            "watched_rank": width if rank is None else rank, "censored": rank is None,
            "entropy": 1.5, "step_wall_time": 0.04}
     jsonl.write_lines(str(path), [header, *({"t": t, **row} for t in range(n))])
@@ -673,7 +706,7 @@ class TestSharedTokens:
         # equal to the watched id for the watched token
         path = tmp_path / "t.jsonl"
         for token, kind in ((1.0, "float"), (True, "bool"), (3.0, "float")):
-            self.write(path, [[1, -0.5], [2, -0.9]], [[token, -0.5], [2, -0.9]])
+            self.write(path, [[1, -1.5], [2, -1.9]], [[token, -1.5], [2, -1.9]])
             with pytest.raises(TraceIntegrityError) as err:
                 read_trace(str(path))
             assert str(err.value) == (
@@ -702,6 +735,14 @@ class TestSharedTokens:
             read_trace(str(path))
         assert str(err.value) == f"{path}:3: bad step record: {message}"
 
+    def test_logprob_beyond_float_range_names_its_line(self, tmp_path):
+        # a JSON integer of 401 digits is a number that no float holds
+        path = tmp_path / "t.jsonl"
+        self.write(path, [[10, -0.5]], [[15, -0.5], [42, -10**400]])
+        with pytest.raises(MalformedTraceError) as err:
+            read_trace(str(path))
+        assert str(err.value) == f"{path}:3: bad step record: int too large to convert to float"
+
     @pytest.mark.parametrize("pairs", [[[None, -0.5], [42, -1]], [[None, -0.5]],
                                        [["a", -0.5], [None, -1]]])
     def test_null_token_names_its_line(self, tmp_path, pairs):
@@ -714,14 +755,14 @@ class TestSharedTokens:
 
     def test_int_logprobs_read_as_floats(self, tmp_path):
         path = tmp_path / "t.jsonl"
-        self.write(path, [[10, 0], [11, -1], [12, -2.5]])
+        self.write(path, [[10, -1], [11, -2], [12, -2.5]])
         [topk] = read_trace(str(path)).iter_topk()
-        assert topk.logprobs.tolist() == [0.0, -1.0, -2.5]
+        assert topk.logprobs.tolist() == [-1.0, -2.0, -2.5]
 
     @pytest.mark.parametrize("token,kind", [([1], "list"), ({"id": 1}, "dict")])
     def test_unhashable_token_names_its_line(self, tmp_path, token, kind):
         path = tmp_path / "t.jsonl"
-        self.write(path, [[10, -0.5]], [[10, -0.5]], [[10, -0.5], [token, -0.9]])
+        self.write(path, [[10, -0.5]], [[10, -0.5]], [[10, -1.5], [token, -1.9]])
         with pytest.raises(TraceIntegrityError) as err:
             read_trace(str(path))
         assert str(err.value) == (
@@ -731,7 +772,7 @@ class TestSharedTokens:
 ONE_STEP = (
     '{"tokenizer":"toy","vocab_size":64,"watched_token":3,"source":"s","seed":0,'
     '"natural_stop":null,"probes":{"1":["Q:","a"]}}\n'
-    '{"t":0,"chosen_token":10,"chosen_text":"<w10>","topk":[[10,-0.5],[11,-0.9]],'
+    '{"t":0,"chosen_token":10,"chosen_text":"<w10>","topk":[[10,-1.5],[11,-1.9]],'
     '"watched_rank":2,"censored":true,"entropy":0.5,"step_wall_time":0.01}\n'
 )
 
@@ -787,10 +828,10 @@ class TestExactJsonTypes:
     @pytest.mark.parametrize(
         "old,new,message",
         [
-            ("[11,-0.9]", "[99.0,-0.9]", "topk token must be an int or a str, not float"),
+            ("[11,-1.9]", "[99.0,-1.9]", "topk token must be an int or a str, not float"),
             # a float equal to the watched id would read as an uncensored rank 1
-            ('[11,-0.9]],"watched_rank":2,"censored":true',
-             '[3.0,-0.9]],"watched_rank":1,"censored":false',
+            ('[11,-1.9]],"watched_rank":2,"censored":true',
+             '[3.0,-1.9]],"watched_rank":1,"censored":false',
              "topk token must be an int or a str, not float"),
             ('"chosen_token":10', '"chosen_token":10.0',
              "chosen token must be an int or a str, not float"),
@@ -837,7 +878,7 @@ class TestReadTraceTopK:
         write_trace(make_trace(BASE_RANKS, natural=True), str(path))
         trace = read_trace(str(path))
         # a logprob that keeps the step valid, on step 2's line
-        edit_line(path, 4, b"[11,-0.9]", b"[11,-1.0]")
+        edit_line(path, 4, b"[11,-1.9]", b"[11,-2.0]")
         topks = trace.iter_topk()
         next(topks), next(topks)
         with pytest.raises(TraceIntegrityError, match="^" + re.escape(
@@ -850,7 +891,7 @@ class TestReadTraceTopK:
         header, *steps = path.read_bytes().splitlines(keepends=True)
         path.write_bytes(b"".join([header, b"\n", b" \n", *steps]))
         trace = read_trace(str(path))
-        edit_line(path, 6, b"[11,-0.9]", b"[11,-1.0]")
+        edit_line(path, 6, b"[11,-1.9]", b"[11,-2.0]")
         with pytest.raises(TraceIntegrityError, match=re.escape(f"{path}:6: step 2: ")):
             trace.validate()
 
@@ -902,7 +943,7 @@ class TestSafeWrites:
         src, dst = tmp_path / "t.jsonl", tmp_path / "dst.jsonl"
         write_trace(make_trace(BASE_RANKS, natural=True), str(src))
         trace = read_trace(str(src))
-        edited = edit_line(src, 5, b"[3,-1.3]", b"[3,-1.4]")
+        edited = edit_line(src, 5, b"[3,-2.3]", b"[3,-2.4]")
         dst.write_bytes(b"an earlier trace\n")
         for target, before in ((dst, b"an earlier trace\n"), (src, edited)):
             with pytest.raises(TraceIntegrityError, match="^" + re.escape(f"{src}:5: step 3: ")):
@@ -918,7 +959,7 @@ def reference_line(step):
 
 
 def free_step(t, pairs, *, chosen=10, text="<w10>"):
-    """A step as written, unchecked: write_trace checks only the token rule."""
+    """A step as written: write_trace checks only the text and top-K rules."""
     return StepObservation(t=t, chosen_token=chosen, chosen_text=text, topk=topk(*pairs),
                            watched_rank=len(pairs), censored=True, entropy=0.5,
                            step_wall_time=0.01)
@@ -939,42 +980,46 @@ class TestStepLines:
     def test_corpus_is_byte_identical(self, tmp_path):
         steps = [
             free_step(0, [(text, -0.5 - i) for i, text in enumerate(AWKWARD_TEXTS)]),
-            free_step(1, [(text, -0.25) for text in reversed(AWKWARD_TEXTS)],
+            free_step(1, [(text, -2.25) for text in reversed(AWKWARD_TEXTS)],
                       chosen='"topk":0', text='x"topk":0,"y'),
-            free_step(2, [(1, -0.5), (2, -0.75), (1000, -1.0), (-7, -2.0), (10**20, -3.0)]),
+            free_step(2, [(1, -1.5), (2, -1.75), (1000, -2.0), (-7, -3.0), (10**20, -4.0)]),
             # an id and its text are two tokens; each keeps its own text
-            free_step(3, [("1", -0.5), (1, -0.75), ("true", -1.0)]),
-            free_step(4, [("1.0", -0.5), (1, -0.75)]),
-            free_step(5, [(1, -0.5), (2, -0.75)]),
+            free_step(3, [("1", -1.5), (1, -1.75), ("true", -2.0)]),
+            free_step(4, [("1.0", -1.5), (1, -1.75)]),
+            free_step(5, [(1, -1.5), (2, -1.75)]),
             free_step(6, [(7, -0.0)]),
-            free_step(7, []),
-            free_step(8, [(4, -0.0), (5, -5e-324), (6, -1e16)]),
-            free_step(9, [(4, 5e-324), (5, -1e-05), (6, -2.0000000000000004)]),
+            free_step(7, [(4, 5e-324)]),
+            free_step(8, [(4, -5e-324), (5, -1e16), (6, -1.7976931348623157e308)]),
+            free_step(9, [(4, -1e-05), (5, -12.000000000000002), (6, -1e16)]),
         ]
         lines = self.write(tmp_path, steps)
         assert lines == [reference_line(step) for step in steps]
-        assert '"topk":[]' in lines[7]
-        assert '["1",-0.5],[1,-0.75],["true",-1.0]' in lines[3]
-        assert '["1.0",-0.5],[1,-0.75]' in lines[4]
+        assert '"topk":[[4,5e-324]]' in lines[7]
+        assert '["1",-1.5],[1,-1.75],["true",-2.0]' in lines[3]
+        assert '["1.0",-1.5],[1,-1.75]' in lines[4]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_logprob_raises(self, tmp_path, bad):
-        with pytest.raises(ValueError):
-            self.write(tmp_path, [free_step(0, [(1, -0.5), (2, bad)])])
+        # the top-K rule refuses NaN and +inf; jsonl cannot write -inf
+        error = ValueError if bad == -math.inf else TraceIntegrityError
+        with pytest.raises(error):
+            self.write(tmp_path, [free_step(0, [(1, -1.5), (2, bad)])])
 
     @pytest.mark.parametrize("step,message", [
         # a dict takes True and 1 for one key, so True would be written as
-        # the text cached for step 0's id 1: [[1,-0.5],[1,-0.75],["1",-1.0]]
-        (free_step(1, [(True, -0.5), (1, -0.75), ("1", -1.0)]),
+        # the text cached for step 0's id 1: [[1,-1.5],[1,-1.75],["1",-2.0]]
+        (free_step(1, [(True, -1.5), (1, -1.75), ("1", -2.0)]),
          "step 1: topk token must be an int or a str, not bool"),
-        (free_step(1, [(1, -0.5)], chosen=1.0), "step 1: chosen token must be an int or a str,"
+        (free_step(1, [(1, -1.5)], chosen=1.0), "step 1: chosen token must be an int or a str,"
          " not float"),
-    ], ids=["topk-bool", "chosen-float"])
+        (free_step(1, []), "step 1: empty topk"),
+        (free_step(1, [(1, -1.5)], text=""), "step 1: empty chosen text"),
+    ], ids=["topk-bool", "chosen-float", "empty-topk", "empty-text"])
     def test_token_rule_is_checked_before_the_write(self, tmp_path, step, message):
         path = tmp_path / "t.jsonl"
         path.write_bytes(b"an earlier trace\n")
         trace = TraceFile(header=TraceHeader("toy", 64, 3, "test", 0),
-                          steps=(free_step(0, [(1, -0.5), (2, -0.75)]), step))
+                          steps=(free_step(0, [(1, -1.5), (2, -1.75)]), step))
         with pytest.raises(TraceIntegrityError, match="^" + re.escape(message) + "$"):
             write_trace(trace, str(path))
         assert path.read_bytes() == b"an earlier trace\n"
