@@ -36,6 +36,8 @@ TokenId = Union[int, str]
 
 # how far past 1 a top-K's probabilities may sum
 MASS_TOLERANCE = 1e-6
+# how far, relative, a step's recorded entropy may lie from its top-K's
+ENTROPY_TOLERANCE = 1e-9
 # the types of a token, in a top-K or chosen: a JSON integer or string
 _TOKEN_TYPES = (int, str)
 

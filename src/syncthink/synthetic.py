@@ -188,7 +188,7 @@ def generate_synthetic(
     probe_suffix: str = BaselineConfig.probe_suffix,
     watched_token: int = DEFAULT_WATCHED_TOKEN,
 ) -> TraceFile:
-    """Build a fully validated trace with the planted phase structure.
+    """Build a trace with the planted phase structure; write_trace checks it.
 
     probe_every > 0 records branch answers at every multiple of that
     step count (plus the final state): unstable drafts before the final
@@ -274,7 +274,7 @@ def generate_synthetic(
             answer = probe_answer if key >= commit_start else f"guess {key}"
             probes[key] = (probe_suffix, answer)
 
-    trace = TraceFile(
+    return TraceFile(
         header=TraceHeader(
             tokenizer="synthetic-v1",
             vocab_size=vocab_size,
@@ -286,5 +286,3 @@ def generate_synthetic(
         probes=probes,
         natural_stop=total - 1,
     )
-    trace.validate()
-    return trace

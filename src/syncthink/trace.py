@@ -7,15 +7,17 @@ Every following line is one decoding step, its top-K as [token, logprob]
 pairs.  Floats are written in their shortest round-trip form, so a
 parse/serialize cycle is byte-stable.  Each field is read by its JSON
 type and never coerced (jsonl.typed; a float field also takes an
-integer).  A step's text is not empty and its top-K passes
-policy.topk_probs, the one top-K rule, with its chosen token; the format
-adds rows sorted descending, no -inf logprob (jsonl cannot write it),
-ids inside the vocabulary, and a rank and censored flag that agree with
-the top-K.  write_trace checks the first two, then splices each line
-from one encode of its other fields, a cached text per distinct token
-and the float texts of one encode of the logprob row, the bytes
-jsonl.dumps writes for the row, into a temporary file it renames over
-the target, so a failed write leaves the target as it was.
+integer).  _check_step, the one check of a step, holds that its text is
+not empty and its top-K passes policy.topk_probs, the one top-K rule,
+with its chosen token, and the format's rules: rows sorted descending,
+no -inf logprob (jsonl cannot write it), ids inside the vocabulary, and
+a rank, censored flag and entropy that agree with the top-K.
+read_trace, TraceFile.validate and write_trace each run it with the
+header and end checks.  write_trace splices each line from one encode
+of its other fields, a cached text per distinct token and the float
+texts of one encode of the logprob row, the bytes jsonl.dumps writes
+for the row, into a temporary file it renames over the target, so a
+failed write leaves the target as it was.
 
 Replay reads only a step's scalars (rank, censored flag, entropy, wall
 time, chosen token and text), so read_trace checks every line against
@@ -59,7 +61,7 @@ from .errors import (
     UnsupportedProbeError,
 )
 from .jsonl import BOOL, FLOAT, INT, TEXT, typed
-from .policy import Distribution, TokenId, compute_rank, topk_probs
+from .policy import ENTROPY_TOLERANCE, Distribution, TokenId, compute_rank, shannon_entropy
 
 # the JSON type of each header field, and of each step field but the
 # tokens (see jsonl.typed)
@@ -165,15 +167,9 @@ class TraceFile:
                 fh.close()
 
     def validate(self) -> None:
-        """Check the whole trace, each step against its top-K (iter_topk);
-        step i is named as file line i + 2."""
-        _check_header(self.header)
-        watched = []
-        for i, (step, topk) in enumerate(zip(self.steps, self.iter_topk())):
-            _check_step(step, topk, self.header, i, i + 2)
-            if step.chosen_token == self.header.watched_token:
-                watched.append(i)
-        _check_end(len(self.steps), watched, self.natural_stop, self.probes)
+        """Check the whole trace as read_trace and write_trace do (_checked_steps)."""
+        for _ in _checked_steps(self):
+            pass
 
     def probe_at(self, t: int, suffix: str) -> str:
         """Answer of the branch recorded at decision step t for suffix;
@@ -215,21 +211,12 @@ def _check_header(h: TraceHeader) -> None:
         )
 
 
-def _check_text_and_topk(step: StepObservation, topk: Distribution) -> None:
-    """Refuse an empty text and a top-K that fails policy.topk_probs."""
-    if not step.chosen_text:
-        raise TraceIntegrityError(f"step {step.t}: empty chosen text")
-    try:
-        topk_probs(topk, step.chosen_token)
-    except MalformedDistributionError as exc:
-        raise TraceIntegrityError(f"step {step.t}: {exc}") from exc
-
-
 def _check_step(step: StepObservation, topk: Distribution, header: TraceHeader,
                 index: int, lineno: int) -> None:
-    """Check step number `index`, read from file line `lineno` with top-K
-    `topk`, on its own and against its header.  An int token lies inside
-    the vocabulary, a text token has no id range."""
+    """The one check of a trace row: step number `index`, read from file
+    line `lineno` with top-K `topk`, on its own and against its header.
+    An int token lies inside the vocabulary, a text token has no id range,
+    and the entropy is its top-K's within ENTROPY_TOLERANCE (relative)."""
     if step.t != index:
         raise TraceIntegrityError(
             f"step indices must be consecutive from 0; saw {step.t} at line {lineno}"
@@ -238,7 +225,12 @@ def _check_step(step: StepObservation, topk: Distribution, header: TraceHeader,
     # `not a >= b` also fails a NaN logprob
     if not (lps[:-1] >= lps[1:]).all():
         raise TraceIntegrityError(f"step {step.t}: topk not sorted descending")
-    _check_text_and_topk(step, topk)
+    if not step.chosen_text:
+        raise TraceIntegrityError(f"step {step.t}: empty chosen text")
+    try:
+        entropy = shannon_entropy(topk, step.chosen_token)
+    except MalformedDistributionError as exc:
+        raise TraceIntegrityError(f"step {step.t}: {exc}") from exc
     # sorted, and the rule refuses NaN and +inf, so only the last can be -inf
     if not math.isfinite(lps[-1]):
         raise TraceIntegrityError(f"step {step.t}: topk logprobs must be finite")
@@ -280,23 +272,37 @@ def _check_step(step: StepObservation, topk: Distribution, header: TraceHeader,
         raise TraceIntegrityError(
             f"step {step.t}: recorded rank {step.watched_rank} disagrees with topk rank {rank}"
         )
+    if not math.isclose(step.entropy, entropy, rel_tol=ENTROPY_TOLERANCE):
+        raise TraceIntegrityError(f"step {step.t}: recorded entropy {step.entropy!r}"
+                                  f" disagrees with topk entropy {entropy!r}")
 
 
-def _check_end(n_steps: int, watched: list[int], natural_stop: int | None, probes: dict) -> None:
-    """The checks that need every step: `watched` lists the steps that emit the terminator."""
-    if not n_steps:
+def _checked_steps(trace: TraceFile) -> Iterator[tuple[StepObservation, Distribution]]:
+    """Each step and its top-K, checked as read_trace checks its lines:
+    step i as file line i + 2, between _check_header and _check_end."""
+    _check_header(trace.header)
+    for i, (step, topk) in enumerate(zip(trace.steps, trace.iter_topk())):
+        _check_step(step, topk, trace.header, i, i + 2)
+        yield step, topk
+    _check_end(trace.steps, trace.header, trace.natural_stop, trace.probes)
+
+
+def _check_end(steps, header: TraceHeader, natural_stop: int | None, probes: dict) -> None:
+    """The checks that need every step, each of which passed _check_step."""
+    if not steps:
         raise TraceIntegrityError("trace has no steps")
+    watched = [step.t for step in steps if step.chosen_token == header.watched_token]
     if natural_stop is None:
         if watched:
             raise TraceIntegrityError(
                 f"watched token emitted at step {watched[0]} but natural_stop is unset"
             )
-    elif natural_stop != n_steps - 1:
+    elif natural_stop != len(steps) - 1:
         raise TraceIntegrityError(f"natural_stop {natural_stop} is not the final step")
     elif watched != [natural_stop]:
         raise TraceIntegrityError("watched token emissions inconsistent with natural_stop")
     for key in probes:
-        if not (0 <= key <= n_steps):
+        if not (0 <= key <= len(steps)):
             raise TraceIntegrityError(f"probe key {key} out of range")
 
 
@@ -336,11 +342,11 @@ def _step_line(step: StepObservation, topk: Distribution, heads: dict[TokenId, s
 def write_trace(trace: TraceFile, path: str) -> None:
     """Write the header line, then one line per step (see _step_line).
 
-    Each step passes _check_text_and_topk before its line is made, else
-    TraceIntegrityError.  The lines go to a temporary file beside path,
-    renamed over path once every line is written; a write that fails
-    leaves path as it was.  So a read trace can be written onto the file
-    it was read from.
+    Each step passes read_trace's checks (_checked_steps) before its line
+    is made, and the whole trace before path is replaced, else
+    TraceIntegrityError.  The lines go to a temporary file beside path; a
+    write that fails leaves path as it was, so a read trace can be
+    written onto the file it was read from.
     """
     header = {
         **vars(trace.header),
@@ -352,8 +358,7 @@ def write_trace(trace: TraceFile, path: str) -> None:
     try:
         with open(partial, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(jsonl.dumps(header) + "\n")
-            for step, topk in zip(trace.steps, trace.iter_topk()):
-                _check_text_and_topk(step, topk)
+            for step, topk in _checked_steps(trace):
                 fh.write(_step_line(step, topk, heads) + "\n")
         os.replace(partial, path)
     except BaseException:
@@ -415,7 +420,6 @@ def read_trace(path: str) -> TraceFile:
     reported.  The trace keeps each step without its top-K (see iter_topk)."""
     header = None
     steps: list[StepObservation] = []
-    watched: list[int] = []
     lines = StepLines(path)
     where = path  # a step's integrity error names its line, others the file
     try:
@@ -429,14 +433,12 @@ def read_trace(path: str) -> TraceFile:
             where = f"{path}:{lineno}"
             step, topk = _parse_step(obj, where)
             _check_step(step, topk, header, len(steps), lineno)
-            if step.chosen_token == header.watched_token:
-                watched.append(step.t)
             steps.append(step)
             lines.add(offset, lineno, raw)
         where = path
         if header is None:
             raise MalformedTraceError(f"{path}: empty trace file")
-        _check_end(len(steps), watched, natural_stop, probes)
+        _check_end(steps, header, natural_stop, probes)
     except TraceIntegrityError as exc:
         raise TraceIntegrityError(f"{where}: {exc}") from exc
     except ValueError as exc:

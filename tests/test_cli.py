@@ -18,7 +18,7 @@ import pytest
 from syncthink import __version__, cli
 from syncthink.cli import main
 from syncthink.controller import GenerationRecord, read_records, record_fingerprint
-from syncthink.policy import Distribution
+from syncthink.policy import Distribution, shannon_entropy
 from syncthink.saliency import load_tensor, saliency_report, save_tensor
 from syncthink.stub import StubServer
 from syncthink.synthetic import SyntheticPhaseSpec, generate_synthetic
@@ -141,6 +141,17 @@ class TestGenSynthetic:
                            "--phases", "8,8,20,8", "--out", str(out)) == 0
         for name in ("synth_0000.jsonl", "synth_0001.jsonl"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    @pytest.mark.parametrize("width", ["17", "8"])
+    def test_benchmark_smoke_corpora_replay(self, tmp_path, width):
+        # the benchmark's corpus shapes at smoke size: write_trace checks
+        # each generated trace, and a full run reads them back
+        corpus, out = tmp_path / "corpus", tmp_path / "run"
+        assert run_cli("gen-synthetic", "--count", "2", "--seed", "3", "--phases", "6,6,20,6",
+                       "--topk-width", width, "--out", str(corpus)) == 0
+        traces = sorted(str(p) for p in corpus.glob("*.jsonl"))
+        assert len(traces) == 2
+        assert run_cli("run", "--policy", "full", "--traces", *traces, "--out", str(out)) == 0
 
     def test_bad_phase_spec_is_usage_error(self, tmp_path):
         out = tmp_path / "nope"
@@ -391,8 +402,8 @@ class TestRun:
     def test_traces_watching_different_tokens_are_usage_error(self, workspace, tmp_path,
                                                                capsys):
         other = tmp_path / "other.jsonl"
-        step = StepObservation(0, 7, "<w7>", Distribution([7, 8], [-0.5, -1.5]), 2, True,
-                               0.5, 0.01)
+        topk = Distribution([7, 8], [-0.5, -1.5])
+        step = StepObservation(0, 7, "<w7>", topk, 2, True, shannon_entropy(topk), 0.01)
         write_trace(TraceFile(TraceHeader("toy", 64, 5, "hand", 0), (step,)), str(other))
         out = tmp_path / "nope"
         assert run_cli("run", "--traces", workspace["traces"][0], str(other),

@@ -722,6 +722,18 @@ class TestPolicyParity:
         assert live.answer_tokens == offline.answer_tokens
         assert live.entropy_trajectory == offline.entropy_trajectory
 
+    def test_replay_takes_only_the_entropy_live_serves(self, factory, trace):
+        # live, the client derives each step's entropy from its top-K; the
+        # trace with every entropy 0.0 replays to another stop, so the
+        # trace check refuses it (test_trace.py checks every boundary)
+        live = run_live(factory, "syncthink")
+        assert run_offline(trace, "syncthink").stop_step == live.stop_step == 275
+        zeroed = dataclasses.replace(trace, steps=tuple(
+            dataclasses.replace(step, entropy=0.0) for step in trace.steps))
+        assert run_offline(zeroed, "syncthink").stop_step == 270
+        with pytest.raises(TraceIntegrityError, match="^step 0: recorded entropy 0.0 disagrees"):
+            zeroed.validate()
+
     def test_repeat_runs_fingerprint_identical(self, factory):
         first = run_live(factory, "syncthink")
         second = run_live(factory, "syncthink")
@@ -1068,14 +1080,18 @@ def rule_event(pairs, chosen):
     return b"data: " + json.dumps({"choices": [choice]}).encode() + b"\n\n"
 
 
-def rule_trace(path, pairs, chosen, rank=None):
-    """A two-step trace whose step 1 holds pairs; the watched id is 3."""
+def rule_trace(path, pairs, chosen, rank=None, entropy=0.0):
+    """A two-step trace whose step 1 holds pairs and records entropy; the
+    watched id is 3."""
     header = {"tokenizer": "toy", "vocab_size": 64, "watched_token": 3, "source": "test",
               "seed": 0, "natural_stop": None, "probes": {}}
     first = {"t": 0, "chosen_token": 1, "chosen_text": "x", "topk": [[1, -0.1], [2, -2.5]],
-             "watched_rank": 2, "censored": True, "entropy": 1.0, "step_wall_time": 0.01}
+             "watched_rank": 2, "censored": True,
+             "entropy": shannon_entropy(Distribution([1, 2], [-0.1, -2.5])),
+             "step_wall_time": 0.01}
     step = {**first, "t": 1, "chosen_token": chosen, "topk": [list(p) for p in pairs],
-            "watched_rank": len(pairs) if rank is None else rank, "censored": rank is None}
+            "watched_rank": len(pairs) if rank is None else rank, "censored": rank is None,
+            "entropy": entropy}
     jsonl.write_lines(str(path), [header, first, step])
 
 
@@ -1114,7 +1130,8 @@ class TestOneTopKRule:
             with contextlib.closing(session):
                 obs = next(session)
         path = tmp_path / "t.jsonl"
-        rule_trace(path, list(zip([10, 3, 11], logprobs)), 10, rank=1)
+        rule_trace(path, list(zip([10, 3, 11], logprobs)), 10, rank=1,
+                   entropy=shannon_entropy(Distribution([10, 3, 11], logprobs)))
         topk = list(read_trace(str(path)).iter_topk())[1]
         assert (obs.watched_rank, obs.censored, obs.entropy) == (
             *compute_rank(topk, 3), shannon_entropy(topk))

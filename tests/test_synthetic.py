@@ -109,6 +109,13 @@ class TestSelfConsistency:
             derived = shannon_entropy(Distribution.from_topk_logprobs(step.topk))
             assert derived == step.entropy
 
+    @pytest.mark.parametrize("width", [1, 32, 80, 513])
+    def test_generated_traces_pass_the_trace_check(self, width):
+        # generate_synthetic leaves the check to the boundaries a trace
+        # crosses (write_trace, read_trace, validate)
+        for seed in (0, 7, 12):
+            generate_synthetic(SyntheticPhaseSpec(seed=seed), topk_width=width).validate()
+
     def test_rank_field_matches_topk_when_visible(self):
         trace = generate_synthetic(SyntheticPhaseSpec(seed=4))
         watched = trace.header.watched_token

@@ -13,11 +13,12 @@ import pytest
 
 from syncthink import jsonl
 from syncthink.errors import (
+    MalformedDistributionError,
     MalformedTraceError,
     TraceIntegrityError,
     UnsupportedProbeError,
 )
-from syncthink.policy import Distribution
+from syncthink.policy import ENTROPY_TOLERANCE, Distribution, shannon_entropy
 from syncthink.trace import (
     StepObservation,
     TraceFile,
@@ -33,8 +34,23 @@ def topk(*pairs):
     return Distribution([tok for tok, _ in pairs], np.array([lp for _, lp in pairs]))
 
 
-def make_step(t, rank, *, watched=3, width=4, chosen=None, entropy=1.0):
-    """A hand-built consistent step: watched sits at its rank if visible."""
+def entropy_of(*pairs):
+    """The entropy a step with this top-K records."""
+    return shannon_entropy(topk(*pairs))
+
+
+def row_entropy(pairs):
+    """A written row's entropy: its top-K's, or 0.0 for pairs the reader
+    refuses before it compares the entropy."""
+    try:
+        return entropy_of(*pairs)
+    except (MalformedDistributionError, TypeError, ValueError, OverflowError):
+        return 0.0
+
+
+def make_step(t, rank, *, watched=3, width=4, chosen=None):
+    """A hand-built consistent step: watched sits at its rank if visible,
+    and the entropy is its top-K's."""
     lps = [-1.5 - 0.4 * i for i in range(width)]
     fillers = [i for i in range(10, 10 + width)]
     if rank < width:
@@ -45,14 +61,15 @@ def make_step(t, rank, *, watched=3, width=4, chosen=None, entropy=1.0):
         censored = False
     if chosen is None:
         chosen = ids[0]
+    dist = topk(*zip(ids, lps))
     return StepObservation(
         t=t,
         chosen_token=chosen,
         chosen_text=f"<w{chosen}>",
-        topk=topk(*zip(ids, lps)),
+        topk=dist,
         watched_rank=rank,
         censored=censored,
-        entropy=entropy,
+        entropy=shannon_entropy(dist),
         step_wall_time=0.01,
     )
 
@@ -116,20 +133,21 @@ class TestRoundTrip:
     def test_fixed_bytes_survive_read_and_write(self, tmp_path):
         # written by the writer that held top-K as (token, logprob) pairs:
         # int tokens, a censored step of text tokens with a tie, 17-digit
-        # and whole-valued floats, probes and a natural stop
+        # and whole-valued floats, probes and a natural stop; each entropy
+        # is its top-K's
         original = "".join([
             '{"tokenizer":"toy","vocab_size":64,"watched_token":3,"source":"test",'
             '"seed":7,"natural_stop":2,"probes":{"1":["Final answer:","4 2"],'
             '"3":["Final answer:","42"]}}\n',
             '{"t":0,"chosen_token":10,"chosen_text":"<w10>","topk":[[10,-0.2],'
             '[11,-2.5],[3,-3.0000000000000004],[12,-7.25]],"watched_rank":2,'
-            '"censored":false,"entropy":0.30000000000000004,"step_wall_time":0.0125}\n',
+            '"censored":false,"entropy":0.670617452399297,"step_wall_time":0.0125}\n',
             '{"t":1,"chosen_token":"é","chosen_text":"é","topk":[["é",-1.0],'
             '["b",-1.0],["</think>",-2.0]],"watched_rank":3,"censored":true,'
-            '"entropy":1.1,"step_wall_time":0.02}\n',
+            '"entropy":1.2705153651168923,"step_wall_time":0.02}\n',
             '{"t":2,"chosen_token":3,"chosen_text":"</think>","topk":[[3,-1e-05],'
-            '[10,-11.5]],"watched_rank":0,"censored":false,"entropy":0.0,'
-            '"step_wall_time":0.001}\n',
+            '[10,-11.5]],"watched_rank":0,"censored":false,'
+            '"entropy":0.0001264959763847589,"step_wall_time":0.001}\n',
         ]).encode("utf-8")
         src, dst = tmp_path / "src.jsonl", tmp_path / "dst.jsonl"
         src.write_bytes(original)
@@ -240,7 +258,7 @@ class TestIntegrity:
             topk=steps[1].topk,
             watched_rank=3,  # topk shows the watched token at rank 1
             censored=False,
-            entropy=1.0,
+            entropy=steps[1].entropy,
             step_wall_time=0.01,
         )
         steps[1] = bad_step
@@ -256,7 +274,7 @@ class TestIntegrity:
             topk=topk((10, -1.0), (11, -0.5)),
             watched_rank=2,
             censored=True,
-            entropy=1.0,
+            entropy=entropy_of((10, -1.0), (11, -0.5)),
             step_wall_time=0.0,
         )
         trace = TraceFile(header=TraceHeader("toy", 64, 3, "t", 0), steps=(step,))
@@ -306,7 +324,7 @@ class TestIntegrity:
     def test_integrity_error_names_the_file(self, tmp_path):
         trace = make_trace([9, 7, 5], probes={4: ("s", "x")})
         path = tmp_path / "t.jsonl"
-        write_trace(trace, str(path))
+        write_unchecked(trace, path)
         with pytest.raises(TraceIntegrityError, match="^" + re.escape(f"{path}: probe key 4 out of range")):
             read_trace(str(path))
 
@@ -330,7 +348,7 @@ class TestIntegrity:
             topk=topk((10, -0.5), (11, -1.0)),
             watched_rank=7,
             censored=True,
-            entropy=1.0,
+            entropy=entropy_of((10, -0.5), (11, -1.0)),
             step_wall_time=0.0,
         )
         trace = TraceFile(
@@ -351,7 +369,7 @@ class TestIntegrity:
             topk=topk((10, -0.5), (11, -1.0)),
             watched_rank=1,
             censored=False,
-            entropy=1.0,
+            entropy=entropy_of((10, -0.5), (11, -1.0)),
             step_wall_time=0.0,
         )
         trace = TraceFile(
@@ -381,6 +399,37 @@ def test_empty_step_text_is_refused(tmp_path):
     write_unchecked(bad, path)
     with pytest.raises(TraceIntegrityError, match="^" + re.escape(f"{path}:7: {message}") + "$"):
         read_trace(str(path))
+
+
+def test_recorded_entropy_is_its_top_ks(tmp_path):
+    # with every entropy 0.0, this trace replayed syncthink (cap 64) to a
+    # stop at step 270, and served live, where each entropy is derived
+    # from the top-K, it stopped at 275
+    from syncthink.synthetic import SyntheticPhaseSpec, generate_synthetic
+
+    trace = generate_synthetic(SyntheticPhaseSpec(seed=7), topk_width=80)
+    bad = dataclasses.replace(trace, steps=tuple(
+        dataclasses.replace(step, entropy=0.0) for step in trace.steps))
+    message = f"step 0: recorded entropy 0.0 disagrees with topk entropy {trace.steps[0].entropy!r}"
+    with pytest.raises(TraceIntegrityError, match="^" + re.escape(message) + "$"):
+        bad.validate()
+    path = tmp_path / "t.jsonl"
+    with pytest.raises(TraceIntegrityError, match="^" + re.escape(message) + "$"):
+        write_trace(bad, str(path))
+    assert not path.exists()
+    write_unchecked(bad, path)
+    with pytest.raises(TraceIntegrityError, match="^" + re.escape(f"{path}:2: {message}") + "$"):
+        read_trace(str(path))
+
+
+def test_entropy_within_the_tolerance_is_taken():
+    # an ulp apart, as exp and log may differ across CPUs, is the same entropy
+    trace = make_trace(BASE_RANKS, natural=True)
+    entropy = trace.steps[2].entropy
+    replace_step(trace, 2, entropy=math.nextafter(entropy, math.inf)).validate()
+    replace_step(trace, 2, entropy=entropy * (1 + 0.5 * ENTROPY_TOLERANCE)).validate()
+    with pytest.raises(TraceIntegrityError, match="^step 2: recorded entropy "):
+        replace_step(trace, 2, entropy=entropy * (1 + 2 * ENTROPY_TOLERANCE)).validate()
 
 
 def replace_step(trace, index, **change):
@@ -511,6 +560,16 @@ class TestIntegrityMessages:
         with pytest.raises(TraceIntegrityError, match="^" + re.escape(message) + "$"):
             corrupt(trace).validate()
 
+    @pytest.mark.parametrize("case", sorted(MESSAGES))
+    def test_write_trace_refuses_what_validate_refuses(self, case, tmp_path):
+        corrupt, message = MESSAGES[case]
+        path = tmp_path / "t.jsonl"
+        path.write_bytes(b"an earlier trace\n")
+        with pytest.raises(TraceIntegrityError, match="^" + re.escape(message) + "$"):
+            write_trace(corrupt(make_trace(BASE_RANKS, natural=True)), str(path))
+        assert path.read_bytes() == b"an earlier trace\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["t.jsonl"]
+
     @pytest.mark.parametrize("case", FILE_CASES)
     def test_message_from_file(self, case, tmp_path):
         corrupt, message = MESSAGES[case]
@@ -524,7 +583,7 @@ class TestIntegrityMessages:
     def test_blank_lines_do_not_shift_the_line(self, case, tmp_path):
         # header on line 1, blank lines 2 and 3, so step 2 sits on line 6
         path = tmp_path / "t.jsonl"
-        write_trace(MESSAGES[case][0](make_trace(BASE_RANKS, natural=True)), str(path))
+        write_unchecked(MESSAGES[case][0](make_trace(BASE_RANKS, natural=True)), path)
         header, *steps = path.read_text(encoding="utf-8").splitlines(keepends=True)
         path.write_text("".join([header, "\n", " \n", *steps]), encoding="utf-8")
         with pytest.raises(TraceIntegrityError) as err:
@@ -536,8 +595,8 @@ class TestIntegrityMessages:
     def test_first_fault_by_line_is_reported(self, tmp_path):
         # a bad rank on line 4 comes before a line that is not JSON
         path = tmp_path / "t.jsonl"
-        write_trace(replace_step(make_trace(BASE_RANKS, natural=True), 2, watched_rank=-1),
-                    str(path))
+        write_unchecked(replace_step(make_trace(BASE_RANKS, natural=True), 2, watched_rank=-1),
+                        path)
         with open(path, "a", encoding="utf-8") as fh:
             fh.write("not json\n")
         with pytest.raises(TraceIntegrityError) as err:
@@ -553,7 +612,8 @@ class TestIntegrityMessages:
 
     def test_text_tokens_have_no_id_range(self):
         trace = make_trace(BASE_RANKS, natural=True)
-        text = replace_step(trace, 2, topk=topk(("a", -1.5), ("b", -1.9), ("c", -2.3)))
+        pairs = ("a", -1.5), ("b", -1.9), ("c", -2.3)
+        text = replace_step(trace, 2, topk=topk(*pairs), entropy=entropy_of(*pairs))
         text.validate()
 
 
@@ -641,10 +701,10 @@ def write_flat_trace(path, width, n, rank=None):
         ids = ids[:rank] + [0] + ids[rank : width - 1]
     header = {"tokenizer": "toy", "vocab_size": 4 * WIDE_K, "watched_token": 0,
               "source": "test", "seed": 0, "natural_stop": None, "probes": {}}
-    row = {"chosen_token": ids[0], "chosen_text": f"<w{ids[0]}>",
-           "topk": [[tok, -7.0 - 0.001 * i] for i, tok in enumerate(ids, start=1)],
+    pairs = [[tok, -7.0 - 0.001 * i] for i, tok in enumerate(ids, start=1)]
+    row = {"chosen_token": ids[0], "chosen_text": f"<w{ids[0]}>", "topk": pairs,
            "watched_rank": width if rank is None else rank, "censored": rank is None,
-           "entropy": 1.5, "step_wall_time": 0.04}
+           "entropy": entropy_of(*pairs), "step_wall_time": 0.04}
     jsonl.write_lines(str(path), [header, *({"t": t, **row} for t in range(n))])
     return path
 
@@ -697,7 +757,7 @@ class TestSharedTokens:
         header = {"tokenizer": "toy", "vocab_size": 4096, "watched_token": 3,
                   "source": "test", "seed": 0, "natural_stop": None, "probes": {}}
         rows = [{"t": t, "chosen_token": 10, "chosen_text": "<w10>", "topk": pairs,
-                 "watched_rank": len(pairs), "censored": True, "entropy": 1.0,
+                 "watched_rank": len(pairs), "censored": True, "entropy": row_entropy(pairs),
                  "step_wall_time": 0.01} for t, pairs in enumerate(topks)]
         jsonl.write_lines(str(path), [header, *rows])
 
@@ -773,7 +833,7 @@ ONE_STEP = (
     '{"tokenizer":"toy","vocab_size":64,"watched_token":3,"source":"s","seed":0,'
     '"natural_stop":null,"probes":{"1":["Q:","a"]}}\n'
     '{"t":0,"chosen_token":10,"chosen_text":"<w10>","topk":[[10,-1.5],[11,-1.9]],'
-    '"watched_rank":2,"censored":true,"entropy":0.5,"step_wall_time":0.01}\n'
+    '"watched_rank":2,"censored":true,"entropy":0.9114040151394609,"step_wall_time":0.01}\n'
 )
 
 
@@ -795,8 +855,8 @@ class TestExactJsonTypes:
              "bad step record: watched_rank must be a JSON int, got 2.9"),
             ('"t":0', '"t":0.7', 2, "bad step record: t must be a JSON int, got 0.7"),
             ('"t":0', '"t":false', 2, "bad step record: t must be a JSON int, got False"),
-            ('"entropy":0.5', '"entropy":"0.5"', 2,
-             "bad step record: entropy must be a JSON int or float, got '0.5'"),
+            ('"entropy":0.9114040151394609', '"entropy":"0.9"', 2,
+             "bad step record: entropy must be a JSON int or float, got '0.9'"),
             ('"chosen_text":"<w10>"', '"chosen_text":10', 2,
              "bad step record: chosen_text must be a JSON str, got 10"),
             ('"watched_token":3', '"watched_token":3.7', 1,
@@ -919,7 +979,7 @@ class TestReadTraceTopK:
 
     def test_a_line_that_is_not_an_object_names_its_line(self, tmp_path):
         path = tmp_path / "t.jsonl"
-        write_trace(make_trace(BASE_RANKS), str(path))
+        write_trace(make_trace(BASE_RANKS, natural=True), str(path))
         with path.open("a", encoding="utf-8") as fh:
             fh.write("[1, 2]\n")
         lineno = len(BASE_RANKS) + 2
@@ -958,10 +1018,13 @@ def reference_line(step):
     return jsonl.dumps({**vars(step), "topk": [[tok, lp] for tok, lp in pairs]})
 
 
-def free_step(t, pairs, *, chosen=10, text="<w10>"):
-    """A step as written: write_trace checks only the text and top-K rules."""
-    return StepObservation(t=t, chosen_token=chosen, chosen_text=text, topk=topk(*pairs),
-                           watched_rank=len(pairs), censored=True, entropy=0.5,
+def free_step(t, pairs, *, chosen=10, text="<w10>", entropy=None):
+    """A step whose watched token is censored; its entropy is its top-K's
+    unless given, as for a row the step check refuses before the entropy."""
+    dist = topk(*pairs)
+    return StepObservation(t=t, chosen_token=chosen, chosen_text=text, topk=dist,
+                           watched_rank=len(pairs), censored=True,
+                           entropy=shannon_entropy(dist) if entropy is None else entropy,
                            step_wall_time=0.01)
 
 
@@ -972,7 +1035,8 @@ class TestStepLines:
     """write_trace splices each step line; every byte is the reference encode's."""
 
     def write(self, tmp_path, steps):
-        trace = TraceFile(header=TraceHeader("toy", 64, 3, "test", 0), steps=tuple(steps))
+        # ids up to 10**20 lie inside the vocabulary
+        trace = TraceFile(header=TraceHeader("toy", 10**21, 3, "test", 0), steps=tuple(steps))
         path = tmp_path / "t.jsonl"
         write_trace(trace, str(path))
         return path.read_text(encoding="utf-8").split("\n")[1:-1]
@@ -982,7 +1046,7 @@ class TestStepLines:
             free_step(0, [(text, -0.5 - i) for i, text in enumerate(AWKWARD_TEXTS)]),
             free_step(1, [(text, -2.25) for text in reversed(AWKWARD_TEXTS)],
                       chosen='"topk":0', text='x"topk":0,"y'),
-            free_step(2, [(1, -1.5), (2, -1.75), (1000, -2.0), (-7, -3.0), (10**20, -4.0)]),
+            free_step(2, [(1, -1.5), (2, -1.75), (1000, -2.0), (0, -3.0), (10**20, -4.0)]),
             # an id and its text are two tokens; each keeps its own text
             free_step(3, [("1", -1.5), (1, -1.75), ("true", -2.0)]),
             free_step(4, [("1.0", -1.5), (1, -1.75)]),
@@ -998,21 +1062,24 @@ class TestStepLines:
         assert '["1",-1.5],[1,-1.75],["true",-2.0]' in lines[3]
         assert '["1.0",-1.5],[1,-1.75]' in lines[4]
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_logprob_raises(self, tmp_path, bad):
-        # the top-K rule refuses NaN and +inf; jsonl cannot write -inf
-        error = ValueError if bad == -math.inf else TraceIntegrityError
-        with pytest.raises(error):
-            self.write(tmp_path, [free_step(0, [(1, -1.5), (2, bad)])])
+    @pytest.mark.parametrize("bad,message", [
+        (math.nan, "topk not sorted descending"), (math.inf, "topk not sorted descending"),
+        (-math.inf, "topk logprobs must be finite"),
+    ], ids=["nan", "inf", "-inf"])
+    def test_non_finite_logprob_raises(self, tmp_path, bad, message):
+        # refused by the step check, as the reader refuses it, before jsonl
+        # would refuse to write it
+        with pytest.raises(TraceIntegrityError, match=f"^step 0: {message}$"):
+            self.write(tmp_path, [free_step(0, [(1, -1.5), (2, bad)], entropy=0.0)])
 
     @pytest.mark.parametrize("step,message", [
         # a dict takes True and 1 for one key, so True would be written as
         # the text cached for step 0's id 1: [[1,-1.5],[1,-1.75],["1",-2.0]]
-        (free_step(1, [(True, -1.5), (1, -1.75), ("1", -2.0)]),
+        (free_step(1, [(True, -1.5), (1, -1.75), ("1", -2.0)], entropy=0.0),
          "step 1: topk token must be an int or a str, not bool"),
         (free_step(1, [(1, -1.5)], chosen=1.0), "step 1: chosen token must be an int or a str,"
          " not float"),
-        (free_step(1, []), "step 1: empty topk"),
+        (free_step(1, [], entropy=0.0), "step 1: empty topk"),
         (free_step(1, [(1, -1.5)], text=""), "step 1: empty chosen text"),
     ], ids=["topk-bool", "chosen-float", "empty-topk", "empty-text"])
     def test_token_rule_is_checked_before_the_write(self, tmp_path, step, message):
